@@ -23,7 +23,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +187,23 @@ def load_csv_dataset(path: str | Path, task: str, split_seed: int = 0) -> Datase
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise ValidationError(f"{path}: need a header and at least two columns")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: row {reader.line_num} has {len(row)} cells, the header {len(header)}"
+                )
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValidationError(
+                        f"{path}: row {reader.line_num}, column {name!r}: {cell!r} is not a number"
+                    ) from None
+            rows.append(values)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least two data rows")
     data = np.asarray(rows, dtype=float)
@@ -244,10 +259,31 @@ def _u_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(wins) + 0.5 * float(ties)
 
 
+def _exact_u_counts(pooled: np.ndarray, m: int) -> dict[float, int]:
+    """Null distribution of U over all C(len(pooled), m) ways to pick the
+    first sample: U value -> number of picks.
+
+    U of a pick is (sum of its doubled mid-ranks - m(m+1)) / 2, and doubled
+    mid-ranks are integers, so ties stay exact. counts[j][s] is the number of
+    j-element picks among the values seen so far whose doubled ranks sum to s.
+    """
+    less = (pooled[:, None] > pooled[None, :]).sum(axis=1)
+    equal = (pooled[:, None] == pooled[None, :]).sum(axis=1)
+    doubled = [int(r) for r in 2 * less + equal + 1]
+    top = sum(sorted(doubled)[-m:])
+    counts = np.zeros((m + 1, top + 1), dtype=object)
+    counts[0, 0] = 1
+    for seen, rank in enumerate(doubled):
+        for j in range(min(seen + 1, m), 0, -1):
+            counts[j, rank:] += counts[j - 1, : top + 1 - rank]
+    offset = m * (m + 1)
+    return {(s - offset) / 2.0: int(c) for s, c in enumerate(counts[m]) if c}
+
+
 def mann_whitney_u(a, b, method: str = "auto") -> tuple[float, float]:
     """Two-sided Mann-Whitney test; returns (U of the first sample, p value).
 
-    ``auto`` enumerates the exact null distribution when the pooled size is
+    ``auto`` counts the exact null distribution when the pooled size is
     at most 16 and otherwise uses the normal approximation with tie
     correction and continuity correction.
     """
@@ -257,22 +293,15 @@ def mann_whitney_u(a, b, method: str = "auto") -> tuple[float, float]:
         raise TooFewSamples("each group needs at least 3 values")
     if method not in ("auto", "exact", "approx"):
         raise ValidationError(f"unknown method {method!r}")
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValidationError("Mann-Whitney values must not be NaN")
     u_obs = _u_statistic(a, b)
     m, n = len(a), len(b)
     if method == "exact" or (method == "auto" and m + n <= 16):
-        pooled = np.concatenate([a, b])
-        total = 0
-        count_le = 0
-        count_ge = 0
-        for subset in combinations(range(m + n), m):
-            mask = np.zeros(m + n, dtype=bool)
-            mask[list(subset)] = True
-            u = _u_statistic(pooled[mask], pooled[~mask])
-            total += 1
-            if u <= u_obs + 1e-12:
-                count_le += 1
-            if u >= u_obs - 1e-12:
-                count_ge += 1
+        u_counts = _exact_u_counts(np.concatenate([a, b]), m)
+        total = sum(u_counts.values())
+        count_le = sum(c for u, c in u_counts.items() if u <= u_obs + 1e-12)
+        count_ge = sum(c for u, c in u_counts.items() if u >= u_obs - 1e-12)
         p = min(1.0, 2.0 * min(count_le, count_ge) / total)
         return u_obs, p
     big_n = m + n

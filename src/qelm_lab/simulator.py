@@ -1,9 +1,17 @@
 """State-vector and density-matrix circuit execution.
 
-Two backends share one gate-application core:
+Two backends share one tensor contraction:
 
     run_ideal   pure states, exact unitary evolution, up to 20 qubits
     run_noisy   density matrices with per-gate Kraus channels, up to 12 qubits
+
+run_noisy works in the Pauli-transfer-matrix (PTM) representation: the
+state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
+followed by its noise is one real 4^k x 4^k matrix, the product of the
+noise's PTM (cached per profile and target qubits, since the noise does not
+depend on the gate's angle) and the gate unitary's PTM. The density matrix
+is rebuilt and validated once, at the end. apply_gate_density and
+apply_channel_density go through the same kernel.
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -18,13 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
-from .noise import KrausChannel, NoiseProfile, channel_for_gate
+from .noise import KrausChannel, NoiseProfile, gate_channel_parts
 from .rng import Rng
 
 IDEAL_QUBIT_CAP = 20
@@ -157,65 +166,99 @@ class ShotCounts:
 
 
 # ---------------------------------------------------------------------------
-# tensor kernels
+# tensor kernel
 
-def _apply_unitary_sv(tensor: np.ndarray, op: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    k = len(qubits)
-    op_t = op.reshape((2,) * (2 * k))
-    out = np.tensordot(op_t, tensor, axes=(tuple(range(k, 2 * k)), qubits))
-    return np.moveaxis(out, tuple(range(k)), qubits)
-
-
-def _apply_op_dm(tensor: np.ndarray, op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """A rho A(dagger) on the rank-2n density tensor (ket axes then bra axes)."""
-    k = len(qubits)
-    op_t = op.reshape((2,) * (2 * k))
-    ins = tuple(range(k, 2 * k))
-    out = np.tensordot(op_t, tensor, axes=(ins, qubits))
-    out = np.moveaxis(out, tuple(range(k)), qubits)
-    bra = tuple(n + q for q in qubits)
-    out = np.tensordot(out, op_t.conj(), axes=(bra, ins))
-    return np.moveaxis(out, tuple(range(2 * n - k, 2 * n)), bra)
+def _apply_local(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract a k-local operator tensor (k output axes, then k input axes)
+    into ``axes`` of ``tensor``; the output axes take their places."""
+    k = len(axes)
+    out = np.tensordot(op, tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def _apply_kraus_dm(
-    tensor: np.ndarray, ops: tuple[np.ndarray, ...], qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    if len(ops) == 1:
-        return _apply_op_dm(tensor, ops[0], qubits, n)
-    acc = np.zeros_like(tensor)
-    for op in ops:
-        acc += _apply_op_dm(tensor, op, qubits, n)
-    return acc
+# Pauli-transfer-matrix (PTM) representation of density matrices: an n-qubit
+# state is the real tensor r[s_0, ..., s_{n-1}] = Tr(P_s rho) over the Pauli
+# strings P_s = P_{s_0} (x) ... (x) P_{s_{n-1}} with P = (I, X, Y, Z), so
+# rho = sum_s r_s P_s / 2^n. A k-qubit map E acts on the k axes of its qubits
+# through the real 4^k x 4^k matrix R[s, t] = Tr(P_s E(P_t)) / 2^k.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# one qubit's 2x2 block, flattened as 2*i + j, to and from its Pauli coefficients
+_TO_PAULI = _PAULI.transpose(0, 2, 1).reshape(4, 4)
+_FROM_PAULI = _PAULI.reshape(4, 4).T / 2.0
+_PAULI_ZERO = (0, 3)  # |0><0| = (I + Z) / 2: r = 1 on I and Z, 0 on X and Y
+_I4 = np.eye(4)
+
+
+def _each_axis(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` to every axis of ``tensor``; the axis order comes back
+    unchanged after one contraction per axis."""
+    for _ in range(tensor.ndim):
+        tensor = np.tensordot(tensor, mat, axes=([0], [1]))
+    return tensor
+
+
+def _density_to_pauli(state: DensityMatrix) -> np.ndarray:
+    n = state.n_qubits
+    paired = state.entries.reshape((2,) * (2 * n))
+    paired = paired.transpose([a for q in range(n) for a in (q, n + q)])
+    return np.real(_each_axis(paired.reshape((4,) * n), _TO_PAULI))
+
+
+def _pauli_to_density(tensor: np.ndarray) -> DensityMatrix:
+    n = tensor.ndim
+    paired = _each_axis(tensor, _FROM_PAULI).reshape((2,) * (2 * n))
+    entries = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    return DensityMatrix(n, entries.reshape(2**n, 2**n))
+
+
+@lru_cache(maxsize=None)
+def _pauli_basis(k: int) -> np.ndarray:
+    """Row s is the row-major flattening of the k-qubit Pauli string P_s."""
+    strings = [reduce(np.kron, paulis) for paulis in product(_PAULI, repeat=k)]
+    basis = np.array(strings).reshape(4**k, 4**k)
+    basis.flags.writeable = False
+    return basis
+
+
+def _kraus_ptm(operators: tuple[np.ndarray, ...]) -> np.ndarray:
+    """PTM of rho -> sum_i K_i rho K_i^dagger, through the row-major
+    superoperator sum_i kron(K_i, conj(K_i))."""
+    dim = operators[0].shape[0]
+    basis = _pauli_basis(int(math.log2(dim)))
+    superop = sum(np.kron(op, op.conj()) for op in operators)
+    return np.real(basis.conj() @ superop @ basis.T) / dim
+
+
+def unitary_ptm(gate: Gate) -> np.ndarray:
+    """PTM of a gate's unitary (4x4 or 16x16)."""
+    return _kraus_ptm((gate_matrix(gate),))
+
+
+@lru_cache(maxsize=1024)
+def noise_ptm(profile: NoiseProfile, targets: tuple[int, ...]) -> np.ndarray:
+    """PTM of the profile's noise after any gate on ``targets``: the parts of
+    noise.gate_channel_parts composed in order. It depends on the gate's arity
+    and targets only, never on its kind or angle."""
+    width = len(targets)
+    ptm = np.eye(4**width)
+    probe = Gate("H" if width == 1 else "CX", targets)
+    for channel, qubits in gate_channel_parts(profile, probe):
+        part = _kraus_ptm(channel.operators)
+        if len(qubits) < width:
+            position = targets.index(qubits[0])
+            part = reduce(np.kron, [part if slot == position else _I4 for slot in range(width)])
+        ptm = part @ ptm
+    ptm.flags.writeable = False
+    return ptm
 
 
 @lru_cache(maxsize=16384)
-def _noisy_gate_superop(profile: NoiseProfile, gate: Gate) -> np.ndarray:
-    """Superoperator tensor for (gate unitary, then its noise channel).
-
-    With A_i = K_i U over the gate's composed Kraus set, the map is
-    rho -> sum_i A_i rho A_i^dagger, packed as sum_i kron(A_i, conj(A_i))
-    and reshaped to a (2,)*(4k) tensor: output ket/bra bits first, then
-    input ket/bra bits. One contraction applies gate and noise together.
-    """
-    unitary = gate_matrix(gate)
-    k = gate.n_targets
-    dim = 2**k
-    super_op = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for kraus in channel_for_gate(profile, gate).operators:
-        op = kraus @ unitary
-        super_op += np.kron(op, op.conj())
-    return super_op.reshape((2,) * (4 * k))
-
-
-def _apply_superop_dm(
-    tensor: np.ndarray, super_tensor: np.ndarray, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    k = len(qubits)
-    axes_in = tuple(range(2 * k, 4 * k))
-    targets = qubits + tuple(n + q for q in qubits)
-    out = np.tensordot(super_tensor, tensor, axes=(axes_in, targets))
-    return np.moveaxis(out, tuple(range(2 * k)), targets)
+def _noisy_gate_ptm(profile: NoiseProfile, gate: Gate) -> np.ndarray:
+    """PTM tensor of (gate unitary, then its noise), shaped (4,)*(2k) with
+    the output Pauli axes first: one contraction applies gate and noise."""
+    ptm = noise_ptm(profile, gate.targets) @ unitary_ptm(gate)
+    ptm.flags.writeable = False
+    return ptm.reshape((4,) * (2 * gate.n_targets))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +272,8 @@ def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> StateVector:
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
     for gate in circuit.gates:
-        tensor = _apply_unitary_sv(tensor, gate_matrix(gate), gate.targets)
+        op = gate_matrix(gate).reshape((2,) * (2 * gate.n_targets))
+        tensor = _apply_local(tensor, op, gate.targets)
     return StateVector(n, tensor.reshape(-1))
 
 
@@ -243,11 +287,18 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_
         raise IncompatibleProfile(
             f"profile {profile.name!r} covers {profile.n_qubits} qubits, circuit needs {n}"
         )
-    tensor = np.zeros((2,) * (2 * n), dtype=complex)
-    tensor[(0,) * (2 * n)] = 1.0
+    tensor = np.zeros((4,) * n)
+    tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
     for gate in circuit.gates:
-        tensor = _apply_superop_dm(tensor, _noisy_gate_superop(profile, gate), gate.targets, n)
-    return DensityMatrix(n, tensor.reshape(2**n, 2**n))
+        tensor = _apply_local(tensor, _noisy_gate_ptm(profile, gate), gate.targets)
+    return _pauli_to_density(tensor)
+
+
+def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:
+    tensor = _apply_local(
+        _density_to_pauli(state), ptm.reshape((4,) * (2 * len(qubits))), qubits
+    )
+    return _pauli_to_density(tensor)
 
 
 def apply_gate_density(state: DensityMatrix, gate: Gate) -> DensityMatrix:
@@ -256,9 +307,7 @@ def apply_gate_density(state: DensityMatrix, gate: Gate) -> DensityMatrix:
     for t in gate.targets:
         if t >= n:
             raise InvalidTarget(f"gate target {t} out of range for {n} qubits")
-    tensor = state.entries.reshape((2,) * (2 * n))
-    tensor = _apply_op_dm(tensor, gate_matrix(gate), gate.targets, n)
-    return DensityMatrix(n, tensor.reshape(2**n, 2**n))
+    return _apply_ptm_density(state, unitary_ptm(gate), gate.targets)
 
 
 def apply_channel_density(
@@ -271,9 +320,7 @@ def apply_channel_density(
     for t in qubits:
         if t >= n:
             raise InvalidTarget(f"channel qubit {t} out of range for {n} qubits")
-    tensor = state.entries.reshape((2,) * (2 * n))
-    tensor = _apply_kraus_dm(tensor, channel.operators, tuple(qubits), n)
-    return DensityMatrix(n, tensor.reshape(2**n, 2**n))
+    return _apply_ptm_density(state, _kraus_ptm(channel.operators), tuple(qubits))
 
 
 # ---------------------------------------------------------------------------

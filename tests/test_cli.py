@@ -217,3 +217,20 @@ def test_train_csv_requires_task(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--data", str(csv_path))
     assert code == 1
     assert "task" in err
+
+
+def test_train_csv_with_a_non_numeric_cell_exits_one(capsys, tmp_path):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("a,b,y\n1,2,3\n1,x,4\n2,3,5\n")
+    code, _, err = run_cli(capsys, "train", "--data", str(csv_path), "--task", "regression")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "bad.csv" in err and "row 3" in err and "'b'" in err and "'x'" in err
+
+
+def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
+    csv_path = tmp_path / "short.csv"
+    csv_path.write_text("a,b,y\n1,2,3\n1,4\n2,3,5\n")
+    code, _, err = run_cli(capsys, "train", "--data", str(csv_path), "--task", "regression")
+    assert code == 1
+    assert "row 3" in err

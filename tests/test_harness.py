@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelm_lab import harness
+from qelm_lab import harness, noise
+from qelm_lab import simulator as sim
 from qelm_lab.errors import EmptyInput, TooFewSamples, ValidationError
 from qelm_lab.harness import (
     Dataset,
@@ -175,6 +177,43 @@ def test_mann_whitney_tracks_scipy_oracle():
         assert p == pytest.approx(float(ref.pvalue), abs=5e-3)
 
 
+def _enumerated_mann_whitney(a, b) -> tuple[float, float]:
+    """Reference exact test: recompute U for every one of the C(m+n, m) ways
+    to pick the first sample."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    u_obs = harness._u_statistic(a, b)
+    pooled = np.concatenate([a, b])
+    m = len(a)
+    total = count_le = count_ge = 0
+    for subset in combinations(range(len(pooled)), m):
+        mask = np.zeros(len(pooled), dtype=bool)
+        mask[list(subset)] = True
+        u = harness._u_statistic(pooled[mask], pooled[~mask])
+        total += 1
+        count_le += u <= u_obs + 1e-12
+        count_ge += u >= u_obs - 1e-12
+    return u_obs, min(1.0, 2.0 * min(count_le, count_ge) / total)
+
+
+def test_exact_mann_whitney_matches_enumeration():
+    rng = np.random.default_rng(4)
+    cases = [([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), ([1.0] * 8, [1.0] * 8)]
+    for m, n in ((3, 3), (3, 8), (5, 4), (8, 8)):
+        cases.append((rng.normal(size=m), rng.normal(loc=0.5, size=n)))
+        cases.append((rng.integers(0, 4, size=m) / 2.0, rng.integers(1, 5, size=n) / 2.0))
+    for a, b in cases:
+        u, p = mann_whitney_u(a, b, method="exact")
+        u_ref, p_ref = _enumerated_mann_whitney(a, b)
+        assert u == u_ref
+        assert abs(p - p_ref) < 1e-12
+
+
+def test_mann_whitney_rejects_nan():
+    with pytest.raises(ValidationError):
+        mann_whitney_u([1.0, math.nan, 3.0], [4.0, 5.0, 6.0])
+
+
 def test_a12_worked_cases():
     assert a12([1.0, 2.0], [1.0, 2.0]) == pytest.approx(0.5)
     assert a12([5.0, 6.0], [1.0, 2.0]) == 1.0
@@ -261,6 +300,21 @@ def test_report_emission_files_and_determinism(tmp_path):
     payload = json.loads((out1 / "results.json").read_text())
     assert payload["scenario"] == "C1_1"
     assert len(payload["runs"]) == config.repeats
+
+
+def test_parallel_repeats_reproduce_serial_bytes():
+    dataset = generate_dataset("classification4", 24, seed=3)
+    reports = []
+    for jobs in (1, 2):
+        # start each run with empty process-wide caches, so the two threads
+        # of the parallel run fill them concurrently
+        sim.noise_ptm.cache_clear()
+        sim._noisy_gate_ptm.cache_clear()
+        config = ScenarioConfig(
+            "C1_1", noise.bundled_profile("device-a"), repeats=4, seed=5, jobs=jobs
+        )
+        reports.append(report_json_bytes(run_scenario(config, dataset)))
+    assert reports[0] == reports[1]
 
 
 def test_rerunning_a_scenario_reproduces_bytes():

@@ -169,10 +169,10 @@ def test_composed_channel_equals_sequential_parts(bell):
     gate = circ.zz(0, 1, 0.9)
     state = sim.run_noisy(bell, profile)
     composed = sim.apply_channel_density(state, noise.channel_for_gate(profile, gate), (0, 1))
-    tensor = state.entries.reshape((2,) * 4)
+    sequential = state
     for channel, qubits in noise.gate_channel_parts(profile, gate):
-        tensor = sim._apply_kraus_dm(tensor, channel.operators, qubits, 2)
-    assert np.abs(composed.entries - tensor.reshape(4, 4)).max() < 1e-12
+        sequential = sim.apply_channel_density(sequential, channel, qubits)
+    assert np.abs(composed.entries - sequential.entries).max() < 1e-12
 
 
 def test_depolarizing_strength_is_monotone_in_tv_distance(bell):

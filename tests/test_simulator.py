@@ -1,7 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
+from qelm_lab import noise
 from qelm_lab import simulator as sim
 from qelm_lab.errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
 from qelm_lab.noise import KrausChannel, depolarizing_channel, zero_noise_profile
@@ -172,3 +177,76 @@ def test_apply_channel_validates_dimension():
     state = sim.maximally_mixed(2)
     with pytest.raises(ValidationError):
         sim.apply_channel_density(state, KrausChannel((np.eye(2, dtype=complex),)), (0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-transfer-matrix kernel against dense 2^n x 2^n evolution
+
+PROPERTY_PROFILES = (
+    noise.bundled_profile("device-a"),
+    noise.bundled_profile("device-b"),
+    noise.bundled_profile("device-c"),
+    make_depol_profile(0.05, 0.1),
+)
+
+
+def _embed(op: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix acting as ``op`` on ``targets`` (qubit 0 is the
+    most significant bit) and as the identity elsewhere."""
+    k = len(targets)
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    full = np.kron(op, np.eye(2 ** (n - k))).reshape((2,) * (2 * n))
+    axes = [order.index(q) for q in range(n)]
+    return full.transpose(axes + [n + a for a in axes]).reshape(2**n, 2**n)
+
+
+def _dense_noisy(circuit: circ.Circuit, profile) -> np.ndarray:
+    """rho -> sum_K K rho K^dagger over each gate's unitary, then over the
+    Kraus operators of its composed noise channel."""
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.gates:
+        u = _embed(sim.gate_matrix(gate), gate.targets, n)
+        rho = u @ rho @ u.conj().T
+        ops = [_embed(k, gate.targets, n) for k in noise.channel_for_gate(profile, gate).operators]
+        rho = sum(k @ rho @ k.conj().T for k in ops)
+    return rho
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 4, max_gates: int = 12):
+    n = draw(st.integers(1, max_qubits))
+    kinds = [k for k in circ.GATE_KINDS if n >= 2 or k not in ("CX", "ZZ")]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        k = 2 if kind in ("CX", "ZZ") else 1
+        targets = draw(st.sampled_from(list(permutations(range(n), k))))
+        params = (draw(st.floats(-2 * np.pi, 2 * np.pi)),) if kind in ("RX", "RY", "RZ", "ZZ") else ()
+        gates.append(circ.Gate(kind, targets, params))
+    return circ.Circuit(n, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=circuits(), profile=st.sampled_from(PROPERTY_PROFILES))
+def test_run_noisy_matches_dense_kraus_reference(circuit, profile):
+    rho = sim.run_noisy(circuit, profile).entries
+    assert np.abs(rho - _dense_noisy(circuit, profile)).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=circuits())
+def test_zero_noise_run_noisy_is_the_ideal_pure_state(circuit):
+    psi = sim.run_ideal(circuit).amplitudes
+    rho = sim.run_noisy(circuit, zero_noise_profile(4)).entries
+    assert np.abs(rho - np.outer(psi, psi.conj())).max() < 1e-12
+
+
+def test_noise_ptms_preserve_trace():
+    for profile in PROPERTY_PROFILES:
+        for k in (1, 2):
+            for targets in permutations(range(4), k):
+                ptm = sim.noise_ptm(profile, targets)
+                assert ptm.shape == (4**k, 4**k)
+                assert np.abs(ptm[0] - np.eye(4**k)[0]).max() < 1e-12
