@@ -17,10 +17,12 @@ from importlib import resources
 from pathlib import Path
 
 from . import circuit as circ
-from .errors import ParseError, QelmLabError, UsageError, ValidationError
+from .errors import ParseError, QelmLabError, UsageError, ValidationError, coerce
 from .harness import (
     DATASET_KINDS,
+    MITIGATOR_KINDS,
     SCENARIO_IDS,
+    UQ_METHODS,
     Dataset,
     ModelSpec,
     ScenarioConfig,
@@ -37,7 +39,16 @@ from .harness import (
 )
 from .mitigation import ZneConfig, random_circuit, zne_calibrate
 from .noise import resolve_profile
-from .qelm import FeatureCache, IdealBackend, NoisyBackend, model_to_dict, train
+from .qelm import (
+    FEATURE_MAP_KINDS,
+    RESERVOIR_STYLES,
+    FeatureCache,
+    IdealBackend,
+    NoisyBackend,
+    model_to_dict,
+    train,
+)
+from .readout import READOUT_KINDS
 from .simulator import measure_distribution, run_ideal, run_noisy, sample
 
 
@@ -97,8 +108,9 @@ _FLAG_TO_PATH = {
 }
 
 
-def parse_and_validate(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, flags, and environment into a validated RunConfig."""
+def merge_run_config(args: argparse.Namespace) -> RunConfig:
+    """Merge config file, flags, and environment into one RunConfig. Its
+    values are checked when run_inputs turns it into the harness types."""
     raw: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -121,13 +133,14 @@ def parse_and_validate(args: argparse.Namespace) -> RunConfig:
                 setattr(config, key, int(raw[key]))
             except (TypeError, ValueError):
                 raise UsageError(f"{key}: must be an integer, got {raw[key]!r}") from None
-    for key in ("dataset", "model", "qlear"):
-        if key in raw and raw[key]:
-            getattr(config, key).update(raw[key])
-    if raw.get("zne"):
-        config.zne = dict(raw["zne"])
-    if raw.get("uq"):
-        config.uq = dict(raw["uq"])
+    for key in ("dataset", "model", "qlear", "zne", "uq"):
+        if not raw.get(key):
+            continue
+        if not isinstance(raw[key], dict):
+            raise UsageError(f"{key}: must be a JSON object, got {raw[key]!r}")
+        if getattr(config, key) is None:
+            setattr(config, key, {})
+        getattr(config, key).update(raw[key])
 
     env_seed = os.environ.get("QELM_LAB_SEED")
     if env_seed is not None and "seed" not in raw and getattr(args, "seed", None) is None:
@@ -149,77 +162,66 @@ def parse_and_validate(args: argparse.Namespace) -> RunConfig:
                 setattr(config, path[0], container)
             container[path[1]] = value
 
-    _validate_run_config(config)
     return config
 
 
-def _validate_run_config(config: RunConfig) -> None:
-    if config.scenario not in SCENARIO_IDS:
-        raise UsageError(f"scenario: must be one of {', '.join(SCENARIO_IDS)}")
-    if config.profile is None:
-        raise UsageError("profile: required for noisy or mitigated scenarios")
-    kind = config.dataset.get("kind")
-    if kind not in DATASET_KINDS:
-        raise UsageError(f"dataset.kind: must be one of {', '.join(DATASET_KINDS)}")
-    if int(config.dataset.get("size", 0)) < 20:
-        raise UsageError("dataset.size: must be at least 20")
-    if config.repeats < 1:
-        raise UsageError("repeats: must be at least 1")
-    mitigated = config.scenario in ("C2_1", "C2_2", "C3_3", "C3_4")
-    if mitigated and config.mitigator not in ("zne", "qlear"):
-        raise UsageError("mitigator: required ('zne' or 'qlear') for mitigated scenarios")
-    if not mitigated and config.mitigator is not None:
-        raise UsageError(f"mitigator: scenario {config.scenario} does not use one")
-    if config.uq is not None and config.uq.get("method") not in ("bootstrap", "ensemble"):
-        raise UsageError("uq.method: must be 'bootstrap' or 'ensemble'")
-    if config.scenario.startswith("C3") and config.uq is None:
-        raise UsageError(f"uq: scenario {config.scenario} requires a uq setting")
+_INT, _NUMBER = "an integer", "a number"
 
 
 def _model_spec(config: RunConfig, dataset: Dataset) -> ModelSpec:
     base = default_model_spec(dataset).to_dict()
     base.update(config.model)
-    hyper = base.pop("readout_hyper", {})
+
+    def value(key, to, expected):
+        return coerce(f"model.{key}", base[key], to, expected)
+
     return ModelSpec(
         reservoir_style=base["reservoir_style"],
-        layers=int(base["layers"]),
-        trotter_steps=int(base["trotter_steps"]),
-        evolution_time=float(base["evolution_time"]),
-        j_range=tuple(base["j_range"]),
-        h_range=tuple(base["h_range"]),
+        layers=value("layers", int, _INT),
+        trotter_steps=value("trotter_steps", int, _INT),
+        evolution_time=value("evolution_time", float, _NUMBER),
+        j_range=value("j_range", tuple, "a [min, max] pair"),
+        h_range=value("h_range", tuple, "a [min, max] pair"),
         feature_map=base["feature_map"],
-        shots=int(base["shots"]),
+        shots=value("shots", int, _INT),
         readout=base["readout"],
         entangle=bool(base["entangle"]),
-        readout_hyper=tuple(sorted(hyper.items())),
+        readout_hyper=tuple(sorted(value("readout_hyper", dict, "a JSON object").items())),
     )
 
 
-def _scenario_config(config: RunConfig, scenario_id: str | None = None) -> ScenarioConfig:
-    uq_spec = None
+def run_inputs(
+    config: RunConfig, scenario_id: str | None = None
+) -> tuple[ScenarioConfig, Dataset, ModelSpec]:
+    """The harness inputs of a merged run config. Converting the JSON values
+    is done here; every rule on them is checked by the harness types."""
+    if config.profile is None:
+        raise UsageError("profile: required for noisy or mitigated scenarios")
+    d, q = config.dataset, config.qlear
+    dataset = generate_dataset(
+        d["kind"],
+        coerce("dataset.size", d["size"], int, _INT),
+        coerce("dataset.seed", d["seed"], int, _INT),
+        coerce("dataset.noise_level", d.get("noise_level", 0.1), float, _NUMBER),
+    )
+    uq = None
     if config.uq is not None:
-        uq_spec = UqSpec(config.uq["method"], int(config.uq.get("samples", 0)))
-    zne_config = ZneConfig.from_dict(config.zne) if config.zne else None
-    return ScenarioConfig(
+        samples = coerce("uq.samples", config.uq.get("samples", 0), int, _INT)
+        uq = UqSpec(config.uq.get("method"), samples)
+    scenario = ScenarioConfig(
         scenario_id=scenario_id or config.scenario,
         profile=resolve_profile(config.profile),
         repeats=config.repeats,
         seed=config.seed,
         mitigator=config.mitigator,
-        zne=zne_config,
-        qlear_corpus=int(config.qlear.get("corpus", 24)),
-        qlear_trees=int(config.qlear.get("trees", 20)),
-        qlear_max_depth=int(config.qlear.get("max_depth", 6)),
-        uq=uq_spec,
+        zne=ZneConfig.from_dict(config.zne) if config.zne else None,
+        qlear_corpus=coerce("qlear.corpus", q.get("corpus", 24), int, _INT),
+        qlear_trees=coerce("qlear.trees", q.get("trees", 20), int, _INT),
+        qlear_max_depth=coerce("qlear.max_depth", q.get("max_depth", 6), int, _INT),
+        uq=uq,
         jobs=config.jobs,
     )
-
-
-def _dataset(config: RunConfig) -> Dataset:
-    d = config.dataset
-    return generate_dataset(
-        d["kind"], int(d["size"]), int(d["seed"]), float(d.get("noise_level", 0.1))
-    )
+    return scenario, dataset, _model_spec(config, dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +308,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    config = parse_and_validate(args)
+    config = merge_run_config(args)
+    scenario, dataset, spec = run_inputs(config)
     if args.print_config:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return 0
-    dataset = _dataset(config)
-    report = run_scenario(_scenario_config(config), dataset, _model_spec(config, dataset))
+    report = run_scenario(scenario, dataset, spec)
     written = emit_report(report, config.out)
     summary = report.statistics or {}
     print(f"scenario {report.scenario_id} on {report.dataset_info['kind']}: wrote {len(written)} files to {config.out}")
@@ -327,19 +329,21 @@ _UQ_COUNTERPART = {"C1_1": "C3_1", "C1_2": "C3_2", "C2_1": "C3_3", "C2_2": "C3_4
 
 
 def _cmd_uq(args) -> int:
-    config = parse_and_validate(args)
+    config = merge_run_config(args)
     if config.uq is None:
-        config.uq = {"method": "bootstrap", "samples": 0}
-    scenario_id = _UQ_COUNTERPART.get(config.scenario, config.scenario)
+        config.uq = {"samples": 0}
+    config.uq.setdefault("method", "bootstrap")
+    scenario, dataset, spec = run_inputs(
+        config, _UQ_COUNTERPART.get(config.scenario, config.scenario)
+    )
     if args.print_config:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return 0
-    dataset = _dataset(config)
-    payload = run_uq(_scenario_config(config, scenario_id), dataset, _model_spec(config, dataset))
+    payload = run_uq(scenario, dataset, spec)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "uq.json").write_text(report_json_bytes(payload).decode("utf-8"))
-    print(f"uq {scenario_id} ({payload['method']}, {payload['samples']} samples) -> {out}")
+    print(f"uq {scenario.scenario_id} ({payload['method']}, {payload['samples']} samples) -> {out}")
     return 0
 
 
@@ -381,23 +385,26 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
-def _add_run_flags(parser: _Parser) -> None:
-    parser.add_argument("--config", help="JSON run-config file")
-    parser.add_argument("--scenario", choices=SCENARIO_IDS)
-    parser.add_argument("--profile", help="bundled profile name or profile file path")
+def _add_dataset_and_model_flags(parser: _Parser) -> None:
     parser.add_argument("--dataset", choices=DATASET_KINDS)
     parser.add_argument("--dataset-size", type=int, dest="dataset_size")
     parser.add_argument("--dataset-seed", type=int, dest="dataset_seed")
     parser.add_argument("--noise-level", type=float, dest="noise_level")
-    parser.add_argument("--reservoir", choices=("rotation", "ising"))
+    parser.add_argument("--reservoir", choices=RESERVOIR_STYLES)
     parser.add_argument("--layers", type=int)
     parser.add_argument("--trotter-steps", type=int, dest="trotter_steps")
-    parser.add_argument("--feature-map", dest="feature_map",
-                        choices=("probabilities", "z_expectations", "z_and_zz_expectations"))
+    parser.add_argument("--feature-map", dest="feature_map", choices=FEATURE_MAP_KINDS)
     parser.add_argument("--shots", type=int)
-    parser.add_argument("--readout", choices=("linear", "logistic", "tree"))
-    parser.add_argument("--mitigator", choices=("zne", "qlear"))
-    parser.add_argument("--uq-method", dest="uq_method", choices=("bootstrap", "ensemble"))
+    parser.add_argument("--readout", choices=READOUT_KINDS)
+
+
+def _add_run_flags(parser: _Parser) -> None:
+    parser.add_argument("--config", help="JSON run-config file")
+    parser.add_argument("--scenario", choices=SCENARIO_IDS)
+    parser.add_argument("--profile", help="bundled profile name or profile file path")
+    _add_dataset_and_model_flags(parser)
+    parser.add_argument("--mitigator", choices=MITIGATOR_KINDS)
+    parser.add_argument("--uq-method", dest="uq_method", choices=UQ_METHODS)
     parser.add_argument("--uq-samples", type=int, dest="uq_samples")
     parser.add_argument("--repeats", type=int)
     parser.add_argument("--seed", type=int)
@@ -422,19 +429,9 @@ def build_parser() -> _Parser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_train = sub.add_parser("train", help="train one QELM and save the model document")
-    p_train.add_argument("--dataset", choices=DATASET_KINDS)
-    p_train.add_argument("--dataset-size", type=int, dest="dataset_size")
-    p_train.add_argument("--dataset-seed", type=int, dest="dataset_seed")
-    p_train.add_argument("--noise-level", type=float, dest="noise_level")
+    _add_dataset_and_model_flags(p_train)
     p_train.add_argument("--data", help="CSV file with a header; last column is the target")
     p_train.add_argument("--task", choices=("regression", "classification"))
-    p_train.add_argument("--reservoir", choices=("rotation", "ising"))
-    p_train.add_argument("--layers", type=int)
-    p_train.add_argument("--trotter-steps", type=int, dest="trotter_steps")
-    p_train.add_argument("--feature-map", dest="feature_map",
-                         choices=("probabilities", "z_expectations", "z_and_zz_expectations"))
-    p_train.add_argument("--shots", type=int)
-    p_train.add_argument("--readout", choices=("linear", "logistic", "tree"))
     p_train.add_argument("--backend", choices=("ideal", "noisy"), default="ideal")
     p_train.add_argument("--profile")
     p_train.add_argument("--seed", type=int)

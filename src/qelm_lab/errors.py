@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one conversion of
+untyped (JSON) values that reports a bad value as a ValidationError."""
 
 
 class QelmLabError(Exception):
@@ -75,3 +76,12 @@ class EmptyInput(QelmLabError):
 
 class UsageError(QelmLabError):
     """Bad command-line arguments or run configuration."""
+
+
+def coerce(path: str, value, to, expected: str):
+    """``to(value)``; a value ``to`` cannot convert raises a ValidationError
+    that names ``path``, the key the value was read from."""
+    try:
+        return to(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: expected {expected}, got {value!r}") from None

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _package_version
-from .errors import EmptyInput, TooFewSamples, ValidationError
+from .errors import EmptyInput, QelmLabError, TooFewSamples, ValidationError
 from .mitigation import (
     MitigatedBackend,
     QlearMitigator,
@@ -50,6 +50,7 @@ from .qelm import (
     predict_batch,
     train,
 )
+from .readout import READOUT_KINDS
 from .rng import Rng, derive_seed
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
@@ -64,6 +65,8 @@ from .uq import (
 
 DATASET_KINDS = ("regression3", "classification4", "classification8")
 SCENARIO_IDS = ("C1_1", "C1_2", "C2_1", "C2_2", "C3_1", "C3_2", "C3_3", "C3_4")
+MITIGATOR_KINDS = ("zne", "qlear")
+UQ_METHODS = ("bootstrap", "ensemble")
 SCENARIO_BACKENDS = {
     "C1_1": ("ideal", "noisy"),
     "C1_2": ("noisy", "noisy"),
@@ -335,7 +338,7 @@ class UqSpec:
     samples: int = 0  # 0 picks the method default (100 / 30)
 
     def __post_init__(self):
-        if self.method not in ("bootstrap", "ensemble"):
+        if self.method not in UQ_METHODS:
             raise ValidationError(f"unknown uq method {self.method!r}")
         if self.samples < 0:
             raise ValidationError("uq samples must be non-negative")
@@ -362,6 +365,18 @@ class ModelSpec:
     readout: str = "linear"
     entangle: bool = True
     readout_hyper: tuple = ()
+
+    def __post_init__(self):
+        # checked here so that a bad kind fails the run, not every repeat
+        if self.readout not in READOUT_KINDS:
+            raise ValidationError(f"unknown readout kind {self.readout!r}")
+        for name in ("j_range", "h_range"):
+            pair = getattr(self, name)
+            if len(pair) != 2 or not all(isinstance(v, (int, float)) for v in pair):
+                raise ValidationError(f"{name}: expected a [min, max] pair, got {pair!r}")
+        for key, value in self.readout_hyper:
+            if not isinstance(value, (int, float)):
+                raise ValidationError(f"readout_hyper.{key}: expected a number, got {value!r}")
 
     def hyper_dict(self) -> dict:
         return dict(self.readout_hyper)
@@ -451,7 +466,7 @@ class ScenarioConfig:
             raise ValidationError(
                 f"scenario {self.scenario_id} has no mitigated backend; drop mitigator"
             )
-        if self.mitigator is not None and self.mitigator not in ("zne", "qlear"):
+        if self.mitigator is not None and self.mitigator not in MITIGATOR_KINDS:
             raise ValidationError(f"unknown mitigator {self.mitigator!r}")
         if self.scenario_id.startswith("C3") and self.uq is None:
             raise ValidationError(f"scenario {self.scenario_id} requires a uq setting")
@@ -719,7 +734,8 @@ def run_scenario(
                 pct_change=percent_change(ideal_metric, metric, direction),
                 error=None,
             )
-        except Exception as exc:  # record per-repeat failures, keep the batch
+        except (QelmLabError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # record a failed repeat and keep the batch; a programming error propagates
             record.update(metric=None, ideal_metric=None, pct_change=None, error=str(exc))
         return record
 

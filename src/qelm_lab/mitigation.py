@@ -1,6 +1,7 @@
 """Error mitigation for QELM feature extraction.
 
-Two mitigators share the backend interface from the qelm module:
+A mitigator computes the features of one circuit from its noisy runs:
+``circuit_features(circuit, feature_map, profile, seed)``. Two exist:
 
     ZneMitigator     zero-noise extrapolation. Each feature is measured at
                      several noise-scale factors (realized by unitary
@@ -13,6 +14,10 @@ Two mitigators share the backend interface from the qelm module:
 Extrapolated or corrected probability features are clipped to [0, 1] and
 renormalized to a valid distribution; expectation features are clipped to
 [-1, 1]. Correction never changes the feature-vector dimension.
+
+MitigatedBackend binds a mitigator to a profile, which gives it the backend
+interface of the qelm module: ``key`` plus ``circuit_features(circuit,
+spec, seed)``.
 """
 
 from __future__ import annotations
@@ -26,19 +31,12 @@ from scipy.optimize import least_squares
 
 from . import circuit as circ
 from .circuit import Circuit, depth, fold_to_scale, gate_counts
-from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError
+from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError, coerce
 from .noise import NoiseProfile
-from .qelm import (
-    FeatureMapSpec,
-    IdealBackend,
-    NoisyBackend,
-    QelmFront,
-    distribution_features,
-    front_circuit,
-)
+from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, distribution_features
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
-from .simulator import measure_distribution, run_noisy
+from .simulator import measure_distribution, run_ideal, run_noisy
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
 
@@ -91,10 +89,15 @@ class ZneConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ZneConfig":
         return ZneConfig(
-            scale_factors=tuple(float(s) for s in raw["scale_factors"]),
+            scale_factors=coerce(
+                "zne.scale_factors",
+                raw.get("scale_factors"),
+                lambda v: tuple(float(s) for s in v),
+                "a list of numbers",
+            ),
             folding=raw.get("folding", "global"),
             extrapolation=raw.get("extrapolation", "polynomial"),
-            degree=int(raw.get("degree", 3)),
+            degree=coerce("zne.degree", raw.get("degree", 3), int, "an integer"),
         )
 
 
@@ -141,7 +144,7 @@ def extrapolate(
             max_nfev=2000,
         )
         converged = fit.success and np.sqrt(2 * fit.cost / len(values)) < 1e2
-    except Exception:
+    except (ValueError, RuntimeError, np.linalg.LinAlgError):  # the solver failed
         converged = False
     if not converged:
         warnings.warn(
@@ -168,48 +171,33 @@ def _scale_seed(seed: int, index: int) -> int:
     return seed if index == 0 else derive_seed(seed, "zne-scale", index)
 
 
-def zne_features(
-    front: QelmFront, x: np.ndarray, profile: NoiseProfile, config: ZneConfig, seed: int = 0
-) -> np.ndarray:
-    """Feature vector extrapolated to zero noise for one input."""
-    base = front_circuit(front, x)
-    per_scale = []
-    for i, scale in enumerate(config.scale_factors):
-        folded = fold_to_scale(base, scale)
-        dist = measure_distribution(run_noisy(folded, profile), profile)
-        per_scale.append(distribution_features(dist, front.feature_map, _scale_seed(seed, i)))
-    stacked = np.vstack(per_scale)
-    mitigated = np.array(
-        [
-            extrapolate(config.scale_factors, stacked[:, j], config.extrapolation, config.degree)
-            for j in range(stacked.shape[1])
-        ]
-    )
-    return _postprocess(mitigated, front.feature_map.kind)
+class ZneMitigator:
+    """Digital ZNE: fold the circuit to each scale factor, run it noisy,
+    extrapolate every feature to scale 0, then clip (and renormalize)."""
 
+    def __init__(self, config: ZneConfig | None = None):
+        self.config = config or ZneConfig()
 
-def zne_probabilities(
-    circuit: Circuit,
-    profile: NoiseProfile,
-    config: ZneConfig,
-    shots: int = 0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Zero-noise-extrapolated outcome probabilities of a bare circuit."""
-    spec = FeatureMapSpec("probabilities", shots)
-    per_scale = []
-    for i, scale in enumerate(config.scale_factors):
-        folded = fold_to_scale(circuit, scale)
-        dist = measure_distribution(run_noisy(folded, profile), profile)
-        per_scale.append(distribution_features(dist, spec, _scale_seed(seed, i)))
-    stacked = np.vstack(per_scale)
-    mitigated = np.array(
-        [
-            extrapolate(config.scale_factors, stacked[:, j], config.extrapolation, config.degree)
-            for j in range(stacked.shape[1])
-        ]
-    )
-    return _postprocess(mitigated, "probabilities")
+    def key_suffix(self) -> str:
+        c = self.config
+        scales = ",".join(repr(s) for s in c.scale_factors)
+        return f"zne[{scales};{c.extrapolation};{c.degree}]"
+
+    def circuit_features(self, circuit, feature_map, profile, seed):
+        per_scale = []
+        for i, scale in enumerate(self.config.scale_factors):
+            folded = fold_to_scale(circuit, scale)
+            dist = measure_distribution(run_noisy(folded, profile), profile)
+            per_scale.append(distribution_features(dist, feature_map, _scale_seed(seed, i)))
+        stacked = np.vstack(per_scale)
+        c = self.config
+        mitigated = np.array(
+            [
+                extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)
+                for j in range(stacked.shape[1])
+            ]
+        )
+        return _postprocess(mitigated, feature_map.kind)
 
 
 def zne_calibrate(
@@ -220,12 +208,12 @@ def zne_calibrate(
     fewer scale factors, then lower polynomial degree, then grid order."""
     if not grid:
         raise ValidationError("calibration grid must be non-empty")
-    from .simulator import run_ideal
-
+    probabilities = FeatureMapSpec("probabilities", 0)
     ideal = measure_distribution(run_ideal(representative)).vector
     scored = []
     for index, config in enumerate(grid):
-        mae = float(np.abs(zne_probabilities(representative, profile, config) - ideal).mean())
+        mitigated = ZneMitigator(config).circuit_features(representative, probabilities, profile, 0)
+        mae = float(np.abs(mitigated - ideal).mean())
         scored.append((round(mae, 12), len(config.scale_factors), config.effective_degree, index))
     best = min(scored)
     return grid[best[3]]
@@ -413,32 +401,6 @@ def qlear_correct(
 # ---------------------------------------------------------------------------
 # backend plumbing
 
-class ZneMitigator:
-    def __init__(self, config: ZneConfig | None = None):
-        self.config = config or ZneConfig()
-
-    def key_suffix(self) -> str:
-        c = self.config
-        scales = ",".join(repr(s) for s in c.scale_factors)
-        return f"zne[{scales};{c.extrapolation};{c.degree}]"
-
-    def circuit_features(self, circuit, feature_map, profile, seed):
-        per_scale = []
-        for i, scale in enumerate(self.config.scale_factors):
-            folded = fold_to_scale(circuit, scale)
-            dist = measure_distribution(run_noisy(folded, profile), profile)
-            per_scale.append(distribution_features(dist, feature_map, _scale_seed(seed, i)))
-        stacked = np.vstack(per_scale)
-        c = self.config
-        mitigated = np.array(
-            [
-                extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)
-                for j in range(stacked.shape[1])
-            ]
-        )
-        return _postprocess(mitigated, feature_map.kind)
-
-
 class QlearMitigator:
     def __init__(self, model: QlearModel):
         self.model = model
@@ -467,6 +429,3 @@ class MitigatedBackend:
 
     def circuit_features(self, circuit, spec, seed):
         return self.mitigator.circuit_features(circuit, spec, self.profile, seed)
-
-    def extract(self, front: QelmFront, x, seed):
-        return self.circuit_features(front_circuit(front, x), front.feature_map, seed)

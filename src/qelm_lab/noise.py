@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Gate
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, coerce
 
 BUNDLED_PROFILES = ("device-a", "device-b", "device-c")
 
@@ -283,11 +283,17 @@ def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
         raise ValidationError(f"{source}: readout must be a non-empty list of 2x2 matrices")
     n = len(readout)
 
+    def number(key):
+        return coerce(f"{source}: {key}", raw[key], float, "a number")
+
     def per_qubit(value, label):
         if isinstance(value, (int, float)):
             return (float(value),) * n
         if isinstance(value, list) and len(value) == n:
-            return tuple(float(v) for v in value)
+            return tuple(
+                coerce(f"{source}: {label}[{q}]", v, float, "a number")
+                for q, v in enumerate(value)
+            )
         raise ValidationError(f"{source}: {label} must be a number or a list of {n} numbers")
 
     confusion = []
@@ -301,12 +307,12 @@ def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
         confusion.append(rows)
     return NoiseProfile(
         name=str(raw["name"]),
-        depol_1q=float(raw["depol_1q"]),
-        depol_2q=float(raw["depol_2q"]),
+        depol_1q=number("depol_1q"),
+        depol_2q=number("depol_2q"),
         t1_us=per_qubit(raw["t1_us"], "t1_us"),
         t2_us=per_qubit(raw["t2_us"], "t2_us"),
-        gate_time_1q_us=float(raw["gate_time_1q_us"]),
-        gate_time_2q_us=float(raw["gate_time_2q_us"]),
+        gate_time_1q_us=number("gate_time_1q_us"),
+        gate_time_2q_us=number("gate_time_2q_us"),
         readout_confusion=tuple(confusion),
     )
 

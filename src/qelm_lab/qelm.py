@@ -7,14 +7,16 @@ The pipeline for one input x is
     feature vector         ->  readout
 
 The reservoir is drawn once from its seed and never changes; training only
-fits the readout. Backends decide how circuits are executed:
+fits the readout. A backend decides how circuits are executed; it is a
+``key`` naming it plus ``circuit_features(circuit, spec, seed)``:
 
     IdealBackend()            exact state-vector probabilities
     NoisyBackend(profile)     density-matrix evolution plus readout confusion
 
-(the mitigation module adds a MitigatedBackend with the same interface).
-Feature extraction per row is pure given (front, x, backend, seed), which
-makes results cacheable and runs replayable.
+(the mitigation module adds MitigatedBackend). extract_features builds the
+circuit for one input and hands it to the backend. Feature extraction per
+row is pure given (front, x, backend, seed), which makes results cacheable
+and runs replayable.
 """
 
 from __future__ import annotations
@@ -222,9 +224,6 @@ class IdealBackend:
         dist = measure_distribution(run_ideal(circuit))
         return distribution_features(dist, spec, seed)
 
-    def extract(self, front: QelmFront, x: np.ndarray, seed: int) -> np.ndarray:
-        return self.circuit_features(front_circuit(front, x), front.feature_map, seed)
-
 
 class NoisyBackend:
     """Density-matrix execution under a noise profile, including readout
@@ -238,16 +237,13 @@ class NoisyBackend:
         dist = measure_distribution(run_noisy(circuit, self.profile), self.profile)
         return distribution_features(dist, spec, seed)
 
-    def extract(self, front: QelmFront, x: np.ndarray, seed: int) -> np.ndarray:
-        return self.circuit_features(front_circuit(front, x), front.feature_map, seed)
-
 
 def extract_features(front: QelmFront, x: np.ndarray, backend, seed: int = 0) -> np.ndarray:
     """Run the front end for one input on the given backend."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != front.n_qubits:
         raise DimensionMismatch(f"got {len(x)} features for {front.n_qubits} qubits")
-    return backend.extract(front, x, seed)
+    return backend.circuit_features(front_circuit(front, x), front.feature_map, seed)
 
 
 class FeatureCache:

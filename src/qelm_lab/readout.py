@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ValidationError
 from .rng import Rng, derive_seed
 
+READOUT_KINDS = ("linear", "logistic", "tree")
+
 
 @dataclass
 class LinearReadout:
@@ -342,6 +344,8 @@ def fit_logistic(
 
 def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dict | None = None):
     """Dispatch to one readout family: "linear", "logistic", or "tree"."""
+    if kind not in READOUT_KINDS:
+        raise ValidationError(f"unknown readout kind {kind!r}")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2:
@@ -361,17 +365,17 @@ def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dic
             max_iter=hyper.get("max_iter", 500),
             grad_tol=hyper.get("grad_tol", 1e-6),
         )
-    if kind == "tree":
-        return DecisionTree(
-            "classification",
-            max_depth=hyper.get("max_depth", 5),
-            min_samples_split=hyper.get("min_samples_split", 2),
-        ).fit(features, targets)
-    raise ValidationError(f"unknown readout kind {kind!r}")
+    return DecisionTree(
+        "classification",
+        max_depth=hyper.get("max_depth", 5),
+        min_samples_split=hyper.get("min_samples_split", 2),
+    ).fit(features, targets)
 
 
 def readout_from_dict(raw: dict):
     kind = raw.get("kind")
+    if kind not in READOUT_KINDS:
+        raise ValidationError(f"unknown readout kind {kind!r}")
     if kind == "linear":
         return LinearReadout(np.asarray(raw["weights"], dtype=float), float(raw["intercept"]))
     if kind == "logistic":
@@ -381,6 +385,4 @@ def readout_from_dict(raw: dict):
             degenerate=bool(raw.get("degenerate", False)),
             converged=bool(raw.get("converged", False)),
         )
-    if kind == "tree":
-        return DecisionTree.from_dict(raw)
-    raise ValidationError(f"unknown readout kind {kind!r}")
+    return DecisionTree.from_dict(raw)

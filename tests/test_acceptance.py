@@ -128,7 +128,9 @@ def test_criterion_05_zne_recovers_analytic_decay():
                 readout_confusion=(identity,),
             )
             raw = qelm.extract_features(front, x, qelm.NoisyBackend(profile), 0)
-            mitigated = mit.zne_features(front, x, profile, mit.ZneConfig(), seed=0)
+            mitigated = mit.ZneMitigator().circuit_features(
+                qelm.front_circuit(front, x), front.feature_map, profile, 0
+            )
             raw_err = np.abs(raw - ideal).max()
             mit_err = np.abs(mitigated - ideal).max()
             assert mit_err <= 0.5 * raw_err

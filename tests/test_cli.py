@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qelm_lab.cli import main
 
 
@@ -234,3 +236,55 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "train", "--data", str(csv_path), "--task", "regression")
     assert code == 1
     assert "row 3" in err
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"dataset": {"size": "many"}}, "dataset.size"),
+        ({"model": {"layers": "x"}}, "model.layers"),
+        ({"qlear": {"corpus": "x"}}, "qlear.corpus"),
+        ({"uq": {"method": "bootstrap", "samples": "x"}}, "uq.samples"),
+        ({"zne": {"degree": 2}}, "zne.scale_factors"),
+        ({"dataset": [1, 2]}, "dataset"),
+        ({"model": {"j_range": "ab"}}, "j_range"),
+        ({"model": {"readout_hyper": {"ridge": "x"}}}, "readout_hyper.ridge"),
+    ],
+)
+@pytest.mark.parametrize("print_config", [False, True])
+def test_wrong_typed_config_value_exits_one_naming_the_key(
+    capsys, tmp_path, config, key, print_config
+):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(config))
+    argv = ["scenario", "--config", str(config_file), "--profile", "device-a"]
+    argv += ["--out", str(tmp_path / "out")] + (["--print-config"] if print_config else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"{key}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_readout_kind_fails_before_any_repeat_runs(capsys, tmp_path):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({"model": {"readout": "svm"}}))
+    code, _, err = run_cli(
+        capsys, "scenario", "--config", str(config_file), "--profile", "zero-noise",
+        "--dataset-size", "20", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert "unknown readout kind 'svm'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_uq_samples_without_method_defaults_to_bootstrap(capsys, tmp_path):
+    out_dir = tmp_path / "uq"
+    code, _, err = run_cli(
+        capsys, "uq", "--profile", "zero-noise", "--dataset-size", "20",
+        "--uq-samples", "4", "--seed", "1", "--out", str(out_dir),
+    )
+    assert code == 0, err
+    payload = json.loads((out_dir / "uq.json").read_text())
+    assert payload["method"] == "bootstrap"
+    assert payload["samples"] == 4

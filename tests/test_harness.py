@@ -8,11 +8,12 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelm_lab import harness, noise
+from qelm_lab import harness, noise, qelm
 from qelm_lab import simulator as sim
 from qelm_lab.errors import EmptyInput, TooFewSamples, ValidationError
 from qelm_lab.harness import (
     Dataset,
+    ModelSpec,
     ScenarioConfig,
     UqSpec,
     a12,
@@ -282,6 +283,22 @@ def test_scenario_records_per_repeat_failures_without_aborting():
     assert all(r["error"] is not None for r in report.runs)
     assert "partial_failures" in report.flags
     assert report.statistics is None
+
+
+def test_scenario_propagates_a_programming_error(monkeypatch):
+    def broken_readout(*args, **kwargs):
+        raise TypeError("readout bug")
+
+    monkeypatch.setattr(qelm, "fit_readout", broken_readout)
+    dataset = generate_dataset("regression3", 24, seed=2)
+    config = ScenarioConfig("C1_1", zero_noise_profile(3), repeats=2, seed=1, jobs=1)
+    with pytest.raises(TypeError, match="readout bug"):
+        run_scenario(config, dataset)
+
+
+def test_model_spec_rejects_an_unknown_readout_kind():
+    with pytest.raises(ValidationError, match="unknown readout kind 'svm'"):
+        ModelSpec(readout="svm")
 
 
 def test_report_emission_files_and_determinism(tmp_path):

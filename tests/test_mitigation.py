@@ -100,7 +100,9 @@ def test_zero_noise_profile_makes_mitigation_exact():
     profile = zero_noise_profile(2)
     x = np.array([0.3, 0.7])
     ideal = qelm.extract_features(front, x, qelm.IdealBackend(), 0)
-    mitigated = mit.zne_features(front, x, profile, mit.ZneConfig(), seed=0)
+    mitigated = mit.ZneMitigator().circuit_features(
+        qelm.front_circuit(front, x), front.feature_map, profile, 0
+    )
     assert np.abs(mitigated - ideal).max() < 1e-8
 
 
@@ -113,7 +115,9 @@ def test_zne_recovers_analytic_depolarizing_decay():
     for p in (0.01, 0.02, 0.05):
         profile = make_depol_profile(p, 0.0, 1)
         noisy = qelm.extract_features(front, x, qelm.NoisyBackend(profile), 0)
-        mitigated = mit.zne_features(front, x, profile, mit.ZneConfig(), seed=0)
+        mitigated = mit.ZneMitigator().circuit_features(
+            qelm.front_circuit(front, x), front.feature_map, profile, 0
+        )
         raw_err = np.abs(noisy - ideal).max()
         mit_err = np.abs(mitigated - ideal).max()
         assert mit_err <= 0.5 * raw_err
@@ -146,7 +150,10 @@ def test_scale_one_run_equals_unmitigated_run():
 def test_mitigated_probabilities_form_a_distribution():
     front = _front(2)
     profile = bundled_profile("device-c")
-    feats = mit.zne_features(front, np.array([0.9, 0.1]), profile, mit.ZneConfig(), seed=1)
+    x = np.array([0.9, 0.1])
+    feats = mit.ZneMitigator().circuit_features(
+        qelm.front_circuit(front, x), front.feature_map, profile, 1
+    )
     assert feats.min() >= 0.0
     assert feats.max() <= 1.0
     assert abs(feats.sum() - 1.0) < 1e-9
@@ -186,12 +193,14 @@ def test_zne_calibrate_picks_the_lower_mae_config():
     ]
     chosen = mit.zne_calibrate(profile, representative, grid)
     ideal = measure_distribution(run_ideal(representative)).vector
+    probs = qelm.FeatureMapSpec("probabilities", 0)
     maes = [
-        np.abs(mit.zne_probabilities(representative, profile, cfg) - ideal).mean()
+        np.abs(mit.ZneMitigator(cfg).circuit_features(representative, probs, profile, 0) - ideal)
+        .mean()
         for cfg in grid
     ]
     assert np.abs(
-        mit.zne_probabilities(representative, profile, chosen) - ideal
+        mit.ZneMitigator(chosen).circuit_features(representative, probs, profile, 0) - ideal
     ).mean() == pytest.approx(min(maes))
 
 

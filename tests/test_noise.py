@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -64,6 +66,21 @@ def test_load_profile_errors(tmp_path):
     missing_key.write_text(json.dumps({"name": "x"}))
     with pytest.raises(ValidationError):
         noise.load_profile(missing_key)
+
+
+@pytest.mark.parametrize("key, index", [("depol_1q", None), ("t1_us", 1)])
+def test_load_profile_non_numeric_value_names_file_and_key(tmp_path, key, index):
+    raw = json.loads(resources.files("qelm_lab").joinpath("profiles/device-a.json").read_text())
+    if index is None:
+        raw[key] = "high"
+        named = key
+    else:
+        raw[key][index] = "high"
+        named = f"{key}[{index}]"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match=re.escape(f"bad.json: {named}: expected a number")):
+        noise.load_profile(path)
 
 
 def test_load_profile_round_trip(tmp_path):
