@@ -45,10 +45,10 @@ from .qelm import (
     FeatureCache,
     IdealBackend,
     NoisyBackend,
-    model_to_dict,
+    save_model,
     train,
 )
-from .readout import READOUT_KINDS
+from .readout import READOUT_KINDS, check_readout_task
 from .simulator import measure_distribution, run_ideal, run_noisy, sample
 
 
@@ -194,7 +194,8 @@ def run_inputs(
     config: RunConfig, scenario_id: str | None = None
 ) -> tuple[ScenarioConfig, Dataset, ModelSpec]:
     """The harness inputs of a merged run config. Converting the JSON values
-    is done here; every rule on them is checked by the harness types."""
+    and filling in the default uq method are done here; every rule on them is
+    checked by the harness types."""
     if config.profile is None:
         raise UsageError("profile: required for noisy or mitigated scenarios")
     d, q = config.dataset, config.qlear
@@ -206,8 +207,9 @@ def run_inputs(
     )
     uq = None
     if config.uq is not None:
+        config.uq.setdefault("method", "bootstrap")  # for scenario and uq alike
         samples = coerce("uq.samples", config.uq.get("samples", 0), int, _INT)
-        uq = UqSpec(config.uq.get("method"), samples)
+        uq = UqSpec(config.uq["method"], samples)
     scenario = ScenarioConfig(
         scenario_id=scenario_id or config.scenario,
         profile=resolve_profile(config.profile),
@@ -221,7 +223,9 @@ def run_inputs(
         uq=uq,
         jobs=config.jobs,
     )
-    return scenario, dataset, _model_spec(config, dataset)
+    spec = _model_spec(config, dataset)
+    check_readout_task(spec.readout, dataset.task)
+    return scenario, dataset, spec
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +299,7 @@ def _cmd_train(args) -> int:
     )
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "model.json").write_text(
-        json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
-    )
+    save_model(model, out / "model.json")
     name = "mse" if dataset.task == "regression" else "accuracy"
     (out / "train_report.json").write_text(
         json.dumps({"metric": name, "value": metric, "backend": backend.key}, sort_keys=True)
@@ -332,7 +334,6 @@ def _cmd_uq(args) -> int:
     config = merge_run_config(args)
     if config.uq is None:
         config.uq = {"samples": 0}
-    config.uq.setdefault("method", "bootstrap")
     scenario, dataset, spec = run_inputs(
         config, _UQ_COUNTERPART.get(config.scenario, config.scenario)
     )

@@ -50,7 +50,7 @@ from .qelm import (
     predict_batch,
     train,
 )
-from .readout import READOUT_KINDS
+from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
@@ -374,9 +374,13 @@ class ModelSpec:
             pair = getattr(self, name)
             if len(pair) != 2 or not all(isinstance(v, (int, float)) for v in pair):
                 raise ValidationError(f"{name}: expected a [min, max] pair, got {pair!r}")
+        known = READOUT_HYPER[self.readout]
         for key, value in self.readout_hyper:
-            if not isinstance(value, (int, float)):
-                raise ValidationError(f"readout_hyper.{key}: expected a number, got {value!r}")
+            if key not in known:
+                raise ValidationError(f"readout_hyper.{key}: not one of {', '.join(known)}")
+            if isinstance(value, bool) or not isinstance(value, (int, known[key])):
+                expected = "an integer" if known[key] is int else "a number"
+                raise ValidationError(f"readout_hyper.{key}: expected {expected}, got {value!r}")
 
     def hyper_dict(self) -> dict:
         return dict(self.readout_hyper)
@@ -468,6 +472,8 @@ class ScenarioConfig:
             )
         if self.mitigator is not None and self.mitigator not in MITIGATOR_KINDS:
             raise ValidationError(f"unknown mitigator {self.mitigator!r}")
+        if self.qlear_corpus < 2:  # one circuit to train on, one to hold out
+            raise ValidationError(f"qlear.corpus: need at least 2 circuits, got {self.qlear_corpus}")
         if self.scenario_id.startswith("C3") and self.uq is None:
             raise ValidationError(f"scenario {self.scenario_id} requires a uq setting")
 
@@ -657,6 +663,7 @@ def run_uq(
     if config.uq is None:
         raise ValidationError("run_uq needs a uq setting on the config")
     model_spec = model_spec or default_model_spec(dataset)
+    check_readout_task(model_spec.readout, dataset.task)
     feature_range = encoder_ranges(dataset.train_features)
     mitigator = None
     if config.mitigator is not None:
@@ -672,6 +679,7 @@ def run_scenario(
 ) -> ScenarioReport:
     """Execute one scenario end to end and assemble its report."""
     model_spec = model_spec or default_model_spec(dataset)
+    check_readout_task(model_spec.readout, dataset.task)
     feature_range = encoder_ranges(dataset.train_features)
     metric_name = "mse" if dataset.task == "regression" else "accuracy"
     direction = "error" if dataset.task == "regression" else "accuracy"

@@ -32,7 +32,7 @@ from . import circuit as circ
 from .circuit import Circuit
 from .errors import DimensionMismatch, ValidationError
 from .noise import NoiseProfile
-from .readout import fit_readout, readout_from_dict
+from .readout import check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
 from .simulator import (
     OutcomeDistribution,
@@ -319,6 +319,7 @@ def train(
     readout. The reservoir is a frozen value and is never altered."""
     if task not in ("regression", "classification"):
         raise ValidationError(f"unknown task {task!r}")
+    check_readout_task(readout_kind, task)
     features = feature_matrix(front, inputs, backend, seed, cache)
     readout = fit_readout(features, targets, readout_kind, readout_hyper)
     return QelmModel(

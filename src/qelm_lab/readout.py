@@ -15,6 +15,21 @@ from .errors import ValidationError
 from .rng import Rng, derive_seed
 
 READOUT_KINDS = ("linear", "logistic", "tree")
+# a linear readout gives no class probabilities; the others need 0/1 labels
+READOUT_TASKS = {"regression": ("linear",), "classification": ("logistic", "tree")}
+# the hyper-parameters each kind takes, and the type each one needs
+READOUT_HYPER = {
+    "linear": {"ridge": float},
+    "logistic": {"learning_rate": float, "max_iter": int, "grad_tol": float},
+    "tree": {"max_depth": int, "min_samples_split": int},
+}
+
+
+def check_readout_task(kind: str, task: str) -> None:
+    """Raise a ValidationError unless readout ``kind`` fits ``task``."""
+    if kind not in READOUT_TASKS[task]:
+        fits = " or ".join(READOUT_TASKS[task])
+        raise ValidationError(f"readout: {kind!r} does not fit a {task} task; use {fits}")
 
 
 @dataclass
@@ -103,53 +118,41 @@ class TreeNode:
         )
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    f = counts / total
-    return 1.0 - float(np.sum(f * f))
+def _best_split(features: np.ndarray, targets: np.ndarray, task: str):
+    """Best (feature, threshold, score) over every column, or None when no
+    column has two distinct values.
 
-
-def _best_split(x_col, y, task):
-    """Best (threshold, weighted_score) for one feature column, or None.
-
-    Score is the size-weighted child impurity (Gini for classification,
-    sum of squared errors for regression). Zero-gain splits are allowed;
-    they let deeper levels resolve parity patterns a single cut cannot.
+    Score is the size-weighted child impurity: the sum of squared errors
+    (SSE) for regression and the Gini impurity for classification, which on
+    0/1 labels is 2/n times the SSE (Breiman et al., CART, 1984). Along a
+    column the first threshold within a tolerance of the column's best score
+    wins; a later column wins only if it is better by more than 1e-15.
+    Zero-gain splits are allowed; they let deeper levels resolve parity
+    patterns a single cut cannot.
     """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    ys = y[order]
-    n = len(ys)
-    best = None
+    n = len(targets)
+    order = np.argsort(features, axis=0, kind="stable")
+    xs = np.take_along_axis(features, order, axis=0)
+    ys = targets[order]
+    csum = np.cumsum(ys, axis=0)
+    csq = np.cumsum(ys * ys, axis=0)
+    n_l = np.arange(1, n)[:, None]
+    sum_l = csum[:-1]
+    sum_r = csum[-1] - sum_l
+    scores = (csq[:-1] - sum_l**2 / n_l) + ((csq[-1] - csq[:-1]) - sum_r**2 / (n - n_l))
+    tol = 1e-12
     if task == "classification":
-        ones = np.cumsum(ys)
-        total_ones = ones[-1]
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            n_l = i + 1
-            n_r = n - n_l
-            left = np.array([n_l - ones[i], ones[i]], dtype=float)
-            right = np.array([n_r - (total_ones - ones[i]), total_ones - ones[i]], dtype=float)
-            score = (n_l * _gini(left) + n_r * _gini(right)) / n
-            if best is None or score < best[1] - 1e-15:
-                best = ((xs[i] + xs[i + 1]) / 2.0, score)
-    else:
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            n_l = i + 1
-            n_r = n - n_l
-            sse_l = csq[i] - csum[i] ** 2 / n_l
-            sum_r = csum[-1] - csum[i]
-            sse_r = (csq[-1] - csq[i]) - sum_r**2 / n_r
-            score = sse_l + sse_r
-            if best is None or score < best[1] - 1e-12:
-                best = ((xs[i] + xs[i + 1]) / 2.0, score)
+        scores *= 2.0 / n
+        tol = 1e-15
+    scores[xs[:-1] == xs[1:]] = np.inf  # no threshold between equal values
+    first = np.argmax(scores <= scores.min(axis=0) + tol, axis=0)
+    best = None
+    # a running comparison, not "within 1e-15 of the minimum": column scores
+    # of the same partition can differ by rounding in steps below 1e-15
+    for j, score in enumerate(scores[first, np.arange(features.shape[1])].tolist()):
+        if score < math.inf and (best is None or score < best[2] - 1e-15):
+            i = first[j]
+            best = (j, (xs[i, j] + xs[i + 1, j]) / 2.0, score)
     return best
 
 
@@ -174,18 +177,9 @@ class DecisionTree:
 
     def _grow(self, features, targets, level) -> TreeNode:
         n = len(targets)
-        if self.task == "classification":
-            counts = np.array([(targets == 0).sum(), (targets == 1).sum()], dtype=float)
-            pure = _gini(counts) <= 0.0
-        else:
-            pure = float(np.var(targets)) <= 1e-24
-        if level >= self.max_depth or n < self.min_samples_split or pure:
+        if level >= self.max_depth or n < self.min_samples_split or np.var(targets) <= 1e-24:
             return self._leaf(targets)
-        best = None
-        for j in range(features.shape[1]):
-            cand = _best_split(features[:, j], targets, self.task)
-            if cand is not None and (best is None or cand[1] < best[2] - 1e-15):
-                best = (j, cand[0], cand[1])
+        best = _best_split(features, targets, self.task)
         if best is None:
             return self._leaf(targets)
         j, threshold, _ = best
@@ -356,20 +350,10 @@ def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dic
         raise ValidationError("need at least 2 training rows")
     hyper = hyper or {}
     if kind == "linear":
-        return fit_linear(features, targets, ridge=hyper.get("ridge", 1e-8))
+        return fit_linear(features, targets, **hyper)
     if kind == "logistic":
-        return fit_logistic(
-            features,
-            targets,
-            learning_rate=hyper.get("learning_rate", 0.1),
-            max_iter=hyper.get("max_iter", 500),
-            grad_tol=hyper.get("grad_tol", 1e-6),
-        )
-    return DecisionTree(
-        "classification",
-        max_depth=hyper.get("max_depth", 5),
-        min_samples_split=hyper.get("min_samples_split", 2),
-    ).fit(features, targets)
+        return fit_logistic(features, targets, **hyper)
+    return DecisionTree("classification", **hyper).fit(features, targets)
 
 
 def readout_from_dict(raw: dict):

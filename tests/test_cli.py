@@ -249,6 +249,24 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
         ({"dataset": [1, 2]}, "dataset"),
         ({"model": {"j_range": "ab"}}, "j_range"),
         ({"model": {"readout_hyper": {"ridge": "x"}}}, "readout_hyper.ridge"),
+        (
+            {
+                "dataset": {"kind": "classification4"},
+                "model": {"readout": "logistic", "readout_hyper": {"max_iter": 2.5}},
+            },
+            "readout_hyper.max_iter",
+        ),
+        (
+            {
+                "dataset": {"kind": "classification4"},
+                "model": {"readout": "tree", "readout_hyper": {"max_depht": 3}},
+            },
+            "readout_hyper.max_depht",
+        ),
+        ({"qlear": {"corpus": 0}}, "qlear.corpus"),
+        ({"qlear": {"corpus": 1}}, "qlear.corpus"),
+        ({"dataset": {"kind": "regression3"}, "model": {"readout": "tree"}}, "readout"),
+        ({"dataset": {"kind": "classification4"}, "model": {"readout": "linear"}}, "readout"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])
@@ -288,3 +306,34 @@ def test_uq_samples_without_method_defaults_to_bootstrap(capsys, tmp_path):
     payload = json.loads((out_dir / "uq.json").read_text())
     assert payload["method"] == "bootstrap"
     assert payload["samples"] == 4
+
+
+def test_scenario_uq_samples_without_method_defaults_to_bootstrap(capsys, tmp_path):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(
+        capsys, "scenario", "--scenario", "C3_1", "--profile", "zero-noise",
+        "--dataset-size", "20", "--repeats", "3", "--uq-samples", "4", "--seed", "1",
+        "--out", str(out_dir),
+    )
+    assert code == 0, err
+    payload = json.loads((out_dir / "results.json").read_text())
+    assert payload["uq"]["method"] == "bootstrap"
+    assert payload["uq"]["samples"] == 4
+
+
+@pytest.mark.parametrize(
+    "command, dataset, readout",
+    [
+        ("uq", "regression3", "logistic"),
+        ("train", "classification4", "linear"),
+    ],
+)
+def test_readout_that_does_not_fit_the_task_exits_one(capsys, tmp_path, command, dataset, readout):
+    argv = [command, "--dataset", dataset, "--readout", readout, "--dataset-size", "20"]
+    if command != "train":
+        argv += ["--profile", "zero-noise"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: readout:") and f"{readout!r} does not fit" in err
+    assert not (tmp_path / "out").exists()

@@ -301,6 +301,16 @@ def test_model_spec_rejects_an_unknown_readout_kind():
         ModelSpec(readout="svm")
 
 
+def test_a_readout_that_does_not_fit_the_task_fails_before_any_repeat():
+    config, dataset = _small_scenario()
+    spec = ModelSpec(readout="tree")
+    with pytest.raises(ValidationError, match="readout: 'tree' does not fit a regression task"):
+        run_scenario(config, dataset, spec)
+    uq_config = ScenarioConfig("C3_1", config.profile, uq=UqSpec("bootstrap", 4))
+    with pytest.raises(ValidationError, match="does not fit"):
+        run_uq(uq_config, dataset, spec)
+
+
 def test_report_emission_files_and_determinism(tmp_path):
     config, dataset = _small_scenario()
     report = run_scenario(config, dataset)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelm_lab.errors import ValidationError
 from qelm_lab.readout import (
     BaggedTrees,
     DecisionTree,
+    TreeNode,
     fit_linear,
     fit_logistic,
     fit_readout,
@@ -84,6 +87,115 @@ def test_tree_root_split_matches_exhaustive_oracle():
     assert score == pytest.approx(best)
 
 
+def _oracle_gini(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    f = counts / total
+    return 1.0 - float(np.sum(f * f))
+
+
+def _oracle_column_split(x_col, y, task):
+    """Best (threshold, score) for one column by a loop over thresholds: Gini
+    for classification, SSE for regression."""
+    order = np.argsort(x_col, kind="stable")
+    xs = x_col[order]
+    ys = y[order]
+    n = len(ys)
+    best = None
+    if task == "classification":
+        ones = np.cumsum(ys)
+        total_ones = ones[-1]
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            n_l = i + 1
+            n_r = n - n_l
+            left = np.array([n_l - ones[i], ones[i]], dtype=float)
+            right = np.array([n_r - (total_ones - ones[i]), total_ones - ones[i]], dtype=float)
+            score = (n_l * _oracle_gini(left) + n_r * _oracle_gini(right)) / n
+            if best is None or score < best[1] - 1e-15:
+                best = ((xs[i] + xs[i + 1]) / 2.0, score)
+    else:
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            n_l = i + 1
+            n_r = n - n_l
+            sse_l = csq[i] - csum[i] ** 2 / n_l
+            sum_r = csum[-1] - csum[i]
+            sse_r = (csq[-1] - csq[i]) - sum_r**2 / n_r
+            score = sse_l + sse_r
+            if best is None or score < best[1] - 1e-12:
+                best = ((xs[i] + xs[i + 1]) / 2.0, score)
+    return best
+
+
+class _OracleTree(DecisionTree):
+    """The tree grown by a per-task, per-column search; the reference for
+    the single vectorized split search."""
+
+    def _grow(self, features, targets, level):
+        n = len(targets)
+        if self.task == "classification":
+            counts = np.array([(targets == 0).sum(), (targets == 1).sum()], dtype=float)
+            pure = _oracle_gini(counts) <= 0.0
+        else:
+            pure = float(np.var(targets)) <= 1e-24
+        if level >= self.max_depth or n < self.min_samples_split or pure:
+            return self._leaf(targets)
+        best = None
+        for j in range(features.shape[1]):
+            cand = _oracle_column_split(features[:, j], targets, self.task)
+            if cand is not None and (best is None or cand[1] < best[2] - 1e-15):
+                best = (j, cand[0], cand[1])
+        if best is None:
+            return self._leaf(targets)
+        j, threshold, _ = best
+        mask = features[:, j] <= threshold
+        return TreeNode(
+            feature=j,
+            threshold=threshold,
+            left=self._grow(features[mask], targets[mask], level + 1),
+            right=self._grow(features[~mask], targets[~mask], level + 1),
+        )
+
+
+@st.composite
+def _tree_problems(draw):
+    """Exactly representable data: x and regression targets are multiples of
+    1/4 (so x values tie), labels are 0/1; optionally a duplicated column, a
+    constant column and bootstrap-duplicated rows."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(0, 6), min_size=d, max_size=d)
+    x = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=float) / 4.0
+    if task == "classification":
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    else:
+        y = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    if draw(st.booleans()):
+        x = np.hstack([x, x[:, [draw(st.integers(0, d - 1))]]])
+    if draw(st.booleans()):
+        x = np.insert(x, draw(st.integers(0, x.shape[1])), 0.5, axis=1)
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        x, y = x[idx], y[idx]
+    return task, x, y, draw(st.integers(1, 6)), draw(st.integers(2, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_problems())
+def test_split_search_grows_the_same_tree_as_the_per_column_oracle(problem):
+    task, x, y, max_depth, min_samples_split = problem
+    tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
+    oracle = _OracleTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
+    assert tree.fit(x, y).to_dict() == oracle.fit(x, y).to_dict()
+
+
 def test_regression_tree_reduces_error():
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(200, 1))
@@ -105,6 +217,8 @@ def test_bagged_trees_are_seed_deterministic():
 def test_fit_readout_dispatch_and_validation():
     x = np.array([[0.0], [1.0]])
     assert fit_readout(x, np.array([0.0, 1.0]), "linear").predict(x)[1] == pytest.approx(1.0)
+    xor_x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    assert fit_readout(xor_x, np.array([0.0, 1.0, 1.0, 0.0]), "tree", {"max_depth": 1}).depth() == 1
     with pytest.raises(ValidationError):
         fit_readout(x, np.array([0.0]), "linear")
     with pytest.raises(ValidationError):
