@@ -474,6 +474,10 @@ class ScenarioConfig:
             raise ValidationError(f"unknown mitigator {self.mitigator!r}")
         if self.qlear_corpus < 2:  # one circuit to train on, one to hold out
             raise ValidationError(f"qlear.corpus: need at least 2 circuits, got {self.qlear_corpus}")
+        if self.qlear_trees < 1:
+            raise ValidationError(f"qlear.trees: need at least 1 tree, got {self.qlear_trees}")
+        if self.jobs is not None and self.jobs < 1:  # None: one worker per repeat, up to the cores
+            raise ValidationError(f"jobs: need at least 1 worker, got {self.jobs}")
         if self.scenario_id.startswith("C3") and self.uq is None:
             raise ValidationError(f"scenario {self.scenario_id} requires a uq setting")
 

@@ -36,7 +36,7 @@ from .noise import NoiseProfile
 from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, distribution_features
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
-from .simulator import measure_distribution, run_ideal, run_noisy
+from .simulator import measure_distribution, run_ideal, run_noisy, run_noisy_many
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
 
@@ -184,13 +184,14 @@ class ZneMitigator:
         return f"zne[{scales};{c.extrapolation};{c.degree}]"
 
     def circuit_features(self, circuit, feature_map, profile, seed):
+        c = self.config
+        folds = [fold_to_scale(circuit, scale) for scale in c.scale_factors]
+        # the folds share leading gates (C, then C^dagger C ...): evolve them once
         per_scale = []
-        for i, scale in enumerate(self.config.scale_factors):
-            folded = fold_to_scale(circuit, scale)
-            dist = measure_distribution(run_noisy(folded, profile), profile)
+        for i, state in enumerate(run_noisy_many(folds, profile)):
+            dist = measure_distribution(state, profile)
             per_scale.append(distribution_features(dist, feature_map, _scale_seed(seed, i)))
         stacked = np.vstack(per_scale)
-        c = self.config
         mitigated = np.array(
             [
                 extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)

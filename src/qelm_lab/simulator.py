@@ -2,8 +2,15 @@
 
 Two backends share one tensor contraction:
 
-    run_ideal   pure states, exact unitary evolution, up to 20 qubits
-    run_noisy   density matrices with per-gate Kraus channels, up to 12 qubits
+    run_ideal        pure states, exact unitary evolution, up to 20 qubits
+    run_noisy        density matrices with per-gate Kraus channels, up to 12 qubits
+    run_noisy_many   run_noisy of several circuits, sharing their common prefixes
+
+The contraction (_apply_local) applies a k-qubit operator as one matrix
+product: the state tensor is transposed so the target axes come first (the
+axis order is cached per qubit count and targets), reshaped to (d^k, rest),
+multiplied by the d^k x d^k operator, and handed back as a view transposed
+to the original axis order.
 
 run_noisy works in the Pauli-transfer-matrix (PTM) representation: the
 state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
@@ -12,6 +19,13 @@ noise's PTM (cached per profile and target qubits, since the noise does not
 depend on the gate's angle) and the gate unitary's PTM. The density matrix
 is rebuilt and validated once, at the end. apply_gate_density and
 apply_channel_density go through the same kernel.
+
+run_noisy_many walks the circuits' gate lists as a trie: a leading run of
+gates that several circuits share is evolved once and the walk forks where
+they differ. Zero-noise extrapolation uses it for its folded circuits, which
+share a prefix (the scale-3 fold C C^dagger C extends the scale-1 circuit C).
+Every state is bit-identical to its circuit's run on its own, and run_noisy
+is run_noisy_many of one circuit.
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -168,12 +182,21 @@ class ShotCounts:
 # ---------------------------------------------------------------------------
 # tensor kernel
 
+@lru_cache(maxsize=None)
+def _axis_orders(n: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The permutation that brings ``axes`` to the front (the others keep
+    their order), and its inverse."""
+    front = axes + tuple(a for a in range(n) if a not in axes)
+    return front, tuple(front.index(a) for a in range(n))
+
+
 def _apply_local(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract a k-local operator tensor (k output axes, then k input axes)
-    into ``axes`` of ``tensor``; the output axes take their places."""
-    k = len(axes)
-    out = np.tensordot(op, tensor, axes=(tuple(range(k, 2 * k)), axes))
-    return np.moveaxis(out, tuple(range(k)), axes)
+    """Apply the d^k x d^k operator ``op`` to ``axes`` of ``tensor`` (every
+    axis of length d); the output axes take their places. One 2-D matmul on
+    the tensor permuted to (d^k, rest); the result is a transposed view."""
+    front, back = _axis_orders(tensor.ndim, axes)
+    out = op @ tensor.transpose(front).reshape(op.shape[1], -1)
+    return out.reshape(tensor.shape).transpose(back)
 
 
 # Pauli-transfer-matrix (PTM) representation of density matrices: an n-qubit
@@ -254,11 +277,10 @@ def noise_ptm(profile: NoiseProfile, targets: tuple[int, ...]) -> np.ndarray:
 
 @lru_cache(maxsize=16384)
 def _noisy_gate_ptm(profile: NoiseProfile, gate: Gate) -> np.ndarray:
-    """PTM tensor of (gate unitary, then its noise), shaped (4,)*(2k) with
-    the output Pauli axes first: one contraction applies gate and noise."""
+    """PTM of (gate unitary, then its noise): one contraction applies both."""
     ptm = noise_ptm(profile, gate.targets) @ unitary_ptm(gate)
     ptm.flags.writeable = False
-    return ptm.reshape((4,) * (2 * gate.n_targets))
+    return ptm
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +294,28 @@ def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> StateVector:
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
     for gate in circuit.gates:
-        op = gate_matrix(gate).reshape((2,) * (2 * gate.n_targets))
-        tensor = _apply_local(tensor, op, gate.targets)
+        tensor = _apply_local(tensor, gate_matrix(gate), gate.targets)
     return StateVector(n, tensor.reshape(-1))
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying each gate's unitary
     followed by the profile's noise channel for that gate."""
-    n = circuit.n_qubits
+    return run_noisy_many([circuit], profile, cap)[0]
+
+
+def run_noisy_many(
+    circuits: list[Circuit], profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP
+) -> list[DensityMatrix]:
+    """run_noisy of every circuit, in order. The gate lists are walked as a
+    trie: a leading run of gates that several circuits share is evolved once,
+    and the walk forks where they differ, so each state is bit-identical to
+    that circuit's run on its own."""
+    if not circuits:
+        return []
+    n = circuits[0].n_qubits
+    if any(c.n_qubits != n for c in circuits):
+        raise ValidationError("run_noisy_many needs circuits on one qubit count")
     if n > cap:
         raise CapExceeded(f"{n} qubits exceeds the density-backend cap of {cap}")
     if profile.n_qubits < n:
@@ -289,16 +324,33 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_
         )
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
-    for gate in circuit.gates:
-        tensor = _apply_local(tensor, _noisy_gate_ptm(profile, gate), gate.targets)
-    return _pauli_to_density(tensor)
+    states: list[DensityMatrix | None] = [None] * len(circuits)
+    # (state after gates[:depth], depth, indices of the circuits sharing them)
+    pending = [(tensor, 0, list(range(len(circuits))))]
+    while pending:
+        tensor, depth, members = pending.pop()
+        lead = circuits[members[0]].gates
+        end = len(lead)
+        for i in members[1:]:  # how far all members go on sharing gates
+            gates = circuits[i].gates
+            limit, end = min(end, len(gates)), depth
+            while end < limit and gates[end] == lead[end]:
+                end += 1
+        for gate in lead[depth:end]:
+            tensor = _apply_local(tensor, _noisy_gate_ptm(profile, gate), gate.targets)
+        forks: dict[Gate, list[int]] = {}
+        for i in members:
+            gates = circuits[i].gates
+            if end == len(gates):
+                states[i] = _pauli_to_density(tensor)
+            else:
+                forks.setdefault(gates[end], []).append(i)
+        pending.extend((tensor, end, group) for group in forks.values())
+    return states
 
 
 def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:
-    tensor = _apply_local(
-        _density_to_pauli(state), ptm.reshape((4,) * (2 * len(qubits))), qubits
-    )
-    return _pauli_to_density(tensor)
+    return _pauli_to_density(_apply_local(_density_to_pauli(state), ptm, qubits))
 
 
 def apply_gate_density(state: DensityMatrix, gate: Gate) -> DensityMatrix:

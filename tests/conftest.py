@@ -1,5 +1,8 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
 from qelm_lab.noise import NoiseProfile, zero_noise_profile
@@ -47,3 +50,19 @@ def random_gate_list(rng: np.random.Generator, n_qubits: int, n_gates: int):
             )
             gates.append(circ.Gate(kind, (int(rng.integers(n_qubits)),), params))
     return gates
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 4, max_gates: int = 12):
+    """Hypothesis strategy: a circuit on 1-``max_qubits`` qubits over every
+    gate kind, targets in any order, angles in [-2 pi, 2 pi]."""
+    n = draw(st.integers(1, max_qubits))
+    kinds = [k for k in circ.GATE_KINDS if n >= 2 or k not in ("CX", "ZZ")]
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(kinds))
+        k = 2 if kind in ("CX", "ZZ") else 1
+        targets = draw(st.sampled_from(list(permutations(range(n), k))))
+        params = (draw(st.floats(-2 * np.pi, 2 * np.pi)),) if kind in ("RX", "RY", "RZ", "ZZ") else ()
+        gates.append(circ.Gate(kind, targets, params))
+    return circ.Circuit(n, tuple(gates))

@@ -7,7 +7,7 @@ from qelm_lab import circuit as circ
 from qelm_lab.errors import ArityMismatch, InvalidTarget, ParseError, ScaleOutOfRange
 from qelm_lab.simulator import measure_distribution, run_ideal
 
-from conftest import random_gate_list
+from conftest import circuits, random_gate_list
 
 
 def test_append_builds_entangling_pair():
@@ -98,6 +98,12 @@ def test_fold_preserves_ideal_distribution(seed, scale_idx):
     assert np.abs(p0 - p1).max() < 1e-9
     ratio = len(folded.gates) / len(c.gates)
     assert abs(ratio - scale) <= 1.0 / len(c.gates) + 1e-12
+
+
+@settings(max_examples=50, deadline=None)
+@given(circuit=circuits(max_gates=20))
+def test_fold_to_scale_one_returns_the_circuit(circuit):
+    assert circ.fold_to_scale(circuit, 1.0) == circuit
 
 
 def test_gate_counts_and_depth(bell):

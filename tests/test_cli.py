@@ -267,6 +267,8 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
         ({"qlear": {"corpus": 1}}, "qlear.corpus"),
         ({"dataset": {"kind": "regression3"}, "model": {"readout": "tree"}}, "readout"),
         ({"dataset": {"kind": "classification4"}, "model": {"readout": "linear"}}, "readout"),
+        ({"qlear": {"trees": 0}}, "qlear.trees"),
+        ({"jobs": 0}, "jobs"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])
@@ -281,6 +283,20 @@ def test_wrong_typed_config_value_exits_one_naming_the_key(
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"{key}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scenario", "uq"])
+@pytest.mark.parametrize("jobs", ["-1", "0"])
+def test_jobs_below_one_exits_one(capsys, tmp_path, command, jobs):
+    code, out, err = run_cli(
+        capsys, command, "--scenario", "C3_2" if command == "uq" else "C1_1",
+        "--profile", "device-a", "--dataset-size", "20", "--jobs", jobs,
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: jobs: need at least 1 worker, got {jobs}")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
 from qelm_lab import qelm
@@ -7,7 +9,7 @@ from qelm_lab.errors import DimensionMismatch, ValidationError
 from qelm_lab.noise import bundled_profile, zero_noise_profile
 from qelm_lab.simulator import measure_distribution, run_ideal
 
-from conftest import make_depol_profile
+from conftest import circuits, make_depol_profile
 
 UNIT = ((0.0, 1.0),)
 
@@ -105,6 +107,16 @@ def test_ideal_and_zero_noise_backends_agree():
     a = qelm.extract_features(front_shots, x, qelm.IdealBackend(), seed=3)
     b = qelm.extract_features(front_shots, x, qelm.NoisyBackend(zero_noise_profile(2)), seed=3)
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=circuits(), kind=st.sampled_from(qelm.FEATURE_MAP_KINDS))
+def test_zero_noise_backend_matches_the_ideal_backend(circuit, kind):
+    spec = qelm.FeatureMapSpec(kind, shots=0)
+    ideal = qelm.IdealBackend().circuit_features(circuit, spec, 0)
+    noisy = qelm.NoisyBackend(zero_noise_profile(4)).circuit_features(circuit, spec, 0)
+    assert ideal.shape == noisy.shape
+    assert np.abs(ideal - noisy).max() <= 1e-12
 
 
 def test_probability_features_sum_to_one_per_row():

@@ -9,9 +9,10 @@ from qelm_lab import circuit as circ
 from qelm_lab import noise
 from qelm_lab import simulator as sim
 from qelm_lab.errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
+from qelm_lab.mitigation import ZneConfig, random_circuit
 from qelm_lab.noise import KrausChannel, depolarizing_channel, zero_noise_profile
 
-from conftest import make_depol_profile, random_gate_list
+from conftest import circuits, make_depol_profile, random_gate_list
 
 
 def test_empty_circuit_stays_in_ground_state():
@@ -214,20 +215,6 @@ def _dense_noisy(circuit: circ.Circuit, profile) -> np.ndarray:
     return rho
 
 
-@st.composite
-def circuits(draw, max_qubits: int = 4, max_gates: int = 12):
-    n = draw(st.integers(1, max_qubits))
-    kinds = [k for k in circ.GATE_KINDS if n >= 2 or k not in ("CX", "ZZ")]
-    gates = []
-    for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.sampled_from(kinds))
-        k = 2 if kind in ("CX", "ZZ") else 1
-        targets = draw(st.sampled_from(list(permutations(range(n), k))))
-        params = (draw(st.floats(-2 * np.pi, 2 * np.pi)),) if kind in ("RX", "RY", "RZ", "ZZ") else ()
-        gates.append(circ.Gate(kind, targets, params))
-    return circ.Circuit(n, tuple(gates))
-
-
 @settings(max_examples=60, deadline=None)
 @given(circuit=circuits(), profile=st.sampled_from(PROPERTY_PROFILES))
 def test_run_noisy_matches_dense_kraus_reference(circuit, profile):
@@ -250,3 +237,91 @@ def test_noise_ptms_preserve_trace():
                 ptm = sim.noise_ptm(profile, targets)
                 assert ptm.shape == (4**k, 4**k)
                 assert np.abs(ptm[0] - np.eye(4**k)[0]).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the permute-and-matmul kernel, and the walk that shares gate-list prefixes
+
+def _tensordot_apply_local(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The kernel's former body, kept as its oracle: tensordot, then moveaxis."""
+    k = len(axes)
+    op = op.reshape((tensor.shape[0],) * (2 * k))
+    out = np.tensordot(op, tensor, axes=(tuple(range(k, 2 * k)), axes))
+    return np.moveaxis(out, tuple(range(k)), axes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("d", [2, 4])
+def test_apply_local_matches_the_tensordot_oracle(d, n):
+    """Every ordered target tuple of 1 and 2 qubits, on a complex state
+    vector (d = 2) and a real PTM tensor (d = 4); each result is fed back in,
+    since the kernel returns a transposed view."""
+    rng = np.random.default_rng(10 * d + n)
+
+    def draw(shape):
+        values = rng.standard_normal(shape)
+        return values + 1j * rng.standard_normal(shape) if d == 2 else values
+
+    worst = 0.0
+    for k in (1, 2):
+        for axes in permutations(range(n), k):
+            op, tensor = draw((d**k, d**k)), draw((d,) * n)
+            got = sim._apply_local(tensor, op, axes)
+            want = _tensordot_apply_local(tensor, op, axes)
+            worst = max(worst, np.abs(got - want).max())
+            again = sim._apply_local(got, op, axes[::-1])
+            worst = max(worst, np.abs(again - _tensordot_apply_local(want, op, axes[::-1])).max())
+    assert worst <= 1e-12, f"largest difference {worst:.3e}"
+
+
+def _run_noisy_alone(circuit: circ.Circuit, profile) -> np.ndarray:
+    """One circuit evolved on its own, gate after gate: the oracle of the
+    shared walk in run_noisy_many."""
+    n = circuit.n_qubits
+    tensor = np.zeros((4,) * n)
+    tensor[np.ix_(*[(0, 3)] * n)] = 1.0
+    for gate in circuit.gates:
+        tensor = sim._apply_local(tensor, sim._noisy_gate_ptm(profile, gate), gate.targets)
+    return sim._pauli_to_density(tensor).entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=circuits(max_gates=10),
+    cut=st.integers(0, 10),
+    profile=st.sampled_from(PROPERTY_PROFILES),
+)
+def test_run_noisy_many_is_bit_identical_to_one_at_a_time(base, cut, profile):
+    n = base.n_qubits
+    folds = [circ.fold_to_scale(base, s) for s in ZneConfig().scale_factors]
+    first = circ.x(0) if base.gates[:1] != (circ.x(0),) else circ.h(0)
+    unrelated = circ.Circuit(n, (first,) + base.gates)  # shares no gate prefix with the rest
+    batch = folds + [circ.Circuit(n, base.gates[:cut]), base, circ.Circuit(n), unrelated, folds[1]]
+    states = sim.run_noisy_many(batch, profile)
+    assert len(states) == len(batch)
+    for circuit, state in zip(batch, states):
+        assert np.array_equal(state.entries, _run_noisy_alone(circuit, profile))
+
+
+def test_run_noisy_many_evolves_each_shared_prefix_once(monkeypatch):
+    profile = noise.bundled_profile("device-a")
+    base = random_circuit(4, 38, seed=5)
+    folds = [circ.fold_to_scale(base, s) for s in ZneConfig().scale_factors]
+    kernel, calls = sim._apply_local, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(sim, "_apply_local", counted)
+    sim.run_noisy_many(folds, profile)
+    prefixes = {c.gates[:j] for c in folds for j in range(1, len(c.gates) + 1)}
+    assert sum(len(c.gates) for c in folds) == 418
+    assert len(calls) == len(prefixes) == 246
+
+
+def test_run_noisy_many_needs_one_qubit_count():
+    profile = zero_noise_profile(4)
+    assert sim.run_noisy_many([], profile) == []
+    with pytest.raises(ValidationError):
+        sim.run_noisy_many([circ.Circuit(2), circ.Circuit(3)], profile)
