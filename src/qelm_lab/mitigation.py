@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import circuit as circ
 from .circuit import Circuit, depth, fold_to_scale, gate_counts
@@ -39,6 +38,17 @@ from .rng import Rng, derive_seed
 from .simulator import measure_distribution, run_ideal, run_noisy, run_noisy_many
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first call.
+
+    Only the exponential extrapolation needs scipy; importing it up front
+    would add about half a second and 40 MB to every command line.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 class ExtrapolationFallback(UserWarning):

@@ -122,14 +122,30 @@ class DensityMatrix:
         self.validate()
 
     def validate(self) -> None:
+        """Check unit trace and Hermiticity within 1e-9, and that no
+        eigenvalue lies below -1e-8.
+
+        The eigenvalue bound is decided by one Cholesky factorization of
+        rho + 1e-8 I, which succeeds (up to rounding) exactly when no
+        eigenvalue of rho lies below -1e-8. Only when it fails is the
+        spectrum computed, to apply the bound to the smallest eigenvalue
+        itself and name it in the error.
+        """
         trace = complex(np.trace(self.entries))
         if abs(trace - 1.0) > 1e-9:
             raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-9")
         if float(np.abs(self.entries - self.entries.conj().T).max()) > 1e-9:
             raise ValidationError("density matrix is not Hermitian within 1e-9")
-        min_eig = float(np.linalg.eigvalsh(self.entries).min())
-        if min_eig < -1e-8:
-            raise ValidationError(f"density matrix has eigenvalue {min_eig} below -1e-8")
+        shifted = self.entries.copy()
+        shifted.flat[:: len(shifted) + 1] += 1e-8
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(self.entries).min())
+            if min_eig < -1e-8:
+                raise ValidationError(
+                    f"density matrix has eigenvalue {min_eig} below -1e-8"
+                ) from None
 
     def probabilities_vector(self) -> np.ndarray:
         return np.clip(np.real(np.diag(self.entries)), 0.0, None)

@@ -197,12 +197,17 @@ def crps(samples, y: float) -> float:
 
 
 def check_score(y: float, q: float, tau: float) -> float:
-    """Pinball loss of the quantile prediction q at level tau."""
+    """Pinball loss of the quantile prediction q at level tau.
+
+    The loss is 0 only when y == q: a nonzero difference whose product
+    with tau or 1 - tau underflows scores the smallest positive float.
+    """
     if not 0.0 < tau < 1.0:
         raise ValidationError(f"tau must lie in (0, 1), got {tau}")
-    if y >= q:
-        return tau * (y - q)
-    return (1.0 - tau) * (q - y)
+    score = tau * (y - q) if y >= q else (1.0 - tau) * (q - y)
+    if score == 0.0 and y != q:
+        return math.ulp(0.0)
+    return score
 
 
 def interval_score(y: float, lo: float, hi: float, alpha: float) -> float:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +75,33 @@ def test_exponential_falls_back_to_polynomial_with_warning(monkeypatch):
     with pytest.warns(mit.ExtrapolationFallback):
         got = mit.extrapolate(SCALES, values, "exponential")
     assert got == pytest.approx(1.0, abs=1e-9)
+
+
+SCIPY_STAYS_UNLOADED = """
+import importlib, pkgutil, sys
+import qelm_lab
+for module in pkgutil.iter_modules(qelm_lab.__path__):
+    if module.name != "__main__":  # importing it runs the command line
+        importlib.import_module("qelm_lab." + module.name)
+from qelm_lab import mitigation
+assert mitigation.extrapolate([1, 2, 3], [0.9, 0.8, 0.7], "polynomial", 1) > 0.99
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+a, b, c = 0.4, 0.8, 0.55
+got = mitigation.extrapolate([1, 2, 3, 5], [a * b**s + c for s in (1, 2, 3, 5)], "exponential")
+assert abs(got - (a + c)) < 1e-6, got
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_is_imported_only_by_an_exponential_fit():
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(mit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_STAYS_UNLOADED], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_extrapolate_input_validation():

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -166,6 +167,53 @@ def test_state_invariants_are_enforced():
         sim.DensityMatrix(1, np.array([[0.9, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         sim.OutcomeDistribution(1, np.array([0.7, 0.2]))
+
+
+def _planted_density(d: int, min_eig: float, seed: int) -> np.ndarray:
+    """A Hermitian unit-trace d x d matrix whose smallest eigenvalue is min_eig."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.random(d - 1) + 0.1
+    eigs = np.concatenate([[min_eig], rest * (1.0 - min_eig) / rest.sum()])
+    rho = (basis * eigs) @ basis.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _signed_power(low: float, high: float):
+    return st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(low, high)).map(
+        lambda t: t[0] * 10.0 ** t[1]
+    )
+
+
+# Planted values near the bound keep 1e-13 from it: closer than rounding
+# (about 1e-16 here) neither eigvalsh nor a factorization can tell the side.
+PLANTED_MIN_EIG = st.one_of(
+    _signed_power(-12.0, -6.0), _signed_power(-13.0, -11.0).map(lambda off: -1e-8 + off)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from([2, 4, 16, 256]), min_eig=PLANTED_MIN_EIG, seed=st.integers(0, 2**32 - 1))
+def test_validate_rejects_exactly_an_eigenvalue_below_the_bound(d, min_eig, seed):
+    rho = _planted_density(d, min_eig, seed)
+    n_qubits = d.bit_length() - 1
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    if lowest < -1e-8:
+        with pytest.raises(ValidationError, match=re.escape(f"eigenvalue {lowest} below")):
+            sim.DensityMatrix(n_qubits, rho)
+    else:
+        sim.DensityMatrix(n_qubits, rho)
+
+
+def test_a_pure_eight_qubit_state_passes_without_a_spectrum(monkeypatch):
+    rho = sim.density_from_state(sim.run_ideal(random_circuit(8, 60, 3))).entries
+    assert np.linalg.matrix_rank(rho, tol=1e-10) == 1
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("validate computed a spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    sim.DensityMatrix(8, rho)
 
 
 def test_shot_counts_round_trip():

@@ -92,6 +92,10 @@ def test_check_score_cases():
     assert uq.check_score(10.0, 8.0, 0.9) == pytest.approx(1.8)
     y, q = 2.0, 5.0
     assert uq.check_score(y, q, 0.5) == pytest.approx(0.5 * abs(y - q))
+    # tau or 1 - tau times a subnormal difference may round to 0.0
+    for tau in (0.1, 0.5, 0.9):
+        assert uq.check_score(0.0, 5e-324, tau) == 5e-324
+        assert uq.check_score(5e-324, 0.0, tau) == 5e-324
 
 
 @settings(max_examples=50, deadline=None)
