@@ -1,7 +1,8 @@
 """Error mitigation for QELM feature extraction.
 
-A mitigator computes the features of one circuit from its noisy runs:
-``circuit_features(circuit, feature_map, profile, seed)``. Two exist:
+A mitigator computes the features of circuits from their noisy runs:
+``circuits_features(circuits, feature_map, profile, seeds)``, which evolves
+the circuits together. Two exist:
 
     ZneMitigator     zero-noise extrapolation. Each feature is measured at
                      several noise-scale factors (realized by unitary
@@ -16,8 +17,8 @@ renormalized to a valid distribution; expectation features are clipped to
 [-1, 1]. Correction never changes the feature-vector dimension.
 
 MitigatedBackend binds a mitigator to a profile, which gives it the backend
-interface of the qelm module: ``key`` plus ``circuit_features(circuit,
-spec, seed)``.
+interface of the qelm module: ``key`` plus ``circuits_features(circuits,
+spec, seeds)``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from .noise import NoiseProfile
 from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, distribution_features
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
-from .simulator import measure_distribution, run_ideal, run_noisy, run_noisy_many
+from .simulator import (
+    batches,
+    measure_distribution,
+    run_ideal,
+    run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
+    run_noisy_many,
+)
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
 
@@ -193,22 +200,38 @@ class ZneMitigator:
         scales = ",".join(repr(s) for s in c.scale_factors)
         return f"zne[{scales};{c.extrapolation};{c.degree}]"
 
-    def circuit_features(self, circuit, feature_map, profile, seed):
+    def circuits_features(self, circuits, feature_map, profile, seeds):
         c = self.config
-        folds = [fold_to_scale(circuit, scale) for scale in c.scale_factors]
-        # the folds share leading gates (C, then C^dagger C ...): evolve them once
-        per_scale = []
-        for i, state in enumerate(run_noisy_many(folds, profile)):
-            dist = measure_distribution(state, profile)
-            per_scale.append(distribution_features(dist, feature_map, _scale_seed(seed, i)))
-        stacked = np.vstack(per_scale)
-        mitigated = np.array(
-            [
-                extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)
-                for j in range(stacked.shape[1])
+        n_scales = len(c.scale_factors)
+        rows = []
+        for part in batches(circuits, 4, n_scales):
+            # every fold of every row in one walk: the folds of a row share
+            # leading gates (C, then C^dagger C ...), and rows share shapes
+            folds = [
+                fold_to_scale(circuit, scale)
+                for circuit in circuits[part]
+                for scale in c.scale_factors
             ]
-        )
-        return _postprocess(mitigated, feature_map.kind)
+            states = run_noisy_many(folds, profile)
+            for row, seed in enumerate(seeds[part]):
+                per_scale = [
+                    distribution_features(
+                        measure_distribution(state, profile), feature_map, _scale_seed(seed, i)
+                    )
+                    for i, state in enumerate(states[row * n_scales : (row + 1) * n_scales])
+                ]
+                stacked = np.vstack(per_scale)
+                mitigated = np.array(
+                    [
+                        extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)
+                        for j in range(stacked.shape[1])
+                    ]
+                )
+                rows.append(_postprocess(mitigated, feature_map.kind))
+        return rows
+
+    def circuit_features(self, circuit, feature_map, profile, seed):
+        return self.circuits_features([circuit], feature_map, profile, [seed])[0]
 
 
 def zne_calibrate(
@@ -359,13 +382,11 @@ def qlear_train(
     n_qubits = calibration[0].n_qubits
     if any(c.n_qubits != n_qubits for c in calibration):
         raise ValidationError("all calibration circuits must share one qubit count")
-    ideal_backend = IdealBackend()
-    noisy_backend = NoisyBackend(profile)
+    run_seeds = [derive_seed(seed, "qlear-run", c_index) for c_index in range(len(calibration))]
+    ideal_rows = IdealBackend().circuits_features(calibration, feature_map, run_seeds)
+    noisy_rows = NoisyBackend(profile).circuits_features(calibration, feature_map, run_seeds)
     rows, residuals, owners = [], [], []
-    for c_index, circuit in enumerate(calibration):
-        run_seed = derive_seed(seed, "qlear-run", c_index)
-        ideal = ideal_backend.circuit_features(circuit, feature_map, run_seed)
-        noisy = noisy_backend.circuit_features(circuit, feature_map, run_seed)
+    for c_index, (circuit, ideal, noisy) in enumerate(zip(calibration, ideal_rows, noisy_rows)):
         rows.append(_schema_rows(noisy, circuit_meta(circuit), profile))
         residuals.append(ideal - noisy)
         owners.append(np.full(len(noisy), c_index))
@@ -419,15 +440,17 @@ class QlearMitigator:
     def key_suffix(self) -> str:
         return f"qlear[{self.model.corpus_size};{self.model.seed}]"
 
-    def circuit_features(self, circuit, feature_map, profile, seed):
+    def circuits_features(self, circuits, feature_map, profile, seeds):
         if feature_map.kind != self.model.feature_kind:
             raise ValidationError(
                 f"corrector was trained on {self.model.feature_kind!r} features, "
                 f"got {feature_map.kind!r}"
             )
-        dist = measure_distribution(run_noisy(circuit, profile), profile)
-        noisy = distribution_features(dist, feature_map, seed)
-        return qlear_correct(self.model, noisy, circuit_meta(circuit), profile)
+        noisy = NoisyBackend(profile).circuits_features(circuits, feature_map, seeds)
+        return [
+            qlear_correct(self.model, row, circuit_meta(circuit), profile)
+            for circuit, row in zip(circuits, noisy)
+        ]
 
 
 class MitigatedBackend:
@@ -438,5 +461,8 @@ class MitigatedBackend:
         self.mitigator = mitigator
         self.key = f"mitigated:{profile.name}:{mitigator.key_suffix()}"
 
+    def circuits_features(self, circuits, spec, seeds):
+        return self.mitigator.circuits_features(circuits, spec, self.profile, seeds)
+
     def circuit_features(self, circuit, spec, seed):
-        return self.mitigator.circuit_features(circuit, spec, self.profile, seed)
+        return self.circuits_features([circuit], spec, [seed])[0]

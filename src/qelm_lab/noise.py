@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -201,25 +202,38 @@ def relaxation_params(profile: NoiseProfile, qubit: int, duration_us: float) -> 
     return gamma, min(max(lam, 0.0), 1.0)
 
 
-def gate_channel_parts(profile: NoiseProfile, gate: Gate) -> list[tuple[KrausChannel, tuple[int, ...]]]:
-    """Per-gate noise as a list of (channel, qubits) applied in order.
+def gate_noise_parts(
+    profile: NoiseProfile, gate: Gate
+) -> list[tuple[Callable[..., KrausChannel], tuple, tuple[int, ...]]]:
+    """Per-gate noise as a list of (channel constructor, its defining
+    numbers, qubits) applied in order: (p, width) for depolarizing noise and
+    (gamma, lambda) for thermal relaxation. Equal numbers make equal channels
+    on any gate, so a channel's cost can be paid once per set of numbers.
 
     Identity parts are pruned, so a noiseless profile yields an empty list.
-    Applying the parts in sequence is equivalent to applying the single
-    composed channel from channel_for_gate.
     """
-    parts: list[tuple[KrausChannel, tuple[int, ...]]] = []
+    parts: list[tuple[Callable[..., KrausChannel], tuple, tuple[int, ...]]] = []
     if gate.n_targets == 1:
         p, duration = profile.depol_1q, profile.gate_time_1q_us
     else:
         p, duration = profile.depol_2q, profile.gate_time_2q_us
     if p > 0.0:
-        parts.append((depolarizing_channel(p, gate.n_targets), gate.targets))
+        parts.append((depolarizing_channel, (p, gate.n_targets), gate.targets))
     for q in gate.targets:
         gamma, lam = relaxation_params(profile, q, duration)
         if gamma > 0.0 or lam > 0.0:
-            parts.append((thermal_relaxation_channel(gamma, lam), (q,)))
+            parts.append((thermal_relaxation_channel, (gamma, lam), (q,)))
     return parts
+
+
+def gate_channel_parts(profile: NoiseProfile, gate: Gate) -> list[tuple[KrausChannel, tuple[int, ...]]]:
+    """Per-gate noise as a list of (channel, qubits) applied in order: the
+    channels of gate_noise_parts.
+
+    Applying the parts in sequence is equivalent to applying the single
+    composed channel from channel_for_gate.
+    """
+    return [(make(*numbers), qubits) for make, numbers, qubits in gate_noise_parts(profile, gate)]
 
 
 def _embed(op: np.ndarray, position: int, width: int) -> np.ndarray:

@@ -8,20 +8,24 @@ The pipeline for one input x is
 
 The reservoir is drawn once from its seed and never changes; training only
 fits the readout. A backend decides how circuits are executed; it is a
-``key`` naming it plus ``circuit_features(circuit, spec, seed)``:
+``key`` naming it plus ``circuits_features(circuits, spec, seeds)``, which
+evolves the circuits together (the one-circuit ``circuit_features(circuit,
+spec, seed)`` is its batch of one):
 
     IdealBackend()            exact state-vector probabilities
     NoisyBackend(profile)     density-matrix evolution plus readout confusion
 
-(the mitigation module adds MitigatedBackend). extract_features builds the
-circuit for one input and hands it to the backend. Feature extraction per
-row is pure given (front, x, backend, seed), which makes results cacheable
-and runs replayable.
+(the mitigation module adds MitigatedBackend). feature_matrix builds the
+circuits of all its rows (FeatureCache: of the rows it has not seen) and
+hands them to the backend in one call; extract_features does the same for
+one input. Feature extraction per row is pure given (front, x, backend,
+seed), which makes results cacheable and runs replayable.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -36,11 +40,13 @@ from .readout import check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
 from .simulator import (
     OutcomeDistribution,
+    batches,
     expectation_z,
     expectation_zz,
     measure_distribution,
-    run_ideal,
-    run_noisy,
+    run_ideal_many,
+    run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
+    run_noisy_many,
     sample,
 )
 
@@ -220,9 +226,17 @@ class IdealBackend:
 
     key = "ideal"
 
+    def circuits_features(
+        self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
+    ) -> list[np.ndarray]:
+        rows = []
+        for part in batches(circuits, 2):
+            for state, seed in zip(run_ideal_many(circuits[part]), seeds[part]):
+                rows.append(distribution_features(measure_distribution(state), spec, seed))
+        return rows
+
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-        dist = measure_distribution(run_ideal(circuit))
-        return distribution_features(dist, spec, seed)
+        return self.circuits_features([circuit], spec, [seed])[0]
 
 
 class NoisyBackend:
@@ -233,9 +247,18 @@ class NoisyBackend:
         self.profile = profile
         self.key = f"noisy:{profile.name}"
 
+    def circuits_features(
+        self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
+    ) -> list[np.ndarray]:
+        rows = []
+        for part in batches(circuits, 4):
+            for state, seed in zip(run_noisy_many(circuits[part], self.profile), seeds[part]):
+                dist = measure_distribution(state, self.profile)
+                rows.append(distribution_features(dist, spec, seed))
+        return rows
+
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-        dist = measure_distribution(run_noisy(circuit, self.profile), self.profile)
-        return distribution_features(dist, spec, seed)
+        return self.circuits_features([circuit], spec, [seed])[0]
 
 
 def extract_features(front: QelmFront, x: np.ndarray, backend, seed: int = 0) -> np.ndarray:
@@ -246,29 +269,51 @@ def extract_features(front: QelmFront, x: np.ndarray, backend, seed: int = 0) ->
     return backend.circuit_features(front_circuit(front, x), front.feature_map, seed)
 
 
+def _rows_features(front: QelmFront, inputs, indices, backend, base_seed: int) -> list[np.ndarray]:
+    """Features of the rows ``inputs``, numbered ``indices``, from one
+    backend call. Row i samples with derive_seed(base_seed, "row", i)."""
+    circuits = [front_circuit(front, x) for x in inputs]
+    seeds = [derive_seed(base_seed, "row", i) for i in indices]
+    return backend.circuits_features(circuits, front.feature_map, seeds)
+
+
 class FeatureCache:
     """Memoizes per-row feature extraction.
 
     Keys combine the front, the backend identity, the base seed, and the row
     (index and bytes), so bootstrap refits and matched baseline runs reuse
-    work instead of re-simulating.
+    work instead of re-simulating. The store and the hit/miss counters sit
+    behind one lock, so repeats on several threads can share a cache; two
+    threads that miss the same row both compute it, and both return the
+    value stored first.
     """
 
     def __init__(self):
         self._store: dict = {}
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
+    def rows(self, front, backend, base_seed, indices, inputs) -> list[np.ndarray]:
+        """Features of the rows ``inputs``, numbered ``indices``; the misses
+        are computed together in one backend call."""
+        keys = [(front, backend.key, base_seed, i, x.tobytes()) for i, x in zip(indices, inputs)]
+        with self._lock:
+            rows = [self._store.get(key) for key in keys]
+            missing = [j for j, row in enumerate(rows) if row is None]
+            self.hits += len(rows) - len(missing)
+            self.misses += len(missing)
+        computed = _rows_features(
+            front, [inputs[j] for j in missing], [indices[j] for j in missing], backend, base_seed
+        )
+        with self._lock:
+            for j, row in zip(missing, computed):
+                rows[j] = self._store.setdefault(keys[j], row)
+        return rows
+
     def row_features(self, front, backend, base_seed, index, x) -> np.ndarray:
-        key = (front, backend.key, base_seed, index, x.tobytes())
-        found = self._store.get(key)
-        if found is not None:
-            self.hits += 1
-            return found
-        self.misses += 1
-        value = extract_features(front, x, backend, seed=derive_seed(base_seed, "row", index))
-        self._store[key] = value
-        return value
+        """Features of row ``index``: ``rows`` of one row."""
+        return self.rows(front, backend, base_seed, [index], [x])[0]
 
 
 def feature_matrix(
@@ -278,17 +323,14 @@ def feature_matrix(
     base_seed: int,
     cache: FeatureCache | None = None,
 ) -> np.ndarray:
-    """Features for every row of ``inputs``. Row i's sampling seed depends
-    only on (base_seed, i), so matched runs on different backends stay
-    comparable."""
+    """Features for every row of ``inputs``, evolved together. Row i's
+    sampling seed depends only on (base_seed, i), so matched runs on
+    different backends stay comparable."""
     inputs = np.asarray(inputs, dtype=float)
-    rows = []
-    for i, x in enumerate(inputs):
-        if cache is not None:
-            rows.append(cache.row_features(front, backend, base_seed, i, x))
-        else:
-            rows.append(extract_features(front, x, backend, seed=derive_seed(base_seed, "row", i)))
-    return np.vstack(rows)
+    indices = range(len(inputs))
+    if cache is not None:
+        return np.vstack(cache.rows(front, backend, base_seed, indices, inputs))
+    return np.vstack(_rows_features(front, inputs, indices, backend, base_seed))
 
 
 @dataclass

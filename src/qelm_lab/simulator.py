@@ -1,31 +1,40 @@
 """State-vector and density-matrix circuit execution.
 
-Two backends share one tensor contraction:
+Two backends share one evolution walker and one tensor contraction:
 
-    run_ideal        pure states, exact unitary evolution, up to 20 qubits
-    run_noisy        density matrices with per-gate Kraus channels, up to 12 qubits
-    run_noisy_many   run_noisy of several circuits, sharing their common prefixes
+    run_ideal_many   pure states, exact unitary evolution, up to 20 qubits
+    run_noisy_many   density matrices with per-gate Kraus channels, up to 12 qubits
+    run_ideal, run_noisy   the one-circuit case of each
 
-The contraction (_apply_local) applies a k-qubit operator as one matrix
-product: the state tensor is transposed so the target axes come first (the
-axis order is cached per qubit count and targets), reshaped to (d^k, rest),
-multiplied by the d^k x d^k operator, and handed back as a view transposed
-to the original axis order.
+The contraction (_apply_slabs) applies a k-qubit operator to a stack of
+states held on a leading slab axis: the stack is transposed so the target
+axes follow the slab axis (the axis order is cached per qubit count and
+targets), reshaped to (S, d^k, rest), multiplied by one d^k x d^k operator
+or one per slab in a single broadcast np.matmul, and handed back as a view
+transposed to the original axis order. NumPy makes the same 2-D product per
+slab that a single state gets, so a state is bit-identical whether it is
+evolved alone or in a stack.
 
-run_noisy works in the Pauli-transfer-matrix (PTM) representation: the
+run_noisy_many works in the Pauli-transfer-matrix (PTM) representation: the
 state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
 followed by its noise is one real 4^k x 4^k matrix, the product of the
 noise's PTM (cached per profile and target qubits, since the noise does not
-depend on the gate's angle) and the gate unitary's PTM. The density matrix
-is rebuilt and validated once, at the end. apply_gate_density and
+depend on the gate's angle, and built from part PTMs cached per defining
+numbers) and the gate unitary's PTM. The density matrix is rebuilt and
+validated once per circuit, at the end. apply_gate_density and
 apply_channel_density go through the same kernel.
 
-run_noisy_many walks the circuits' gate lists as a trie: a leading run of
-gates that several circuits share is evolved once and the walk forks where
-they differ. Zero-noise extrapolation uses it for its folded circuits, which
-share a prefix (the scale-3 fold C C^dagger C extends the scale-1 circuit C).
-Every state is bit-identical to its circuit's run on its own, and run_noisy
-is run_noisy_many of one circuit.
+The walker (_walk) evolves all the circuits of a call together. It walks
+their gate lists as a trie keyed on gate shape (kind, targets); a node holds
+one slab per distinct exact gate prefix. So rows of a feature matrix, which
+share their gate shapes and differ only in angles, take one matmul per gate
+for all of them, and a leading run of gates that several circuits share is
+evolved once: zero-noise extrapolation's folds share a prefix (the scale-3
+fold C C^dagger C extends the scale-1 circuit C). No stack of slabs holds
+more than BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM state,
+so an 8-qubit noisy node keeps one slab; the backends of the qelm module
+hand the walker at most that many states' worth of rows at a time
+(``batches``).
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -42,12 +51,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
 from .circuit import Circuit, Gate
 from .errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
-from .noise import KrausChannel, NoiseProfile, gate_channel_parts
+from .noise import KrausChannel, NoiseProfile, gate_noise_parts
 from .rng import Rng
 
 IDEAL_QUBIT_CAP = 20
@@ -200,19 +210,28 @@ class ShotCounts:
 
 @lru_cache(maxsize=None)
 def _axis_orders(n: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The permutation that brings ``axes`` to the front (the others keep
-    their order), and its inverse."""
+    """The permutation of an (S, d, ..., d) stack of n-qubit states that
+    brings qubit ``axes`` to the front after the slab axis (the other qubits
+    keep their order), and its inverse."""
     front = axes + tuple(a for a in range(n) if a not in axes)
-    return front, tuple(front.index(a) for a in range(n))
+    return (0,) + tuple(a + 1 for a in front), (0,) + tuple(front.index(a) + 1 for a in range(n))
+
+
+def _apply_slabs(slabs: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Apply a d^k x d^k operator to qubit ``axes`` of every state in
+    ``slabs``, an (S, d, ..., d) stack of states (slabs); the output axes take
+    their places. ``op`` is one matrix for every slab or an (S, d^k, d^k)
+    stack, one per slab. The stack is permuted to (S, d^k, rest) and
+    multiplied by one broadcast matmul, which makes the same 2-D product per
+    slab as a single state gets; the result is a transposed view."""
+    front, back = _axis_orders(slabs.ndim - 1, axes)
+    out = np.matmul(op, slabs.transpose(front).reshape(len(slabs), op.shape[-1], -1))
+    return out.reshape(slabs.shape).transpose(back)
 
 
 def _apply_local(tensor: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Apply the d^k x d^k operator ``op`` to ``axes`` of ``tensor`` (every
-    axis of length d); the output axes take their places. One 2-D matmul on
-    the tensor permuted to (d^k, rest); the result is a transposed view."""
-    front, back = _axis_orders(tensor.ndim, axes)
-    out = op @ tensor.transpose(front).reshape(op.shape[1], -1)
-    return out.reshape(tensor.shape).transpose(back)
+    """_apply_slabs on one state (no slab axis)."""
+    return _apply_slabs(tensor[None], op, axes)[0]
 
 
 # Pauli-transfer-matrix (PTM) representation of density matrices: an n-qubit
@@ -273,16 +292,25 @@ def unitary_ptm(gate: Gate) -> np.ndarray:
     return _kraus_ptm((gate_matrix(gate),))
 
 
+@lru_cache(maxsize=None)
+def _part_ptm(make: Callable[..., KrausChannel], numbers: tuple) -> np.ndarray:
+    """PTM of one noise part (noise.gate_noise_parts), built once per kind and
+    defining numbers rather than once per gate target set."""
+    ptm = _kraus_ptm(make(*numbers).operators)
+    ptm.flags.writeable = False
+    return ptm
+
+
 @lru_cache(maxsize=1024)
 def noise_ptm(profile: NoiseProfile, targets: tuple[int, ...]) -> np.ndarray:
     """PTM of the profile's noise after any gate on ``targets``: the parts of
-    noise.gate_channel_parts composed in order. It depends on the gate's arity
+    noise.gate_noise_parts composed in order. It depends on the gate's arity
     and targets only, never on its kind or angle."""
     width = len(targets)
     ptm = np.eye(4**width)
     probe = Gate("H" if width == 1 else "CX", targets)
-    for channel, qubits in gate_channel_parts(profile, probe):
-        part = _kraus_ptm(channel.operators)
+    for make, numbers, qubits in gate_noise_parts(profile, probe):
+        part = _part_ptm(make, numbers)
         if len(qubits) < width:
             position = targets.index(qubits[0])
             part = reduce(np.kron, [part if slot == position else _I4 for slot in range(width)])
@@ -302,16 +330,151 @@ def _noisy_gate_ptm(profile: NoiseProfile, gate: Gate) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # execution
 
+# Every batch of states, one slab stack of the walk below or the rows a
+# backend evolves together, holds at most this many entries: one 8-qubit
+# PTM state. Batching larger states does not pay, and it would raise the
+# peak memory of an 8-qubit noisy run.
+BATCH_ENTRIES = 2**16
+
+
+def batch_size(state_entries: int) -> int:
+    """How many states of ``state_entries`` entries make one batch (at
+    least one)."""
+    return max(1, BATCH_ENTRIES // state_entries)
+
+
+def batches(circuits: list[Circuit], d: int, copies: int = 1) -> list[slice]:
+    """Consecutive slices of ``circuits``, each a batch of at least one
+    circuit, whose states (``copies`` per circuit, d^n entries each) make one
+    batch. A caller that evolves and measures one slice at a time keeps at
+    most one batch of states alive."""
+    if not circuits:
+        return []
+    size = batch_size(copies * d ** circuits[0].n_qubits)
+    return [slice(start, start + size) for start in range(0, len(circuits), size)]
+
+
+def _walk(circuits: list[Circuit], initial: np.ndarray, gate_op, finish) -> list:
+    """Evolve ``initial`` through the gate list of every circuit and return
+    ``finish(final state)`` per circuit, in order; ``gate_op(gate)`` is the
+    matrix a gate applies.
+
+    The gate lists are walked as a trie keyed on gate shape (kind, targets).
+    A node holds one slab per distinct exact gate prefix among its circuits,
+    stacked on a leading axis, and applies each gate to all its slabs in one
+    _apply_slabs call: circuits that differ only in angles stay in one node,
+    and a leading run of gates that several circuits share is applied once.
+    A node forks where the shapes differ, or where it would exceed
+    batch_size slabs. Every state is bit-identical to its circuit's run on
+    its own.
+    """
+    max_slabs = batch_size(initial.size)
+    lists = [c.gates for c in circuits]
+    states: list = [None] * len(circuits)
+    # (slabs, depth, members): each (s, group) in members says that slabs[s]
+    # is the state after the first `depth` gates of every circuit in group
+    pending = [(initial[None], 0, [(0, range(len(circuits)))])]
+    while pending:
+        slabs, depth, members = pending.pop()
+        while True:
+            # the node's next slabs: the slab each starts from (index), the
+            # gate list of its circuits (leads), which all share it up to
+            # `stop`, and the circuits (groups); circuits that end here finish
+            index: list[int] = []
+            leads: list[tuple[Gate, ...]] = []
+            groups: list[list[int]] = []
+            stop = math.inf
+            for s, group in members:
+                live = [i for i in group if depth < len(lists[i])]
+                if len(live) < len(group):
+                    for i in group:
+                        if depth == len(lists[i]):
+                            states[i] = finish(slabs[s])
+                if not live:
+                    continue
+                lead = lists[live[0]]
+                shared = min(len(lists[i]) for i in live)
+                for i in live[1:]:
+                    gates = lists[i]
+                    if gates[depth:shared] != lead[depth:shared]:
+                        shared = next(j for j in range(depth, shared) if gates[j] != lead[j])
+                if shared > depth:
+                    index.append(s)
+                    leads.append(lead)
+                    groups.append(live)
+                    stop = min(stop, shared)
+                    continue
+                split: dict[Gate, list[int]] = {}  # the circuits differ at the next gate
+                for i in live:
+                    split.setdefault(lists[i][depth], []).append(i)
+                for sub in split.values():
+                    index.append(s)
+                    leads.append(lists[sub[0]])
+                    groups.append(sub)
+                stop = depth + 1
+            if not index:
+                break
+            # apply the gates up to `stop` whose shape every slab shares
+            first = leads[0]
+            same = all(lead is first or lead[depth:stop] == first[depth:stop] for lead in leads)
+            if not same:
+                for lead in leads:
+                    for j in range(depth, stop):
+                        if lead[j].kind != first[j].kind or lead[j].targets != first[j].targets:
+                            stop = j
+                            break
+            if stop > depth and len(index) <= max_slabs:
+                slabs = _take(slabs, index)
+                for j in range(depth, stop):
+                    gates = [first[j]] if same else [lead[j] for lead in leads]
+                    if gates.count(gates[0]) == len(gates):
+                        op = gate_op(gates[0])
+                    else:
+                        op = np.stack([gate_op(gate) for gate in gates])
+                    slabs = _apply_slabs(slabs, op, gates[0].targets)
+                members = list(enumerate(groups))
+                depth = stop
+                continue
+            # fork by the next gate's shape, and into chunks of at most
+            # max_slabs slabs; a child takes its slabs when it is popped
+            forks: dict[tuple, list[tuple[int, list[int]]]] = {}
+            for s, lead, group in zip(index, leads, groups):
+                forks.setdefault((lead[depth].kind, lead[depth].targets), []).append((s, group))
+            for fork in forks.values():
+                for start in range(0, len(fork), max_slabs):
+                    pending.append((slabs, depth, fork[start : start + max_slabs]))
+            break
+    return states
+
+
+def _take(slabs: np.ndarray, index: list[int]) -> np.ndarray:
+    """The slabs at ``index``, without a copy when that is all of them."""
+    return slabs if index == list(range(len(slabs))) else slabs[index]
+
+
+def _qubit_count(circuits: list[Circuit], cap: int, runner: str, backend: str) -> int:
+    n = circuits[0].n_qubits
+    if any(c.n_qubits != n for c in circuits):
+        raise ValidationError(f"{runner} needs circuits on one qubit count")
+    if n > cap:
+        raise CapExceeded(f"{n} qubits exceeds the {backend}-backend cap of {cap}")
+    return n
+
+
 def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> StateVector:
     """Apply the gate list to |0...0> and return the final pure state."""
-    n = circuit.n_qubits
-    if n > cap:
-        raise CapExceeded(f"{n} qubits exceeds the ideal-backend cap of {cap}")
+    return run_ideal_many([circuit], cap)[0]
+
+
+def run_ideal_many(circuits: list[Circuit], cap: int = IDEAL_QUBIT_CAP) -> list[StateVector]:
+    """run_ideal of every circuit, in order, evolved together by one walk;
+    each state is bit-identical to that circuit's run on its own."""
+    if not circuits:
+        return []
+    n = _qubit_count(circuits, cap, "run_ideal_many", "ideal")
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
-    for gate in circuit.gates:
-        tensor = _apply_local(tensor, gate_matrix(gate), gate.targets)
-    return StateVector(n, tensor.reshape(-1))
+    return _walk(circuits, tensor, gate_matrix, lambda state: StateVector(n, state.reshape(-1)))
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
@@ -323,46 +486,18 @@ def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_
 def run_noisy_many(
     circuits: list[Circuit], profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP
 ) -> list[DensityMatrix]:
-    """run_noisy of every circuit, in order. The gate lists are walked as a
-    trie: a leading run of gates that several circuits share is evolved once,
-    and the walk forks where they differ, so each state is bit-identical to
-    that circuit's run on its own."""
+    """run_noisy of every circuit, in order, evolved together by one walk;
+    each state is bit-identical to that circuit's run on its own."""
     if not circuits:
         return []
-    n = circuits[0].n_qubits
-    if any(c.n_qubits != n for c in circuits):
-        raise ValidationError("run_noisy_many needs circuits on one qubit count")
-    if n > cap:
-        raise CapExceeded(f"{n} qubits exceeds the density-backend cap of {cap}")
+    n = _qubit_count(circuits, cap, "run_noisy_many", "density")
     if profile.n_qubits < n:
         raise IncompatibleProfile(
             f"profile {profile.name!r} covers {profile.n_qubits} qubits, circuit needs {n}"
         )
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
-    states: list[DensityMatrix | None] = [None] * len(circuits)
-    # (state after gates[:depth], depth, indices of the circuits sharing them)
-    pending = [(tensor, 0, list(range(len(circuits))))]
-    while pending:
-        tensor, depth, members = pending.pop()
-        lead = circuits[members[0]].gates
-        end = len(lead)
-        for i in members[1:]:  # how far all members go on sharing gates
-            gates = circuits[i].gates
-            limit, end = min(end, len(gates)), depth
-            while end < limit and gates[end] == lead[end]:
-                end += 1
-        for gate in lead[depth:end]:
-            tensor = _apply_local(tensor, _noisy_gate_ptm(profile, gate), gate.targets)
-        forks: dict[Gate, list[int]] = {}
-        for i in members:
-            gates = circuits[i].gates
-            if end == len(gates):
-                states[i] = _pauli_to_density(tensor)
-            else:
-                forks.setdefault(gates[end], []).append(i)
-        pending.extend((tensor, end, group) for group in forks.values())
-    return states
+    return _walk(circuits, tensor, lambda gate: _noisy_gate_ptm(profile, gate), _pauli_to_density)
 
 
 def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:

@@ -13,6 +13,7 @@ from qelm_lab import mitigation as mit
 from qelm_lab import qelm
 from qelm_lab.errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError
 from qelm_lab.noise import bundled_profile, zero_noise_profile
+from qelm_lab.rng import derive_seed
 from qelm_lab.simulator import measure_distribution, run_ideal, run_noisy
 
 from conftest import make_depol_profile
@@ -81,8 +82,7 @@ SCIPY_STAYS_UNLOADED = """
 import importlib, pkgutil, sys
 import qelm_lab
 for module in pkgutil.iter_modules(qelm_lab.__path__):
-    if module.name != "__main__":  # importing it runs the command line
-        importlib.import_module("qelm_lab." + module.name)
+    importlib.import_module("qelm_lab." + module.name)
 from qelm_lab import mitigation
 assert mitigation.extrapolate([1, 2, 3], [0.9, 0.8, 0.7], "polynomial", 1) > 0.99
 assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
@@ -328,3 +328,37 @@ def test_mitigated_backend_keys_are_distinct():
     qlear_backend = mit.MitigatedBackend(profile, mit.QlearMitigator(model))
     assert zne_backend.key != qlear_backend.key
     assert zne_backend.key.startswith("mitigated:device-a:zne")
+
+
+@pytest.mark.parametrize("shots", [0, 512])
+def test_feature_matrix_equals_a_row_by_row_loop(shots):
+    """The batched feature path against one circuit_features call per row,
+    byte for byte, on every backend; the rows include a duplicate."""
+    profile = bundled_profile("device-a")
+    front = qelm.QelmFront(
+        qelm.EncoderSpec(((0.0, 1.0),) * 3),
+        qelm.ReservoirSpec("ising", n_qubits=3, seed=4),
+        qelm.FeatureMapSpec("z_and_zz_expectations", shots=shots),
+    )
+    inputs = np.random.default_rng(shots).uniform(size=(7, 3))
+    inputs[5] = inputs[1]
+    corrector = mit.qlear_train(
+        mit.calibration_circuits(3, 20, seed=2), profile, seed=2, feature_map=front.feature_map
+    )
+    backends = (
+        qelm.IdealBackend(),
+        qelm.NoisyBackend(profile),
+        mit.MitigatedBackend(profile, mit.ZneMitigator()),
+        mit.MitigatedBackend(profile, mit.QlearMitigator(corrector)),
+    )
+    for backend in backends:
+        rows = [
+            backend.circuit_features(
+                qelm.front_circuit(front, x), front.feature_map, derive_seed(9, "row", i)
+            )
+            for i, x in enumerate(inputs)
+        ]
+        batched = qelm.feature_matrix(front, inputs, backend, 9)
+        assert batched.tobytes() == np.vstack(rows).tobytes(), backend.key
+        cached = qelm.feature_matrix(front, inputs, backend, 9, qelm.FeatureCache())
+        assert cached.tobytes() == batched.tobytes(), backend.key

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,6 +224,47 @@ def test_feature_cache_reuses_rows():
     # a different seed or backend is a different cache entry
     qelm.feature_matrix(front, x, backend, 8, cache)
     assert cache.misses == 4
+
+
+def test_feature_cache_is_shared_safely_between_threads():
+    """Threads that fill one cache, by whole matrices and by single rows,
+    count every requested row once, as a hit or a miss, and get the
+    one-thread features."""
+    front = _front(3)
+    backend = qelm.NoisyBackend(bundled_profile("device-a"))
+    x = np.random.default_rng(5).uniform(size=(6, 3))
+    seeds = (1, 2, 3)
+    expected = {seed: qelm.feature_matrix(front, x, backend, seed) for seed in seeds}
+    cache = qelm.FeatureCache()
+    got, failures = [], []
+
+    def fill(offset):
+        try:
+            for k in range(60):
+                seed = seeds[(offset + k) % len(seeds)]
+                got.append((seed, qelm.feature_matrix(front, x, backend, seed, cache)))
+                rows = [cache.row_features(front, backend, seed, i, row) for i, row in enumerate(x)]
+                got.append((seed, np.vstack(rows)))
+        except Exception as exc:  # reported by the test thread
+            failures.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(offset,)) for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(got) == 8 * 60 * 2
+    assert cache.hits + cache.misses == len(got) * len(x)
+    assert cache.misses >= len(seeds) * len(x)
+    for seed, matrix in got:
+        assert np.array_equal(matrix, expected[seed])
 
 
 def test_sampled_features_depend_only_on_seed_and_row():

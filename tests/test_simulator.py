@@ -1,5 +1,8 @@
 import re
+from contextlib import nullcontext
+from functools import reduce
 from itertools import permutations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
-from qelm_lab import noise
+from qelm_lab import mitigation, noise, qelm
 from qelm_lab import simulator as sim
 from qelm_lab.errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
 from qelm_lab.mitigation import ZneConfig, random_circuit
@@ -355,17 +358,142 @@ def test_run_noisy_many_evolves_each_shared_prefix_once(monkeypatch):
     profile = noise.bundled_profile("device-a")
     base = random_circuit(4, 38, seed=5)
     folds = [circ.fold_to_scale(base, s) for s in ZneConfig().scale_factors]
-    kernel, calls = sim._apply_local, []
+    kernel, slabs = sim._apply_slabs, []
 
     def counted(*args):
-        calls.append(args[2])
+        slabs.append(len(args[0]))
         return kernel(*args)
 
-    monkeypatch.setattr(sim, "_apply_local", counted)
+    monkeypatch.setattr(sim, "_apply_slabs", counted)
     sim.run_noisy_many(folds, profile)
     prefixes = {c.gates[:j] for c in folds for j in range(1, len(c.gates) + 1)}
     assert sum(len(c.gates) for c in folds) == 418
-    assert len(calls) == len(prefixes) == 246
+    assert sum(slabs) == len(prefixes) == 246
+
+
+def _run_ideal_alone(circuit: circ.Circuit) -> np.ndarray:
+    """One circuit evolved on its own, gate after gate: the oracle of the
+    shared walk in run_ideal_many."""
+    n = circuit.n_qubits
+    tensor = np.zeros((2,) * n, dtype=complex)
+    tensor[(0,) * n] = 1.0
+    for gate in circuit.gates:
+        tensor = sim._apply_local(tensor, sim.gate_matrix(gate), gate.targets)
+    return tensor.reshape(-1)
+
+
+def _slab_cap(slabs: int | None, state_entries: int):
+    """Cap the walker at ``slabs`` slabs of ``state_entries`` entries (None:
+    leave the cap as it is)."""
+    if slabs is None:
+        return nullcontext()
+    return patch.object(sim, "BATCH_ENTRIES", slabs * state_entries)
+
+
+def _shifted_angles(circuit: circ.Circuit, shift: float) -> circ.Circuit:
+    """The same gate shapes with every angle moved by ``shift``."""
+    gates = [
+        circ.Gate(g.kind, g.targets, tuple(a + shift for a in g.params)) for g in circuit.gates
+    ]
+    return circ.Circuit(circuit.n_qubits, tuple(gates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=circuits(max_gates=10),
+    cut=st.integers(0, 10),
+    shifts=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=3),
+    profile=st.sampled_from(PROPERTY_PROFILES),
+    slabs=st.sampled_from([1, 2, 3, None]),
+    order=st.randoms(use_true_random=False),
+)
+def test_walker_states_are_bit_identical_to_gate_by_gate_runs(
+    base, cut, shifts, profile, slabs, order
+):
+    """Rows that differ only in angles, mixed shapes and lengths, ZNE folds,
+    duplicates and an empty circuit, in any order, with the slab cap at 1-3
+    slabs (so nodes fork into chunks) or at its real value."""
+    n = base.n_qubits
+    batch = [base, base, circ.Circuit(n), circ.Circuit(n, base.gates[:cut])]
+    batch += [_shifted_angles(base, shift) for shift in shifts]
+    batch += [circ.fold_to_scale(c, s) for c in batch[-2:] for s in ZneConfig().scale_factors]
+    batch.append(circ.Circuit(n, base.gates[::-1]))
+    order.shuffle(batch)
+    with _slab_cap(slabs, 2**n):
+        ideal = sim.run_ideal_many(batch)
+    with _slab_cap(slabs, 4**n):
+        noisy = sim.run_noisy_many(batch, profile)
+    assert len(ideal) == len(noisy) == len(batch)
+    for circuit, pure, mixed in zip(batch, ideal, noisy):
+        assert np.array_equal(pure.amplitudes, _run_ideal_alone(circuit))
+        assert np.array_equal(mixed.entries, _run_noisy_alone(circuit, profile))
+
+
+def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
+    """At 8 qubits a noisy node keeps one slab, at 4 qubits at most 256;
+    the backends hand the walker at most one batch of states per call."""
+    kernel, seen = sim._apply_slabs, []
+
+    def recorded(slabs, op, axes):
+        seen.append((slabs.shape[1:], len(slabs)))
+        return kernel(slabs, op, axes)
+
+    monkeypatch.setattr(sim, "_apply_slabs", recorded)
+    walked = []
+    for module in (qelm, mitigation):
+        def run(circuits, profile, walk=module.run_noisy_many):
+            walked.append((circuits[0].n_qubits, len(circuits)))
+            return walk(circuits, profile)
+
+        monkeypatch.setattr(module, "run_noisy_many", run)
+    profile = noise.bundled_profile("device-a")
+    rng = np.random.default_rng(4)
+    for n, rows, backend in (
+        (8, 3, qelm.NoisyBackend(profile)),
+        (8, 2, mitigation.MitigatedBackend(profile, mitigation.ZneMitigator())),
+        (4, 300, qelm.NoisyBackend(profile)),
+        (4, 80, mitigation.MitigatedBackend(profile, mitigation.ZneMitigator())),
+    ):
+        front = qelm.QelmFront(
+            qelm.EncoderSpec(((0.0, 1.0),) * n),
+            qelm.ReservoirSpec("rotation", n_qubits=n, seed=3, layers=1),
+            qelm.FeatureMapSpec("z_expectations"),
+        )
+        qelm.feature_matrix(front, rng.uniform(size=(rows, n)), backend, 0)
+    most = {}
+    for shape, slabs in seen:
+        most[len(shape)] = max(most.get(len(shape), 0), slabs)
+    assert most == {8: 1, 4: 256}
+    assert max(count for n, count in walked if n == 8) == 4  # one row's ZNE folds
+    assert max(count for n, count in walked if n == 4) == 256
+    # one walk of 300 rows that differ only in angles: its node forks into chunks
+    base = random_circuit(4, 12, seed=7)
+    seen.clear()
+    sim.run_noisy_many([_shifted_angles(base, 0.01 * k) for k in range(300)], profile)
+    # the leading gates without an angle are shared by all 300 rows
+    shared = next(j for j, gate in enumerate(base.gates) if gate.params)
+    assert max(slabs for _, slabs in seen) == 256
+    assert sum(slabs for _, slabs in seen) == shared + 300 * (len(base.gates) - shared)
+
+
+def test_noise_part_ptms_are_built_once_per_defining_numbers():
+    profile = noise.bundled_profile("device-a")
+    sim.noise_ptm.cache_clear()
+    sim._part_ptm.cache_clear()
+    target_sets = [(q,) for q in range(8)] + list(permutations(range(8), 2))
+    numbers = set()
+    for targets in target_sets:
+        probe = circ.Gate("H" if len(targets) == 1 else "CX", targets)
+        want = np.eye(4 ** len(targets))
+        for channel, qubits in noise.gate_channel_parts(profile, probe):
+            part = sim._kraus_ptm(channel.operators)
+            if len(qubits) < len(targets):
+                slots = [part if q == qubits[0] else np.eye(4) for q in targets]
+                part = reduce(np.kron, slots)
+            want = part @ want
+        numbers |= {(make, args) for make, args, _ in noise.gate_noise_parts(profile, probe)}
+        assert np.array_equal(sim.noise_ptm(profile, targets), want)
+    assert sim._part_ptm.cache_info().misses == len(numbers) < len(target_sets)
 
 
 def test_run_noisy_many_needs_one_qubit_count():
