@@ -169,29 +169,36 @@ def fold_to_scale(circuit: Circuit, scale: float) -> Circuit:
     where m = round((scale - s_odd) * gate_count / 2). Trailing gates are
     chosen so the construction stays deterministic.
     """
-    if scale < 1.0:
-        raise ScaleOutOfRange(f"scale must be >= 1, got {scale}")
-    if not circuit.gates:
-        return circuit
+    return fold_to_scales(circuit, (scale,))[0]
 
-    nearest = round(scale)
-    if abs(scale - nearest) < 1e-9 and nearest % 2 == 1:
-        return global_fold(circuit, (nearest - 1) // 2)
 
-    s_odd = int(scale)
-    if s_odd % 2 == 0:
-        s_odd -= 1
-    k = (s_odd - 1) // 2
-    m = round((scale - s_odd) * len(circuit.gates) / 2.0)
-    m = min(m, len(circuit.gates))
-    folded = global_fold(circuit, k)
-    if m == 0:
-        return folded
-    head = folded.gates[: len(folded.gates) - m]
-    tail = []
-    for gate in folded.gates[len(folded.gates) - m :]:
-        tail.extend((gate, gate.adjoint(), gate))
-    return Circuit(circuit.n_qubits, head + tuple(tail))
+def fold_to_scales(circuit: Circuit, scales) -> list[Circuit]:
+    """fold_to_scale of the circuit at every scale, in order. The adjoint
+    gates are built once for all the scales: those of the global folds, and
+    those of the trailing gates, which are the first m adjoint gates."""
+    for scale in scales:
+        if scale < 1.0:
+            raise ScaleOutOfRange(f"scale must be >= 1, got {scale}")
+    gates = circuit.gates
+    if not gates:
+        return [circuit for _ in scales]
+    adjoint = inverse(circuit).gates
+    folds = []
+    for scale in scales:
+        nearest = round(scale)
+        if abs(scale - nearest) < 1e-9 and nearest % 2 == 1:
+            k, m = (nearest - 1) // 2, 0
+        else:
+            s_odd = int(scale)
+            if s_odd % 2 == 0:
+                s_odd -= 1
+            k = (s_odd - 1) // 2
+            m = min(round((scale - s_odd) * len(gates) / 2.0), len(gates))
+        folded = gates + k * (adjoint + gates)
+        tail = zip(gates[len(gates) - m :], adjoint[m - 1 :: -1])
+        folded = folded[: len(folded) - m] + tuple(g for gate, inv in tail for g in (gate, inv, gate))
+        folds.append(Circuit(circuit.n_qubits, folded))
+    return folds
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:

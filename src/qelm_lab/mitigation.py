@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import circuit as circ
-from .circuit import Circuit, depth, fold_to_scale, gate_counts
+from .circuit import Circuit, depth, fold_to_scales, gate_counts
 from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError, coerce
 from .noise import NoiseProfile
 from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, distribution_features
@@ -39,9 +39,9 @@ from .rng import Rng, derive_seed
 from .simulator import (
     batches,
     measure_distribution,
+    noisy_distributions,
     run_ideal,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
-    run_noisy_many,
 )
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
@@ -208,17 +208,15 @@ class ZneMitigator:
             # every fold of every row in one walk: the folds of a row share
             # leading gates (C, then C^dagger C ...), and rows share shapes
             folds = [
-                fold_to_scale(circuit, scale)
+                fold
                 for circuit in circuits[part]
-                for scale in c.scale_factors
+                for fold in fold_to_scales(circuit, c.scale_factors)
             ]
-            states = run_noisy_many(folds, profile)
+            dists = noisy_distributions(folds, profile)
             for row, seed in enumerate(seeds[part]):
                 per_scale = [
-                    distribution_features(
-                        measure_distribution(state, profile), feature_map, _scale_seed(seed, i)
-                    )
-                    for i, state in enumerate(states[row * n_scales : (row + 1) * n_scales])
+                    distribution_features(dist, feature_map, _scale_seed(seed, i))
+                    for i, dist in enumerate(dists[row * n_scales : (row + 1) * n_scales])
                 ]
                 stacked = np.vstack(per_scale)
                 mitigated = np.array(

@@ -13,7 +13,8 @@ evolves the circuits together (the one-circuit ``circuit_features(circuit,
 spec, seed)`` is its batch of one):
 
     IdealBackend()            exact state-vector probabilities
-    NoisyBackend(profile)     density-matrix evolution plus readout confusion
+    NoisyBackend(profile)     density-matrix evolution plus readout confusion,
+                              measured without rebuilding the density matrix
 
 (the mitigation module adds MitigatedBackend). feature_matrix builds the
 circuits of all its rows (FeatureCache: of the rows it has not seen) and
@@ -44,9 +45,9 @@ from .simulator import (
     expectation_z,
     expectation_zz,
     measure_distribution,
+    noisy_distributions,
     run_ideal_many,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
-    run_noisy_many,
     sample,
 )
 
@@ -252,8 +253,7 @@ class NoisyBackend:
     ) -> list[np.ndarray]:
         rows = []
         for part in batches(circuits, 4):
-            for state, seed in zip(run_noisy_many(circuits[part], self.profile), seeds[part]):
-                dist = measure_distribution(state, self.profile)
+            for dist, seed in zip(noisy_distributions(circuits[part], self.profile), seeds[part]):
                 rows.append(distribution_features(dist, spec, seed))
         return rows
 

@@ -5,6 +5,8 @@ Two backends share one evolution walker and one tensor contraction:
     run_ideal_many   pure states, exact unitary evolution, up to 20 qubits
     run_noisy_many   density matrices with per-gate Kraus channels, up to 12 qubits
     run_ideal, run_noisy   the one-circuit case of each
+    noisy_distributions    the measured outcome distributions of noisy runs,
+                           read from the evolved state without rebuilding it
 
 The contraction (_apply_slabs) applies a k-qubit operator to a stack of
 states held on a leading slab axis: the stack is transposed so the target
@@ -20,8 +22,13 @@ state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
 followed by its noise is one real 4^k x 4^k matrix, the product of the
 noise's PTM (cached per profile and target qubits, since the noise does not
 depend on the gate's angle, and built from part PTMs cached per defining
-numbers) and the gate unitary's PTM. The density matrix is rebuilt and
-validated once per circuit, at the end. apply_gate_density and
+numbers) and the gate unitary's PTM. run_noisy_many rebuilds and validates
+each density matrix once, at the end. noisy_distributions builds none: the
+diagonal of rho depends only on the coefficients whose Pauli indices all
+lie in {I, Z}, so it reads those 2^n coefficients, applies readout
+confusion as measure_distribution does, and checks the trace and the
+diagonal on the way (_pauli_diagonal); the feature paths of the qelm and
+mitigation modules measure through it. apply_gate_density and
 apply_channel_density go through the same kernel.
 
 The walker (_walk) evolves all the circuits of a call together. It walks
@@ -244,6 +251,9 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1,
 _TO_PAULI = _PAULI.transpose(0, 2, 1).reshape(4, 4)
 _FROM_PAULI = _PAULI.reshape(4, 4).T / 2.0
 _PAULI_ZERO = (0, 3)  # |0><0| = (I + Z) / 2: r = 1 on I and Z, 0 on X and Y
+# one qubit's diagonal entries (flat 0 and 3) from its I and Z coefficients:
+# <0|rho|0> = (r_I + r_Z) / 2 and <1|rho|1> = (r_I - r_Z) / 2
+_DIAGONAL_FROM_PAULI = _FROM_PAULI[np.ix_((0, 3), _PAULI_ZERO)].real
 _I4 = np.eye(4)
 
 
@@ -264,9 +274,35 @@ def _density_to_pauli(state: DensityMatrix) -> np.ndarray:
 
 def _pauli_to_density(tensor: np.ndarray) -> DensityMatrix:
     n = tensor.ndim
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     paired = _each_axis(tensor, _FROM_PAULI).reshape((2,) * (2 * n))
-    entries = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    return DensityMatrix(n, entries.reshape(2**n, 2**n))
+    # the reshape copies, so the paired tensor is freed before validation
+    entries = paired.transpose(order).reshape(2**n, 2**n)
+    del paired
+    return DensityMatrix(n, entries)
+
+
+def _pauli_diagonal(tensor: np.ndarray) -> np.ndarray:
+    """The outcome probabilities of a PTM state: the diagonal of rho, read
+    from the {I, Z}^n corner of the tensor and clipped at 0, as
+    DensityMatrix.probabilities_vector gives them after _pauli_to_density
+    (bit for bit: the corner is transformed axis by axis in the same order,
+    and the X and Y terms it leaves out are exact zeros on the diagonal).
+
+    The state's checks that stay meaningful without rho: its trace
+    r[0, ..., 0] lies within 1e-9 of 1, and no diagonal entry lies below
+    -1e-8, which every state without an eigenvalue below -1e-8 satisfies.
+    Hermiticity holds by construction, since the coefficients are real.
+    """
+    n = tensor.ndim
+    trace = float(tensor[(0,) * n])
+    if abs(trace - 1.0) > 1e-9:
+        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-9")
+    diagonal = _each_axis(tensor[np.ix_(*[_PAULI_ZERO] * n)], _DIAGONAL_FROM_PAULI).reshape(-1)
+    low = float(diagonal.min())
+    if low < -1e-8:
+        raise ValidationError(f"density matrix has diagonal entry {low} below -1e-8")
+    return np.clip(diagonal, 0.0, None)
 
 
 @lru_cache(maxsize=None)
@@ -295,8 +331,11 @@ def unitary_ptm(gate: Gate) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _part_ptm(make: Callable[..., KrausChannel], numbers: tuple) -> np.ndarray:
     """PTM of one noise part (noise.gate_noise_parts), built once per kind and
-    defining numbers rather than once per gate target set."""
-    ptm = _kraus_ptm(make(*numbers).operators)
+    defining numbers rather than once per gate target set. Its Kraus set is
+    checked to be complete (trace preserving) before the PTM is cached."""
+    channel = make(*numbers)
+    channel.validate()
+    ptm = _kraus_ptm(channel.operators)
     ptm.flags.writeable = False
     return ptm
 
@@ -488,16 +527,33 @@ def run_noisy_many(
 ) -> list[DensityMatrix]:
     """run_noisy of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
+    return _walk_noisy(circuits, profile, cap, "run_noisy_many", _pauli_to_density)
+
+
+def noisy_distributions(circuits: list[Circuit], profile: NoiseProfile) -> list[OutcomeDistribution]:
+    """measure_distribution(run_noisy(circuit, profile), profile) of every
+    circuit, in order and bit for bit, evolved together by one walk. No
+    density matrix is built: each distribution is read from the evolved PTM
+    state by _pauli_diagonal, which checks the state's trace and diagonal."""
+    return _walk_noisy(
+        circuits, profile, DENSITY_QUBIT_CAP, "noisy_distributions",
+        lambda state: _readout(_pauli_diagonal(state), state.ndim, profile),
+    )
+
+
+def _walk_noisy(circuits: list[Circuit], profile: NoiseProfile, cap: int, runner: str, finish) -> list:
+    """_walk from |0...0><0...0| in the PTM representation, each gate
+    followed by the profile's noise."""
     if not circuits:
         return []
-    n = _qubit_count(circuits, cap, "run_noisy_many", "density")
+    n = _qubit_count(circuits, cap, runner, "density")
     if profile.n_qubits < n:
         raise IncompatibleProfile(
             f"profile {profile.name!r} covers {profile.n_qubits} qubits, circuit needs {n}"
         )
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
-    return _walk(circuits, tensor, lambda gate: _noisy_gate_ptm(profile, gate), _pauli_to_density)
+    return _walk(circuits, tensor, lambda gate: _noisy_gate_ptm(profile, gate), finish)
 
 
 def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:
@@ -538,8 +594,12 @@ def measure_distribution(
     confusion matrix (independent per-qubit model) and the result is
     renormalized.
     """
-    n = state.n_qubits
-    vec = state.probabilities_vector().astype(float)
+    return _readout(state.probabilities_vector().astype(float), state.n_qubits, profile)
+
+
+def _readout(vec: np.ndarray, n: int, profile: NoiseProfile | None) -> OutcomeDistribution:
+    """The distribution of measuring basis probabilities ``vec``: readout
+    confusion (with a profile), then clipped at 0 and renormalized."""
     if profile is not None:
         if profile.n_qubits < n:
             raise IncompatibleProfile(
@@ -567,13 +627,23 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> ShotCounts:
     return ShotCounts(shots, counts, n)
 
 
+@lru_cache(maxsize=None)
+def _z_signs(n: int, qubit: int) -> np.ndarray:
+    """The read-only +-1 vector of Z_qubit over the 2^n basis outcomes. It
+    is int8, so a 20-qubit register's vectors take 1 MB each; a float
+    vector times it casts each +-1 exactly, so products are unchanged."""
+    bits = (np.arange(2**n) >> (n - 1 - qubit)) & 1
+    signs = (1 - 2 * bits).astype(np.int8)
+    signs.flags.writeable = False
+    return signs
+
+
 def expectation_z(dist: OutcomeDistribution, qubit: int) -> float:
     """<Z_qubit> of the outcome distribution: +1 for bit 0, -1 for bit 1."""
     n = dist.n_qubits
     if not 0 <= qubit < n:
         raise InvalidTarget(f"qubit {qubit} out of range for {n}-qubit distribution")
-    bits = (np.arange(2**n) >> (n - 1 - qubit)) & 1
-    return float(np.sum(dist.vector * (1.0 - 2.0 * bits)))
+    return float(np.sum(dist.vector * _z_signs(n, qubit)))
 
 
 def expectation_zz(dist: OutcomeDistribution, q_a: int, q_b: int) -> float:
@@ -582,10 +652,7 @@ def expectation_zz(dist: OutcomeDistribution, q_a: int, q_b: int) -> float:
     for q in (q_a, q_b):
         if not 0 <= q < n:
             raise InvalidTarget(f"qubit {q} out of range for {n}-qubit distribution")
-    idx = np.arange(2**n)
-    bits_a = (idx >> (n - 1 - q_a)) & 1
-    bits_b = (idx >> (n - 1 - q_b)) & 1
-    return float(np.sum(dist.vector * (1.0 - 2.0 * bits_a) * (1.0 - 2.0 * bits_b)))
+    return float(np.sum(dist.vector * _z_signs(n, q_a) * _z_signs(n, q_b)))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,40 @@ def test_fold_to_scale_one_returns_the_circuit(circuit):
     assert circ.fold_to_scale(circuit, 1.0) == circuit
 
 
+def _fold_each_scale_afresh(circuit: circ.Circuit, scale: float) -> circ.Circuit:
+    """fold_to_scale as first written, the oracle of fold_to_scales: a
+    global fold, then g g' g on the trailing gates, with the adjoint gates
+    built anew for every scale."""
+    if not circuit.gates:
+        return circuit
+    nearest = round(scale)
+    if abs(scale - nearest) < 1e-9 and nearest % 2 == 1:
+        return circ.global_fold(circuit, (nearest - 1) // 2)
+    s_odd = int(scale)
+    if s_odd % 2 == 0:
+        s_odd -= 1
+    m = min(round((scale - s_odd) * len(circuit.gates) / 2.0), len(circuit.gates))
+    folded = circ.global_fold(circuit, (s_odd - 1) // 2).gates
+    tail = tuple(g for gate in folded[len(folded) - m :] for g in (gate, gate.adjoint(), gate))
+    return circ.Circuit(circuit.n_qubits, folded[: len(folded) - m] + tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=circuits(max_gates=20))
+def test_fold_to_scales_builds_the_folds_of_each_scale_alone(circuit):
+    scales = (1, 1.5, 2, 3, 5)
+    folds = circ.fold_to_scales(circuit, scales)
+    assert [f.gates for f in folds] == [_fold_each_scale_afresh(circuit, s).gates for s in scales]
+    assert folds == [circ.fold_to_scale(circuit, s) for s in scales]
+
+
+def test_fold_to_scales_rejects_any_small_scale(bell):
+    with pytest.raises(ScaleOutOfRange):
+        circ.fold_to_scales(bell, (1.0, 3.0, 0.5))
+    with pytest.raises(ScaleOutOfRange):
+        circ.fold_to_scales(circ.Circuit(2), (0.5,))
+
+
 def test_gate_counts_and_depth(bell):
     ones, twos = circ.gate_counts(bell)
     assert (ones, twos) == (1, 1)

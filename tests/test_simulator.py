@@ -441,11 +441,11 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     monkeypatch.setattr(sim, "_apply_slabs", recorded)
     walked = []
     for module in (qelm, mitigation):
-        def run(circuits, profile, walk=module.run_noisy_many):
+        def run(circuits, profile, walk=module.noisy_distributions):
             walked.append((circuits[0].n_qubits, len(circuits)))
             return walk(circuits, profile)
 
-        monkeypatch.setattr(module, "run_noisy_many", run)
+        monkeypatch.setattr(module, "noisy_distributions", run)
     profile = noise.bundled_profile("device-a")
     rng = np.random.default_rng(4)
     for n, rows, backend in (
@@ -494,6 +494,99 @@ def test_noise_part_ptms_are_built_once_per_defining_numbers():
         numbers |= {(make, args) for make, args, _ in noise.gate_noise_parts(profile, probe)}
         assert np.array_equal(sim.noise_ptm(profile, targets), want)
     assert sim._part_ptm.cache_info().misses == len(numbers) < len(target_sets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=circuits(max_qubits=8, max_gates=8),
+    shifts=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=1),
+    profile=st.sampled_from((noise.bundled_profile("device-a"), zero_noise_profile(8))),
+)
+def test_noisy_distributions_are_bit_identical_to_measuring_run_noisy(base, shifts, profile):
+    """Rows that differ only in angles and their ZNE folds, 1-8 qubits."""
+    rows = [base] + [_shifted_angles(base, shift) for shift in shifts]
+    batch = rows + [f for row in rows for f in circ.fold_to_scales(row, ZneConfig().scale_factors)]
+    dists = sim.noisy_distributions(batch, profile)
+    assert len(dists) == len(batch)
+    for circuit, dist in zip(batch, dists):
+        want = sim.measure_distribution(sim.run_noisy(circuit, profile), profile).vector
+        assert np.array_equal(dist.vector, want)
+
+
+def test_feature_paths_build_no_density_matrix(monkeypatch):
+    """Noisy, ZNE and QLEAR feature matrices, QLEAR training and ZNE
+    calibration measure without one DensityMatrix.validate call; a library
+    run_noisy still validates its state."""
+    validate, checked = sim.DensityMatrix.validate, []
+
+    def counted(state):
+        checked.append(state.n_qubits)
+        return validate(state)
+
+    monkeypatch.setattr(sim.DensityMatrix, "validate", counted)
+    profile = noise.bundled_profile("device-a")
+    rng = np.random.default_rng(6)
+    for n, kind, shots in ((8, "probabilities", 0), (4, "z_and_zz_expectations", 64)):
+        front = qelm.QelmFront(
+            qelm.EncoderSpec(((0.0, 1.0),) * n),
+            qelm.ReservoirSpec("rotation", n_qubits=n, seed=3, layers=1),
+            qelm.FeatureMapSpec(kind, shots),
+        )
+        corpus = mitigation.calibration_circuits(n, 4, seed=n, max_gates=12)
+        model = mitigation.qlear_train(
+            corpus, profile, n_trees=2, max_depth=2, feature_map=front.feature_map, min_corpus=4
+        )
+        for backend in (
+            qelm.NoisyBackend(profile),
+            mitigation.MitigatedBackend(profile, mitigation.ZneMitigator()),
+            mitigation.MitigatedBackend(profile, mitigation.QlearMitigator(model)),
+        ):
+            qelm.feature_matrix(front, rng.uniform(size=(2, n)), backend, 0)
+        mitigation.zne_calibrate(profile, corpus[-1], [ZneConfig(), ZneConfig((1.0, 3.0), degree=1)])
+    assert checked == []
+    sim.run_noisy(corpus[0], profile)
+    assert checked == [4]
+
+
+def test_pauli_diagonal_checks_the_trace_and_the_diagonal():
+    # one qubit: r = (r_I, r_X, r_Y, r_Z) has diagonal ((r_I + r_Z) / 2, (r_I - r_Z) / 2)
+    assert np.array_equal(sim._pauli_diagonal(np.array([1.0, 0.5, 0.5, 0.5])), [0.75, 0.25])
+    # a diagonal entry of -5e-9 is let through and clipped to 0
+    assert np.array_equal(sim._pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 1e-8])), [1.0 + 5e-9, 0.0])
+    with pytest.raises(ValidationError, match="diagonal entry .* below -1e-8"):
+        sim._pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 3e-8]))
+    # two qubits: <11|rho|11> = (r_II - r_IZ - r_ZI + r_ZZ) / 4
+    tensor = np.zeros((4, 4))
+    tensor[0, 0], tensor[0, 3], tensor[3, 0], tensor[3, 3] = 1.0, 0.9, 0.9, 0.7
+    with pytest.raises(ValidationError, match=r"diagonal entry -0\.025\d* below -1e-8"):
+        sim._pauli_diagonal(tensor)
+    tensor = np.zeros((4, 4))
+    tensor[0, 0] = 1.0 + 2e-9
+    with pytest.raises(ValidationError, match="trace"):
+        sim._pauli_diagonal(tensor)
+
+
+def test_an_incomplete_kraus_set_is_refused_before_its_ptm_is_built():
+    def leaky(p):
+        return KrausChannel((np.sqrt(1.0 - p) * np.eye(2, dtype=complex),))
+
+    with pytest.raises(ValidationError, match="completeness"):
+        sim._part_ptm(leaky, (0.1,))
+
+
+def test_expectations_read_cached_signs_bit_identically():
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        dist = sim.OutcomeDistribution(n, rng.dirichlet(np.ones(2**n)))
+        idx = np.arange(2**n)
+        signs = [1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in range(n)]
+        for a in range(n):
+            assert sim.expectation_z(dist, a) == float(np.sum(dist.vector * signs[a]))
+            for b in range(n):
+                want = float(np.sum(dist.vector * signs[a] * signs[b]))
+                assert sim.expectation_zz(dist, a, b) == want
+    cached = sim._z_signs(3, 2)
+    assert cached is sim._z_signs(3, 2) and not cached.flags.writeable
 
 
 def test_run_noisy_many_needs_one_qubit_count():
