@@ -496,15 +496,18 @@ def test_noise_part_ptms_are_built_once_per_defining_numbers():
     assert sim._part_ptm.cache_info().misses == len(numbers) < len(target_sets)
 
 
-@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=8, deadline=None)
 @given(
-    base=circuits(max_qubits=8, max_gates=8),
-    shifts=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=1),
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.integers(0, 10),
+    shift=st.floats(-np.pi, np.pi),
     profile=st.sampled_from((noise.bundled_profile("device-a"), zero_noise_profile(8))),
 )
-def test_noisy_distributions_are_bit_identical_to_measuring_run_noisy(base, shifts, profile):
-    """Rows that differ only in angles and their ZNE folds, 1-8 qubits."""
-    rows = [base] + [_shifted_angles(base, shift) for shift in shifts]
+def test_noisy_distributions_are_bit_identical_to_measuring_run_noisy(n, seed, n_gates, shift, profile):
+    """Rows that differ only in angles and their ZNE folds."""
+    base = random_circuit(n, n_gates, seed)
+    rows = [base, _shifted_angles(base, shift)]
     batch = rows + [f for row in rows for f in circ.fold_to_scales(row, ZneConfig().scale_factors)]
     dists = sim.noisy_distributions(batch, profile)
     assert len(dists) == len(batch)
