@@ -290,6 +290,28 @@ def test_model_json_round_trip():
     )
 
 
+def test_saved_models_load_and_predict_identically(tmp_path):
+    x_train, y_train, x_test, _ = _linear_fixture(40)
+    backend = qelm.NoisyBackend(bundled_profile("device-a"))
+    y_cls = (y_train > y_train.mean()).astype(float)
+    for task, targets, readout in (
+        ("regression", y_train, "linear"),
+        ("classification", y_cls, "logistic"),
+        ("classification", y_cls, "tree"),
+    ):
+        model = qelm.train(x_train, targets, task, _front(3), readout, backend, seed=2)
+        path = tmp_path / f"{task}-{readout}.json"
+        qelm.save_model(model, path)
+        loaded = qelm.load_model(path)
+        assert loaded.front == model.front and loaded.readout_kind == readout
+        want = qelm.predict_batch(model, x_test, backend, 3)
+        got = qelm.predict_batch(loaded, x_test, backend, 3)
+        if task == "regression":
+            assert np.array_equal(got, want)
+        else:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_single_prediction_shapes():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()

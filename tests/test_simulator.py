@@ -1,7 +1,7 @@
 import re
 from contextlib import nullcontext
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 import numpy as np
@@ -431,7 +431,9 @@ def test_walker_states_are_bit_identical_to_gate_by_gate_runs(
 
 def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     """At 8 qubits a noisy node keeps one slab, at 4 qubits at most 256;
-    the backends hand the walker at most one batch of states per call."""
+    the backends hand the walker at most one batch of states per call. At 8
+    qubits the walk is fused, and each 3-qubit block's operator is built as
+    one 6-axis tensor of 4^6 entries (a 2-qubit block's as a 4-axis one)."""
     kernel, seen = sim._apply_slabs, []
 
     def recorded(slabs, op, axes):
@@ -463,7 +465,7 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     most = {}
     for shape, slabs in seen:
         most[len(shape)] = max(most.get(len(shape), 0), slabs)
-    assert most == {8: 1, 4: 256}
+    assert most == {8: 1, 6: 1, 4: 256}
     assert max(count for n, count in walked if n == 8) == 4  # one row's ZNE folds
     assert max(count for n, count in walked if n == 4) == 256
     # one walk of 300 rows that differ only in angles: its node forks into chunks
@@ -597,3 +599,111 @@ def test_run_noisy_many_needs_one_qubit_count():
     assert sim.run_noisy_many([], profile) == []
     with pytest.raises(ValidationError):
         sim.run_noisy_many([circ.Circuit(2), circ.Circuit(3)], profile)
+
+
+# ---------------------------------------------------------------------------
+# gate fusion on states wider than a block, and readout through the kernel
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits(max_qubits=8, max_gates=40))
+def test_fusion_plans_take_every_gate_once_and_keep_shared_qubit_order(circuit):
+    shapes = tuple((g.kind, g.targets) for g in circuit.gates)
+    plan = sim._fusion_plan(shapes)
+    order = [i for _, members in plan for i in members]
+    assert sorted(order) == list(range(len(shapes)))
+    for qubits, members in plan:
+        assert 1 <= len(qubits) <= sim.FUSED_QUBITS
+        assert set(qubits) == {q for i in members for q in shapes[i][1]}
+        assert list(members) == sorted(members)
+    # a gate moves only past gates on disjoint qubits
+    position = {i: p for p, i in enumerate(order)}
+    for i, j in combinations(range(len(shapes)), 2):
+        if not set(shapes[i][1]).isdisjoint(shapes[j][1]):
+            assert position[i] < position[j]
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+@settings(max_examples=5, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.integers(1, 20),
+    shift=st.floats(-np.pi, np.pi),
+    profile=st.sampled_from((noise.bundled_profile("device-a"), zero_noise_profile(8))),
+)
+def test_fused_walks_match_gate_by_gate_runs(n, seed, n_gates, shift, profile):
+    """Rows that differ only in angles and their ZNE folds, on both backends:
+    from 7 qubits each circuit is evolved through its fusion plan, within
+    1e-12 of its gate-by-gate run, and with the same bits whether it is
+    evolved with the others or alone."""
+    base = random_circuit(n, n_gates, seed)
+    rows = [base, _shifted_angles(base, shift)]
+    batch = rows + [f for row in rows for f in circ.fold_to_scales(row, ZneConfig().scale_factors)]
+    ideal = sim.run_ideal_many(batch)
+    noisy = sim.run_noisy_many(batch, profile)
+    for circuit, pure, mixed in zip(batch, ideal, noisy):
+        assert np.abs(pure.amplitudes - _run_ideal_alone(circuit)).max() <= 1e-12
+        assert np.abs(mixed.entries - _run_noisy_alone(circuit, profile)).max() <= 1e-12
+        assert np.array_equal(pure.amplitudes, sim.run_ideal(circuit).amplitudes)
+        assert np.array_equal(mixed.entries, sim.run_noisy(circuit, profile).entries)
+
+
+def _ising_row(n: int) -> circ.Circuit:
+    """A classification8-style row: RY encoder, CX ring, 3-step Ising reservoir."""
+    front = qelm.QelmFront(
+        qelm.EncoderSpec(((0.0, 1.0),) * n),
+        qelm.ReservoirSpec("ising", n_qubits=n, seed=11, time=0.5),
+        qelm.FeatureMapSpec("probabilities"),
+    )
+    return qelm.front_circuit(front, np.linspace(0.1, 0.9, n))
+
+
+def test_an_eight_qubit_ising_row_takes_43_contractions_instead_of_124(monkeypatch):
+    kernel, widths = sim._apply_slabs, []
+
+    def counted(slabs, op, axes):
+        if slabs.shape[1:] == (4,) * n:  # a state, not a block operator or readout
+            widths.append(len(axes))
+        return kernel(slabs, op, axes)
+
+    monkeypatch.setattr(sim, "_apply_slabs", counted)
+    profile = noise.bundled_profile("device-a")
+    for n, gates, contractions in ((8, 124, 43), (6, 75, 75)):
+        row = _ising_row(n)
+        widths.clear()
+        sim.noisy_distributions([row], profile)
+        assert (len(row.gates), len(widths)) == (gates, contractions)
+        assert max(widths) == (sim.FUSED_QUBITS if n == 8 else 2)
+
+
+def test_fused_blocks_keep_the_noise_of_every_gate():
+    """A scale-3 fold G G^dagger G must carry more noise than G: blocks
+    multiply noisy PTMs, never bare unitaries."""
+    row = _ising_row(8)
+    scales = circ.fold_to_scales(row, (1.0, 3.0))
+    noisy = sim.noisy_distributions(scales, noise.bundled_profile("device-a"))
+    assert np.abs(noisy[0].vector - noisy[1].vector).max() > 1e-6
+    clean = sim.noisy_distributions(scales, zero_noise_profile(8))
+    assert np.abs(clean[0].vector - clean[1].vector).max() <= 1e-12
+
+
+def _tensordot_readout(vec: np.ndarray, n: int, profile) -> np.ndarray:
+    """Readout confusion as measure_distribution applied it before it went
+    through the kernel: tensordot, then moveaxis, per qubit."""
+    tensor = vec.reshape((2,) * n)
+    for q in range(n):
+        m = profile.confusion_matrix(q)
+        tensor = np.moveaxis(np.tensordot(tensor, m, axes=([q], [0])), -1, q)
+    vec = np.clip(tensor.reshape(-1), 0.0, None)
+    return vec / vec.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(noise.BUNDLED_PROFILES),
+)
+def test_readout_through_the_kernel_is_bit_identical_to_the_tensordot_loop(n, seed, name):
+    profile = noise.bundled_profile(name)
+    vec = np.random.default_rng(seed).dirichlet(np.ones(2**n))
+    assert np.array_equal(sim._readout(vec, n, profile).vector, _tensordot_readout(vec, n, profile))
