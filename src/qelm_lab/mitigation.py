@@ -45,6 +45,8 @@ from .simulator import (
 )
 
 EXTRAPOLATION_METHODS = ("polynomial", "linear", "exponential")
+# LAPACK's SMLNUM: its safe minimum over its relative machine precision
+_LSTSQ_SMALL = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def least_squares(*args, **kwargs):
@@ -118,15 +120,15 @@ class ZneConfig:
         )
 
 
-def extrapolate(
-    scales, values, method: str = "polynomial", degree: int = 3
-) -> float:
+def extrapolate(scales, values, method: str = "polynomial", degree: int = 3):
     """Zero-noise value of ``values`` measured at ``scales``.
 
+    ``values`` holds one value per scale, or one row per scale of k
+    features; then the k zero-noise values are returned as an array.
     polynomial: least-squares fit evaluated at scale 0 (linear is the
-    degree-1 case). exponential: bounded nonlinear fit of a * b^s + c,
-    falling back to a low-degree polynomial with a warning when the solver
-    does not converge.
+    degree-1 case), all features in one fit. exponential: bounded nonlinear
+    fit of a * b^s + c per feature, falling back to a low-degree polynomial
+    with a warning when the solver does not converge.
     """
     scales = np.asarray(scales, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -141,10 +143,23 @@ def extrapolate(
             raise InsufficientPoints(
                 f"degree {degree} needs more than {len(scales)} points"
             )
-        coeffs = np.polynomial.polynomial.polyfit(scales, values, degree)
-        return float(coeffs[0])
+        if values.ndim == 1:
+            return float(np.polynomial.polynomial.polyfit(scales, values, degree)[0])
+        # LAPACK's least-squares driver rescales a right-hand side whose
+        # largest entry lies outside [_LSTSQ_SMALL, 1 / _LSTSQ_SMALL]; such a
+        # column would not get the bits of its own fit inside a joint one
+        peaks = np.abs(values).max(axis=0)
+        if np.all((peaks == 0.0) | ((peaks >= _LSTSQ_SMALL) & (peaks <= 1.0 / _LSTSQ_SMALL))):
+            return np.polynomial.polynomial.polyfit(scales, values, degree)[0]
+        return np.array([extrapolate(scales, column, method, degree) for column in values.T])
     if method != "exponential":
         raise ValidationError(f"unknown extrapolation method {method!r}")
+    if values.ndim == 2:
+        return np.array([_exponential(scales, column) for column in values.T])
+    return _exponential(scales, values)
+
+
+def _exponential(scales: np.ndarray, values: np.ndarray) -> float:
     if np.allclose(values, values[0], atol=1e-14):
         return float(values[0])
 
@@ -218,12 +233,8 @@ class ZneMitigator:
                     distribution_features(dist, feature_map, _scale_seed(seed, i))
                     for i, dist in enumerate(dists[row * n_scales : (row + 1) * n_scales])
                 ]
-                stacked = np.vstack(per_scale)
-                mitigated = np.array(
-                    [
-                        extrapolate(c.scale_factors, stacked[:, j], c.extrapolation, c.degree)
-                        for j in range(stacked.shape[1])
-                    ]
+                mitigated = extrapolate(
+                    c.scale_factors, np.vstack(per_scale), c.extrapolation, c.degree
                 )
                 rows.append(_postprocess(mitigated, feature_map.kind))
         return rows

@@ -7,7 +7,8 @@ correction. All fits are deterministic given their inputs and seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class LogisticReadout:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     # leaf nodes keep value and no children; internal nodes route on
     # x[feature] <= threshold
@@ -118,9 +119,13 @@ class TreeNode:
         )
 
 
-def _best_split(features: np.ndarray, targets: np.ndarray, task: str):
-    """Best (feature, threshold, score) over every column, or None when no
+def _best_split(features: np.ndarray, targets: np.ndarray, segments: list, task: str) -> list:
+    """Best (feature, threshold) of each segment of rows, or None where no
     column has two distinct values.
+
+    A segment is a (d, n) array of row indices into ``features`` and
+    ``targets``: its row j holds the segment's rows ordered by feature j,
+    ties in the segment's row order.
 
     Score is the size-weighted child impurity: the sum of squared errors
     (SSE) for regression and the Gini impurity for classification, which on
@@ -129,31 +134,139 @@ def _best_split(features: np.ndarray, targets: np.ndarray, task: str):
     wins; a later column wins only if it is better by more than 1e-15.
     Zero-gain splits are allowed; they let deeper levels resolve parity
     patterns a single cut cannot.
+
+    Segments are searched together, each padded after its last row:
+    cumulative sums over a segment's own rows, and so its scores, keep the
+    bits a search of the segment alone gives. A search pads at most to about
+    twice its segments' rows, and holds at most about _SEARCH_CELLS entries
+    per array unless one segment alone needs more.
     """
-    n = len(targets)
-    order = np.argsort(features, axis=0, kind="stable")
-    xs = np.take_along_axis(features, order, axis=0)
-    ys = targets[order]
-    csum = np.cumsum(ys, axis=0)
-    csq = np.cumsum(ys * ys, axis=0)
-    n_l = np.arange(1, n)[:, None]
-    sum_l = csum[:-1]
-    sum_r = csum[-1] - sum_l
-    scores = (csq[:-1] - sum_l**2 / n_l) + ((csq[-1] - csq[:-1]) - sum_r**2 / (n - n_l))
+    found = [None] * len(segments)
+    group, rows = [], 0
+    for s in sorted(range(len(segments)), key=lambda s: -segments[s].shape[1]):
+        padded_rows = (len(group) + 1) * segments[group[0]].shape[1] if group else 0
+        if group and (
+            padded_rows > 2 * rows + _PAD_SLACK or padded_rows * features.shape[1] > _SEARCH_CELLS
+        ):
+            _search(features, targets, segments, group, task, found)
+            group, rows = [], 0
+        group.append(s)
+        rows += segments[s].shape[1]
+    if group:
+        _search(features, targets, segments, group, task, found)
+    return found
+
+
+# a search's padding rows beyond twice its segments' own rows, and its
+# entries per array; the row entries of the trees grown together, whose
+# orders take 8 bytes each. Enough to batch the searches of many small
+# trees, few enough to keep peak memory near that of one tree at a time.
+_PAD_SLACK = 256
+_SEARCH_CELLS = 2048
+_GROW_CELLS = 8192
+
+
+def _search(features, targets, segments, group, task, found) -> None:
+    """Fill in ``found`` for the segments in ``group``, longest first."""
+    lengths = np.array([segments[s].shape[1] for s in group])
+    m, d, width = len(group), features.shape[1], int(lengths[0])
+    padded = np.zeros((m, d, width), dtype=np.intp)  # padding reads row 0
+    in_segment = np.arange(width) < lengths[:, None]
+    padded[np.broadcast_to(in_segment[:, None], padded.shape)] = np.concatenate(
+        [segments[s].ravel() for s in group]
+    )
+    xs = features[padded, np.arange(d)[:, None]]
+    ys = targets[padded]
+    del padded
+    csum = np.cumsum(ys, axis=2)
+    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=2)
+    del ys
+    n = lengths[:, None, None]
+    n_l = np.arange(1, width)
+    last = (np.arange(m), slice(None), lengths - 1)
+    # the scores (csq_l - sum_l**2 / n_l) + (csq_r - sum_r**2 / n_r),
+    # computed in place; past a segment's last row n_r is a placeholder
+    sum_r = np.subtract(csum[last][..., None], csum[..., :-1])
+    scores = np.multiply(csum[..., :-1], csum[..., :-1], out=csum[..., :-1])
+    scores /= n_l
+    np.subtract(csq[..., :-1], scores, out=scores)
+    right = np.multiply(sum_r, sum_r, out=sum_r)
+    right /= np.maximum(n - n_l, 1)
+    np.subtract(csq[last][..., None] - csq[..., :-1], right, out=right)
+    scores += right
+    del csq, right
     tol = 1e-12
     if task == "classification":
         scores *= 2.0 / n
         tol = 1e-15
-    scores[xs[:-1] == xs[1:]] = np.inf  # no threshold between equal values
-    first = np.argmax(scores <= scores.min(axis=0) + tol, axis=0)
-    best = None
-    # a running comparison, not "within 1e-15 of the minimum": column scores
-    # of the same partition can differ by rounding in steps below 1e-15
-    for j, score in enumerate(scores[first, np.arange(features.shape[1])].tolist()):
-        if score < math.inf and (best is None or score < best[2] - 1e-15):
-            i = first[j]
-            best = (j, (xs[i, j] + xs[i + 1, j]) / 2.0, score)
-    return best
+    # no threshold between equal values, nor from a segment's last row on
+    scores[(xs[..., :-1] == xs[..., 1:]) | ~in_segment[:, None, 1:]] = np.inf
+    first = np.argmax(scores <= scores.min(axis=2, keepdims=True) + tol, axis=2)
+    column_scores = np.take_along_axis(scores, first[..., None], axis=2)[..., 0]
+    for k, row in enumerate(column_scores.tolist()):
+        best = None
+        # a running comparison, not "within 1e-15 of the minimum": column
+        # scores of the same partition can differ by rounding in steps below
+        # 1e-15
+        for j, score in enumerate(row):
+            if score < math.inf and (best is None or score < best[1] - 1e-15):
+                best = (j, score)
+        if best is not None:
+            j, i = best[0], first[k, best[0]]
+            found[group[k]] = (j, (xs[k, j, i] + xs[k, j, i + 1]) / 2.0)
+
+
+class _FlatTree(NamedTuple):
+    """Trees laid out as arrays, one entry per node. An internal node sends a
+    row to ``left`` when its ``feature`` value is <= ``threshold``; a leaf
+    sends every row to itself, so ``depth`` steps take any row to its leaf."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # a leaf's value; NaN on internal nodes
+    depth: int
+
+    def leaves(self, features: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """The leaf each row reaches from each root: shape (roots, rows)."""
+        rows = np.arange(len(features))
+        node = np.repeat(roots[:, None], len(features), axis=1)
+        for _ in range(self.depth):
+            go_left = features[rows, self.feature[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return node
+
+
+def _flatten(root: TreeNode) -> _FlatTree:
+    """The tree under ``root`` as arrays, nodes numbered breadth-first."""
+    nodes, levels, links = [root], [0], []
+    for i, node in enumerate(nodes):  # appends children while it walks
+        if node.is_leaf:
+            links.append((0, 0.0, i, i))
+        else:
+            links.append((node.feature, node.threshold, len(nodes), len(nodes) + 1))
+            nodes += (node.left, node.right)
+            levels += (levels[i] + 1,) * 2
+    feature, threshold, left, right = (np.array(column) for column in zip(*links))
+    leaf_shape = np.shape(next(node.value for node in nodes if node.is_leaf))
+    value = np.full((len(nodes),) + leaf_shape, np.nan)
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            value[i] = node.value
+    return _FlatTree(feature, threshold.astype(float), left, right, value, max(levels))
+
+
+def _stack_trees(trees: list[_FlatTree]) -> tuple[_FlatTree, np.ndarray]:
+    """One flat tree holding ``trees`` side by side, and each one's root."""
+    if not trees:
+        raise ValidationError("bagged trees need at least one tree")
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+    feature, threshold, left, right, value = map(np.concatenate, zip(*(t[:5] for t in trees)))
+    depth = max(tree.depth for tree in trees)
+    return _FlatTree(feature, threshold, left + shift, right + shift, value, depth), roots
 
 
 @dataclass
@@ -162,12 +275,30 @@ class DecisionTree:
     max_depth: int = 5
     min_samples_split: int = 2
     root: TreeNode | None = None
+    _flat: _FlatTree | None = field(default=None, init=False, repr=False, compare=False)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTree":
         features = np.asarray(features, dtype=float)
         targets = np.asarray(targets, dtype=float)
         self.root = self._grow(features, targets, 0)
+        self._flat = _flatten(self.root)
         return self
+
+    def fit_samples(self, features: np.ndarray, targets: np.ndarray, samples):
+        """One tree like this one per sample of row indices (repeats
+        allowed), each as ``fit(features[rows], targets[rows])`` grows it.
+        They are grown together, in batches of about _GROW_CELLS row
+        entries, and handed out one by one."""
+        features = np.asarray(features, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        widest = max(map(len, samples), default=1) * features.shape[1]
+        batch = max(1, _GROW_CELLS // max(widest, 1))
+        for start in range(0, len(samples), batch):
+            batch_samples = samples[start : start + batch]
+            for root in self._grow_level_wise(features, targets, batch_samples, 0):
+                tree = replace(self, root=root)
+                tree._flat = _flatten(root)
+                yield tree
 
     def _leaf(self, targets: np.ndarray) -> TreeNode:
         if self.task == "classification":
@@ -176,44 +307,61 @@ class DecisionTree:
         return TreeNode(value=float(targets.mean()))
 
     def _grow(self, features, targets, level) -> TreeNode:
-        n = len(targets)
-        if level >= self.max_depth or n < self.min_samples_split or np.var(targets) <= 1e-24:
-            return self._leaf(targets)
-        best = _best_split(features, targets, self.task)
-        if best is None:
-            return self._leaf(targets)
-        j, threshold, _ = best
-        mask = features[:, j] <= threshold
-        return TreeNode(
-            feature=j,
-            threshold=threshold,
-            left=self._grow(features[mask], targets[mask], level + 1),
-            right=self._grow(features[~mask], targets[~mask], level + 1),
-        )
+        return self._grow_level_wise(features, targets, [np.arange(len(targets))], level)[0]
 
-    def _route(self, x: np.ndarray) -> TreeNode:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
+    def _grow_level_wise(self, features, targets, samples, level) -> list[TreeNode]:
+        """One tree per sample of row indices (repeats allowed), grown from
+        ``level`` on; the nodes of one depth are searched by one _best_split call."""
+        roots = [TreeNode() for _ in samples]
+        # each node's rows, and per feature its rows in that feature's order
+        frontier = [
+            (root, rows, rows[np.argsort(features[rows], axis=0, kind="stable")].T)
+            for root, rows in zip(roots, samples)
+        ]
+        while frontier:
+            open_nodes = []
+            for node, rows, order in frontier:
+                node_targets = targets[rows]
+                if (
+                    level >= self.max_depth
+                    or len(rows) < self.min_samples_split
+                    or np.var(node_targets) <= 1e-24
+                ):
+                    node.value = self._leaf(node_targets).value
+                else:
+                    open_nodes.append((node, rows, order))
+            frontier = []
+            splits = _best_split(features, targets, [order for *_, order in open_nodes], self.task)
+            for i, split in enumerate(splits):
+                (node, rows, order), open_nodes[i] = open_nodes[i], None  # free as we go
+                if split is None:
+                    node.value = self._leaf(targets[rows]).value
+                    continue
+                node.feature, node.threshold = j, threshold = split
+                node.left, node.right = TreeNode(), TreeNode()
+                go_left = features[rows, j] <= threshold
+                ordered_left = features[order, j] <= threshold  # kept in order
+                frontier += [
+                    (node.left, rows[go_left], order[ordered_left].reshape(len(order), -1)),
+                    (node.right, rows[~go_left], order[~ordered_left].reshape(len(order), -1)),
+                ]
+            level += 1
+        return roots
+
+    def _leaf_values(self, features: np.ndarray) -> np.ndarray:
+        features = np.asarray(features, dtype=float)
+        return self._flat.value[self._flat.leaves(features, np.zeros(1, dtype=int))[0]]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        return np.vstack([self._route(row).value for row in features])
+        return self._leaf_values(features)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
         if self.task == "classification":
-            return np.argmax(self.predict_proba(features), axis=1)
-        return np.array([self._route(row).value for row in features], dtype=float)
+            return np.argmax(self._leaf_values(features), axis=1)
+        return self._leaf_values(features)
 
     def depth(self) -> int:
-        def walk(node):
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
+        return 0 if self._flat is None else self._flat.depth
 
     def to_dict(self) -> dict:
         return {
@@ -232,6 +380,7 @@ class DecisionTree:
             min_samples_split=int(raw["min_samples_split"]),
         )
         tree.root = TreeNode.from_dict(raw["root"])
+        tree._flat = _flatten(tree.root)
         return tree
 
 
@@ -243,25 +392,26 @@ class BaggedTrees:
     max_depth: int = 6
     seed: int = 0
     trees: list[DecisionTree] = field(default_factory=list)
+    _forest: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "BaggedTrees":
         features = np.asarray(features, dtype=float)
         targets = np.asarray(targets, dtype=float)
         n = len(targets)
-        self.trees = []
-        for i in range(self.n_trees):
-            rng = Rng(derive_seed(self.seed, "bag", i))
-            idx = rng.integers(n, 0, n)
-            tree = DecisionTree("regression", max_depth=self.max_depth).fit(
-                features[idx], targets[idx]
-            )
-            self.trees.append(tree)
+        samples = [
+            Rng(derive_seed(self.seed, "bag", i)).integers(n, 0, n) for i in range(self.n_trees)
+        ]
+        tree = DecisionTree("regression", max_depth=self.max_depth)
+        self.trees = list(tree.fit_samples(features, targets, samples))
+        self._forest = _stack_trees([tree._flat for tree in self.trees])
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(features))
-        for tree in self.trees:
-            acc += tree.predict(features)
+        forest, roots = self._forest
+        leaves = forest.leaves(np.asarray(features, dtype=float), roots)
+        acc = np.zeros(leaves.shape[1])
+        for tree_values in forest.value[leaves]:  # in tree order, as one tree at a time
+            acc += tree_values
         return acc / len(self.trees)
 
     def to_dict(self) -> dict:
@@ -279,6 +429,7 @@ class BaggedTrees:
             n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]), seed=int(raw["seed"])
         )
         model.trees = [DecisionTree.from_dict(t) for t in raw["trees"]]
+        model._forest = _stack_trees([tree._flat for tree in model.trees])
         return model
 
 
@@ -338,6 +489,15 @@ def fit_logistic(
 
 def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dict | None = None):
     """Dispatch to one readout family: "linear", "logistic", or "tree"."""
+    return next(fit_readouts(features, targets, kind, hyper, [None]))
+
+
+def fit_readouts(
+    features: np.ndarray, targets: np.ndarray, kind: str, hyper: dict | None, samples
+):
+    """One readout per sample of row indices (None: every row, as given),
+    each as ``fit_readout(features[rows], targets[rows], kind, hyper)`` fits
+    it, handed out one by one; the trees of all samples are grown together."""
     if kind not in READOUT_KINDS:
         raise ValidationError(f"unknown readout kind {kind!r}")
     features = np.asarray(features, dtype=float)
@@ -346,14 +506,19 @@ def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dic
         raise ValidationError("features must be a 2-D matrix")
     if features.shape[0] != len(targets):
         raise ValidationError("feature rows must match target count")
-    if len(targets) < 2:
+    row_sets = [np.arange(len(targets)) if rows is None else np.asarray(rows) for rows in samples]
+    if any(len(rows) < 2 for rows in row_sets):
         raise ValidationError("need at least 2 training rows")
     hyper = hyper or {}
-    if kind == "linear":
-        return fit_linear(features, targets, **hyper)
-    if kind == "logistic":
-        return fit_logistic(features, targets, **hyper)
-    return DecisionTree("classification", **hyper).fit(features, targets)
+    if kind == "tree":
+        yield from DecisionTree("classification", **hyper).fit_samples(features, targets, row_sets)
+        return
+    fit = fit_linear if kind == "linear" else fit_logistic
+    for rows in samples:
+        if rows is None:
+            yield fit(features, targets, **hyper)
+        else:
+            yield fit(features[rows], targets[rows], **hyper)
 
 
 def readout_from_dict(raw: dict):

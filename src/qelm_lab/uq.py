@@ -37,7 +37,7 @@ from .qelm import (
     train,
     with_reservoir_seed,
 )
-from .readout import fit_readout
+from .readout import fit_readouts
 from .rng import Rng, derive_seed
 
 
@@ -104,10 +104,11 @@ def bootstrap_distribution(
     test_features = feature_matrix(model.front, test_inputs, test_backend, test_seed, cache)
     targets = np.asarray(train_targets, dtype=float)
     n = len(targets)
+    samples = [Rng(derive_seed(seed, "bootstrap", k)).integers(n, 0, n) for k in range(b)]
     per_input = []
-    for k in range(b):
-        idx = Rng(derive_seed(seed, "bootstrap", k)).integers(n, 0, n)
-        readout = fit_readout(train_features[idx], targets[idx], model.readout_kind, model.readout_hyper)
+    for readout in fit_readouts(
+        train_features, targets, model.readout_kind, model.readout_hyper, samples
+    ):
         if model.task == "regression":
             per_input.append(readout.predict(test_features))
         else:
@@ -170,13 +171,17 @@ def ensemble_distribution(
 def prediction_interval(samples, alpha: float) -> tuple[float, float]:
     """Empirical (alpha/2, 1 - alpha/2) quantiles with linear interpolation
     between order statistics."""
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    if len(samples) < 2:
+    lo, hi = _intervals(np.asarray(samples, dtype=float).reshape(1, -1), alpha)[:, 0]
+    return float(lo), float(hi)
+
+
+def _intervals(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """``prediction_interval`` of every row of ``samples``: shape (2, rows)."""
+    if samples.shape[1] < 2:
         raise InsufficientSamples("need at least 2 samples for an interval")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    lo, hi = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], method="linear")
-    return float(lo), float(hi)
+    return np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1, method="linear")
 
 
 def crps(samples, y: float) -> float:
@@ -327,19 +332,18 @@ def regression_uq_metrics(
         raise ValidationError("regression metrics need a regression distribution")
     if len(y_true) != dist.n_inputs:
         raise LengthMismatch(f"{dist.n_inputs} inputs vs {len(y_true)} targets")
+    if not all(0.0 < tau < 1.0 for tau in tau_grid):
+        raise ValidationError(f"tau_grid values must lie in (0, 1), got {tau_grid}")
+    bounds = _intervals(dist.samples, alpha).tolist()
+    quantiles = np.quantile(dist.samples, tau_grid, axis=1, method="linear").T.tolist()
     rows = []
     crps_vals, cs_vals, is_vals, widths, covered = [], [], [], [], []
-    for i, y in enumerate(y_true):
+    for i, (y, lo, hi) in enumerate(zip(y_true, *bounds)):
         samples = dist.samples[i]
-        lo, hi = prediction_interval(samples, alpha)
         width = hi - lo
         inside = lo <= y <= hi
         crps_i = crps(samples, y)
-        cs_i = float(
-            np.mean(
-                [check_score(y, float(np.quantile(samples, t, method="linear")), t) for t in tau_grid]
-            )
-        )
+        cs_i = float(np.mean([check_score(y, q, t) for q, t in zip(quantiles[i], tau_grid)]))
         is_i = interval_score(y, lo, hi, alpha)
         rows.append(
             {

@@ -113,6 +113,70 @@ def test_extrapolate_input_validation():
         mit.extrapolate((1.0, 2.0), (0.5, 0.4), "polynomial", degree=2)
 
 
+# the scale sets of the calibration grid (cli._cmd_calibrate_zne) and the default
+SCALE_SETS = ((1.0, 2.0, 3.0, 5.0), (1.0, 3.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scales=st.sampled_from(SCALE_SETS),
+    data=st.data(),
+    k=st.integers(1, 12),
+)
+def test_one_polynomial_fit_per_row_matches_one_fit_per_column(scales, data, k):
+    values = np.array(
+        data.draw(
+            st.lists(
+                st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k),
+                min_size=len(scales),
+                max_size=len(scales),
+            )
+        )
+    )
+    for method, degree in [("linear", 1)] + [("polynomial", d) for d in range(1, len(scales))]:
+        got = mit.extrapolate(scales, values, method, degree)
+        per_column = [mit.extrapolate(scales, values[:, j], method, degree) for j in range(k)]
+        assert got.tobytes() == np.array(per_column).tobytes()
+
+
+def test_a_column_of_tiny_values_gets_the_bits_of_its_own_fit():
+    # LAPACK rescales a right-hand side whose largest entry lies below
+    # about 1e-292 (and above about 1e292), so a joint fit differs there
+    values = np.array([[0.0, 0.0, 0.3], [0.0, 0.0, 0.1], [1.0, 2.2250738585e-313, 1e-300]])
+    for scales in SCALE_SETS[1:]:
+        got = mit.extrapolate(scales, values, "linear")
+        per_column = [mit.extrapolate(scales, values[:, j], "linear") for j in range(3)]
+        assert got.tobytes() == np.array(per_column).tobytes()
+
+
+def test_exponential_rows_fit_each_column_and_keep_the_fallback(monkeypatch):
+    a = np.array([0.4, -0.2, 0.0])
+    values = a * 0.8 ** np.array(SCALES)[:, None] + np.array([0.55, 0.1, 0.3])
+    got = mit.extrapolate(SCALES, values, "exponential")
+    per_column = [mit.extrapolate(SCALES, values[:, j], "exponential") for j in range(3)]
+    assert got.tobytes() == np.array(per_column).tobytes()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver unavailable")
+
+    monkeypatch.setattr(mit, "least_squares", broken)
+    with pytest.warns(mit.ExtrapolationFallback):
+        fallen = mit.extrapolate(SCALES, values, "exponential")
+    # the constant column needs no solver; the other two fall back
+    quadratic = mit.extrapolate(SCALES, values, "polynomial", 2)
+    assert fallen.tobytes() == np.array([quadratic[0], quadratic[1], 0.3]).tobytes()
+
+
+def test_extrapolating_rows_keeps_the_input_validation():
+    with pytest.raises(InsufficientPoints):
+        mit.extrapolate(SCALES, np.zeros((3, 5)), "linear")
+    with pytest.raises(InsufficientPoints):
+        mit.extrapolate((1.0,), np.zeros((1, 5)), "linear")
+    for degree in (3, 4):
+        with pytest.raises(InsufficientPoints):
+            mit.extrapolate((1.0, 3.0, 5.0), np.zeros((3, 5)), "polynomial", degree)
+
+
 def test_zne_config_validation():
     with pytest.raises(ValidationError):
         mit.ZneConfig(scale_factors=(2.0, 3.0))

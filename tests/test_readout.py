@@ -13,6 +13,7 @@ from qelm_lab.readout import (
     fit_readout,
     readout_from_dict,
 )
+from qelm_lab.rng import Rng, derive_seed
 
 
 def test_linear_identity_data():
@@ -194,6 +195,84 @@ def test_split_search_grows_the_same_tree_as_the_per_column_oracle(problem):
     tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
     oracle = _OracleTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
     assert tree.fit(x, y).to_dict() == oracle.fit(x, y).to_dict()
+
+
+def _route(node, row):
+    """The leaf value ``row`` reaches, one node at a time: the reference for
+    routing every row through flat arrays."""
+    while not node.is_leaf:
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+def _routed(tree, x):
+    values = [_route(tree.root, row) for row in x]
+    if tree.task == "classification":
+        return np.vstack(values), np.argmax(np.vstack(values), axis=1)
+    return None, np.array(values, dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree_problems(), st.integers(0, 2**32 - 1))
+def test_array_routing_matches_the_recursive_router(problem, seed):
+    task, x, y, max_depth, min_samples_split = problem
+    # unseen rows too: values between and beyond the training thresholds
+    rng = np.random.default_rng(seed)
+    probe = np.vstack([x, rng.integers(-1, 8, size=(12, x.shape[1])) / 4.0 + 0.125])
+    tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split).fit(x, y)
+    for model in (tree, readout_from_dict(tree.to_dict())):
+        proba, labels = _routed(model, probe)
+        assert model.predict(probe).tobytes() == labels.tobytes()
+        if task == "classification":
+            assert model.predict_proba(probe).tobytes() == proba.tobytes()
+
+
+def _bagging_problem(seed, n=40, d=3):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 7, size=(n, d)) / 4.0
+    y = rng.normal(size=n) * (x[:, 0] > 0.7) + x[:, 1]
+    return x, y
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+def test_bagged_trees_grow_the_trees_of_the_per_column_oracle(seed, n_trees, max_depth):
+    x, y = _bagging_problem(seed)
+    model = BaggedTrees(n_trees=n_trees, max_depth=max_depth, seed=seed).fit(x, y)
+    oracle = []
+    for i in range(n_trees):
+        idx = Rng(derive_seed(seed, "bag", i)).integers(len(y), 0, len(y))
+        oracle.append(_OracleTree("regression", max_depth=max_depth).fit(x[idx], y[idx]).to_dict())
+    assert model.to_dict()["trees"] == oracle
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_forest_prediction_is_the_in_order_sum_of_its_trees(seed, n_trees):
+    x, y = _bagging_problem(seed)
+    probe = np.vstack([x, np.random.default_rng(seed).uniform(-0.5, 2.0, size=(15, 3))])
+    model = BaggedTrees(n_trees=n_trees, max_depth=5, seed=seed).fit(x, y)
+    for bagged in (model, BaggedTrees.from_dict(model.to_dict())):
+        acc = np.zeros(len(probe))
+        for tree in bagged.trees:
+            acc += _routed(tree, probe)[1]
+        assert bagged.predict(probe).tobytes() == (acc / n_trees).tobytes()
+
+
+def test_trees_predict_zero_rows():
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    none = np.zeros((0, 2))
+    classifier = DecisionTree("classification").fit(x, np.array([0, 1, 1, 0]))
+    assert classifier.predict_proba(none).shape == (0, 2)
+    assert classifier.predict(none).shape == (0,)
+    assert DecisionTree("regression").fit(x, x.sum(axis=1)).predict(none).shape == (0,)
+    assert BaggedTrees(n_trees=3, max_depth=2).fit(x, x.sum(axis=1)).predict(none).shape == (0,)
+
+
+def test_bagged_trees_need_a_tree():
+    x = np.array([[0.0], [1.0]])
+    with pytest.raises(ValidationError):
+        BaggedTrees(n_trees=0).fit(x, np.array([0.0, 1.0]))
 
 
 def test_regression_tree_reduces_error():

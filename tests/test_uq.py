@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,3 +360,73 @@ def test_regression_metrics_summary_fields():
     assert summary["interval_score"] >= summary["mean_interval_width"] - 1e-12
     text = uq.intervals_to_csv(summary["intervals"])
     assert len(text.strip().splitlines()) == len(y_test) + 1
+
+
+def _per_row_metrics(samples, y_true, alpha, tau_grid):
+    """The regression summary with one quantile call per row and per tau:
+    the reference for the one-call quantiles of regression_uq_metrics."""
+    rows, crps_vals, cs_vals, is_vals = [], [], [], []
+    for i, y in enumerate(y_true):
+        lo, hi = (float(v) for v in np.quantile(samples[i], [alpha / 2.0, 1.0 - alpha / 2.0]))
+        taus = [float(np.quantile(samples[i], t, method="linear")) for t in tau_grid]
+        rows.append(
+            {
+                "index": i,
+                "y_true": float(y),
+                "mean": float(samples[i].mean()),
+                "lower": lo,
+                "upper": hi,
+                "width": hi - lo,
+                "covered": bool(lo <= y <= hi),
+            }
+        )
+        crps_vals.append(uq.crps(samples[i], y))
+        cs_vals.append(float(np.mean([uq.check_score(y, q, t) for q, t in zip(taus, tau_grid)])))
+        is_vals.append(uq.interval_score(y, lo, hi, alpha))
+    return {
+        "alpha": alpha,
+        "mean_interval_width": float(np.mean([r["width"] for r in rows])),
+        "coverage": float(np.mean([r["covered"] for r in rows])),
+        "crps": float(np.mean(crps_vals)),
+        "check_score": float(np.mean(cs_vals)),
+        "interval_score": float(np.mean(is_vals)),
+        "intervals": rows,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_inputs=st.integers(1, 6),
+    n_samples=st.integers(2, 120),
+    alpha=st.sampled_from([0.05, 0.1, 0.2, 0.5]) | st.floats(0.001, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+)
+def test_one_call_quantiles_match_one_call_per_row_and_tau(
+    n_inputs, n_samples, alpha, seed, coarse
+):
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n_inputs, n_samples)) * 10.0 ** rng.integers(-3, 3)
+    if coarse:  # repeated values, as bootstrap refits of a tree give
+        samples = np.round(samples, 1)
+    y_true = rng.normal(size=n_inputs)
+    dist = uq.PredictionDistribution("regression", samples, ("bootstrap", n_samples))
+    got = uq.regression_uq_metrics(dist, y_true, alpha)
+    assert json.dumps(got) == json.dumps(
+        _per_row_metrics(samples, y_true, alpha, uq.DEFAULT_TAU_GRID)
+    )
+
+
+def test_regression_metrics_keep_their_errors():
+    dist = uq.PredictionDistribution("regression", np.zeros((3, 5)), ("bootstrap", 5))
+    for alpha in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ValidationError):
+            uq.regression_uq_metrics(dist, np.zeros(3), alpha)
+    for tau_grid in ((0.5, 1.0), (0.0, 0.5), (0.5, 1.5)):
+        with pytest.raises(ValidationError):
+            uq.regression_uq_metrics(dist, np.zeros(3), 0.1, tau_grid)
+    one = uq.PredictionDistribution("regression", np.zeros((3, 1)), ("bootstrap", 1))
+    with pytest.raises(InsufficientSamples):
+        uq.regression_uq_metrics(one, np.zeros(3))
+    with pytest.raises(InsufficientSamples):
+        uq.regression_uq_metrics(one, np.zeros(3), alpha=2.0)
