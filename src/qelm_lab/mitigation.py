@@ -33,13 +33,13 @@ from . import circuit as circ
 from .circuit import Circuit, depth, fold_to_scales, gate_counts
 from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError, coerce
 from .noise import NoiseProfile
-from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, distribution_features
+from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, probabilities_features
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
 from .simulator import (
     batches,
     measure_distribution,
-    noisy_distributions,
+    noisy_probabilities,
     run_ideal,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
 )
@@ -227,14 +227,11 @@ class ZneMitigator:
                 for circuit in circuits[part]
                 for fold in fold_to_scales(circuit, c.scale_factors)
             ]
-            dists = noisy_distributions(folds, profile)
-            for row, seed in enumerate(seeds[part]):
-                per_scale = [
-                    distribution_features(dist, feature_map, _scale_seed(seed, i))
-                    for i, dist in enumerate(dists[row * n_scales : (row + 1) * n_scales])
-                ]
+            fold_seeds = [_scale_seed(seed, i) for seed in seeds[part] for i in range(n_scales)]
+            features = probabilities_features(noisy_probabilities(folds, profile), feature_map, fold_seeds)
+            for start in range(0, len(folds), n_scales):
                 mitigated = extrapolate(
-                    c.scale_factors, np.vstack(per_scale), c.extrapolation, c.degree
+                    c.scale_factors, features[start : start + n_scales], c.extrapolation, c.degree
                 )
                 rows.append(_postprocess(mitigated, feature_map.kind))
         return rows

@@ -19,8 +19,10 @@ spec, seed)`` is its batch of one):
 (the mitigation module adds MitigatedBackend). feature_matrix builds the
 circuits of all its rows (FeatureCache: of the rows it has not seen) and
 hands them to the backend in one call; extract_features does the same for
-one input. Feature extraction per row is pure given (front, x, backend,
-seed), which makes results cacheable and runs replayable.
+one input. A backend measures a batch of rows as one stack of distributions
+and maps it to feature rows in one step (probabilities_features). Feature
+extraction per row is pure given (front, x, backend, seed), which makes
+results cacheable and runs replayable.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -42,13 +45,11 @@ from .rng import Rng, derive_seed
 from .simulator import (
     OutcomeDistribution,
     batches,
-    expectation_z,
-    expectation_zz,
-    measure_distribution,
-    noisy_distributions,
-    run_ideal_many,
+    ideal_probabilities,
+    noisy_probabilities,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
-    sample,
+    sampled_probabilities,
+    z_expectations,
 )
 
 ENCODER_STYLES = ("HE",)
@@ -209,17 +210,36 @@ def front_circuit(front: QelmFront, x: np.ndarray) -> Circuit:
 
 
 def distribution_features(dist: OutcomeDistribution, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-    """Map a measured distribution to the configured feature vector."""
+    """Map a measured distribution to the configured feature vector:
+    probabilities_features of one row."""
+    return probabilities_features(dist.vector[None], spec, [seed])[0]
+
+
+def probabilities_features(probs: np.ndarray, spec: FeatureMapSpec, seeds) -> np.ndarray:
+    """The feature rows of measured distributions ``probs``, one row each
+    (as OutcomeDistribution.vector holds them), in one stacked step. With
+    shots, row r is first replaced by the frequencies of ``spec.shots``
+    draws seeded by seeds[r] (sampled_probabilities). A row's features do
+    not depend on the other rows."""
     if spec.shots > 0:
-        dist = sample(dist, spec.shots, seed).to_distribution()
+        probs = sampled_probabilities(probs, spec.shots, seeds)
     if spec.kind == "probabilities":
-        return dist.vector.copy()
-    n = dist.n_qubits
-    z = [expectation_z(dist, q) for q in range(n)]
-    if spec.kind == "z_expectations":
-        return np.array(z)
-    zz = [expectation_zz(dist, i, j) for i in range(n) for j in range(i + 1, n)]
-    return np.array(z + zz)
+        return probs.copy()
+    n = probs.shape[1].bit_length() - 1
+    qubit_sets = [(q,) for q in range(n)]
+    if spec.kind == "z_and_zz_expectations":
+        qubit_sets += list(combinations(range(n), 2))
+    return z_expectations(probs, qubit_sets)
+
+
+def _batched_features(circuits, spec, seeds, d: int, measure) -> list[np.ndarray]:
+    """The feature rows of ``circuits`` (states of d^n entries), one batch
+    of states at a time: ``measure`` gives a batch's distributions, and
+    probabilities_features maps them in one step."""
+    rows: list[np.ndarray] = []
+    for part in batches(circuits, d):
+        rows.extend(probabilities_features(measure(circuits[part]), spec, seeds[part]))
+    return rows
 
 
 class IdealBackend:
@@ -230,11 +250,7 @@ class IdealBackend:
     def circuits_features(
         self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
     ) -> list[np.ndarray]:
-        rows = []
-        for part in batches(circuits, 2):
-            for state, seed in zip(run_ideal_many(circuits[part]), seeds[part]):
-                rows.append(distribution_features(measure_distribution(state), spec, seed))
-        return rows
+        return _batched_features(circuits, spec, seeds, 2, ideal_probabilities)
 
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
         return self.circuits_features([circuit], spec, [seed])[0]
@@ -251,11 +267,9 @@ class NoisyBackend:
     def circuits_features(
         self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
     ) -> list[np.ndarray]:
-        rows = []
-        for part in batches(circuits, 4):
-            for dist, seed in zip(noisy_distributions(circuits[part], self.profile), seeds[part]):
-                rows.append(distribution_features(dist, spec, seed))
-        return rows
+        return _batched_features(
+            circuits, spec, seeds, 4, lambda part: noisy_probabilities(part, self.profile)
+        )
 
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
         return self.circuits_features([circuit], spec, [seed])[0]
@@ -329,8 +343,10 @@ def feature_matrix(
     inputs = np.asarray(inputs, dtype=float)
     indices = range(len(inputs))
     if cache is not None:
-        return np.vstack(cache.rows(front, backend, base_seed, indices, inputs))
-    return np.vstack(_rows_features(front, inputs, indices, backend, base_seed))
+        rows = cache.rows(front, backend, base_seed, indices, inputs)
+    else:
+        rows = _rows_features(front, inputs, indices, backend, base_seed)
+    return np.array(rows, dtype=float).reshape(len(rows), front.n_features)
 
 
 @dataclass

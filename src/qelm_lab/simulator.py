@@ -5,8 +5,10 @@ Two backends share one evolution walker and one tensor contraction:
     run_ideal_many   pure states, exact unitary evolution, up to 20 qubits
     run_noisy_many   density matrices with per-gate Kraus channels, up to 12 qubits
     run_ideal, run_noisy   the one-circuit case of each
-    noisy_distributions    the measured outcome distributions of noisy runs,
-                           read from the evolved state without rebuilding it
+    ideal_probabilities, noisy_probabilities
+                     the measured outcome distributions of those runs, one
+                     row per circuit, read from the evolved states (without
+                     rebuilding a density matrix) one stack at a time
 
 The contraction (_apply_slabs) applies a k-qubit operator to a stack of
 states held on a leading slab axis: the stack is transposed so the target
@@ -22,12 +24,16 @@ state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
 followed by its noise is one real 4^k x 4^k matrix, the product of the
 noise's PTM (cached per profile and target qubits, since the noise does not
 depend on the gate's angle, and built from part PTMs cached per defining
-numbers) and the gate unitary's PTM. run_noisy_many rebuilds and validates
-each density matrix once, at the end. noisy_distributions builds none: the
-diagonal of rho depends only on the coefficients whose Pauli indices all
-lie in {I, Z}, so it reads those 2^n coefficients, applies readout
-confusion as measure_distribution does, and checks the trace and the
-diagonal on the way (_pauli_diagonal); the feature paths of the qelm and
+numbers) and the gate unitary's PTM. A walk step whose gate is the same in
+every slab takes its PTM from a cache per (profile, gate); a step whose
+gates differ (rows' encoder angles, ZNE adjoints) builds their PTMs as one
+stack, uncached, by the same builder (_noisy_gate_ptms; a gate's cached PTM
+is the stack of one), with the same bits. run_noisy_many rebuilds and
+validates each density matrix once, at the end. noisy_probabilities builds
+none: the diagonal of rho depends only on the coefficients whose Pauli
+indices all lie in {I, Z}, so it reads those 2^n coefficients, applies
+readout confusion as measure_distribution does, and checks the trace and
+the diagonal on the way (_measure_pauli); the feature paths of the qelm and
 mitigation modules measure through it. apply_gate_density and
 apply_channel_density go through the same kernel.
 
@@ -37,11 +43,15 @@ one slab per distinct exact gate prefix. So rows of a feature matrix, which
 share their gate shapes and differ only in angles, take one matmul per gate
 for all of them, and a leading run of gates that several circuits share is
 evolved once: zero-noise extrapolation's folds share a prefix (the scale-3
-fold C C^dagger C extends the scale-1 circuit C). No stack of slabs holds
-more than BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM state,
-so an 8-qubit noisy node keeps one slab; the backends of the qelm module
-hand the walker at most that many states' worth of rows at a time
-(``batches``).
+fold C C^dagger C extends the scale-1 circuit C). Where circuits end, the
+walker calls its ``finish`` once per node with the stack of their states;
+the measurement paths measure that stack in one pass, running every check
+of the one-state path on each row and raising, for the first row that fails
+one, that row's error (_raise_first). No stack of slabs holds more than
+BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM state, so an
+8-qubit noisy node keeps one slab and is measured alone; the backends of the
+qelm module hand the walker at most that many states' worth of rows at a
+time (``batches``).
 
 Gate fusion: a state with more entries than a 3-qubit block's operator
 (d^n > d^6, from 7 qubits on both backends) is evolved block by block. Each
@@ -72,7 +82,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,9 +145,7 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if self.amplitudes.size != 2**self.n_qubits:
             raise ValidationError("amplitude count must be 2^n_qubits")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-9")
+        _raise_first(_norm_checks(np.abs(self.amplitudes[None]) ** 2))
 
     def probabilities_vector(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -192,11 +200,7 @@ class OutcomeDistribution:
         self.vector = np.asarray(self.vector, dtype=float).reshape(-1)
         if self.vector.size != 2**self.n_qubits:
             raise ValidationError("probability vector length must be 2^n_qubits")
-        if np.any(self.vector < -1e-12) or np.any(self.vector > 1.0 + 1e-12):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        total = float(self.vector.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {total}, beyond 1e-9 of 1")
+        _raise_first(_distribution_checks(self.vector[None]))
         self.vector = np.clip(self.vector, 0.0, 1.0)
 
     @property
@@ -225,6 +229,46 @@ class ShotCounts:
         for bits, c in self.counts.items():
             vec[int(bits, 2)] = c / self.shots
         return OutcomeDistribution(self.n_qubits, vec)
+
+
+# The checks of a stack of states, one row per state, evaluated for every row
+# at once: each is (failed, message), a boolean per row and the error text of
+# a failing row. _raise_first raises as checking the rows one by one would.
+
+def _raise_first(checks: list[tuple[np.ndarray, Callable[[int], str]]]) -> None:
+    """Raise the ValidationError of the first row that fails a check, for
+    the first of ``checks`` (in the order one state runs them) it fails."""
+    failed = np.stack([mask for mask, _ in checks])
+    rows = failed.any(axis=0)
+    if rows.any():
+        row = int(np.argmax(rows))
+        raise ValidationError(checks[int(np.argmax(failed[:, row]))][1](row))
+
+
+def _norm_checks(squares: np.ndarray) -> list[tuple]:
+    """StateVector's check on rows of squared amplitude magnitudes: each
+    row sums to within 1e-9 of 1."""
+    norms = squares.sum(axis=1)
+    return [(
+        np.abs(norms - 1.0) > 1e-9,
+        lambda row: f"state norm {float(norms[row])} deviates from 1 beyond 1e-9",
+    )]
+
+
+def _distribution_checks(probs: np.ndarray) -> list[tuple]:
+    """OutcomeDistribution's checks on rows of probabilities: every entry
+    lies in [0, 1] within 1e-12, and each row sums to within 1e-9 of 1."""
+    totals = probs.sum(axis=1)
+    return [
+        (
+            np.any((probs < -1e-12) | (probs > 1.0 + 1e-12), axis=1),
+            lambda row: "probabilities must lie in [0, 1]",
+        ),
+        (
+            np.abs(totals - 1.0) > 1e-9,
+            lambda row: f"probabilities sum to {float(totals[row])}, beyond 1e-9 of 1",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -272,52 +316,68 @@ _DIAGONAL_FROM_PAULI = _FROM_PAULI[np.ix_((0, 3), _PAULI_ZERO)].real
 _I4 = np.eye(4)
 
 
-def _each_axis(tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` to every axis of ``tensor``; the axis order comes back
-    unchanged after one contraction per axis."""
-    for _ in range(tensor.ndim):
-        tensor = np.tensordot(tensor, mat, axes=([0], [1]))
-    return tensor
+def _on_each_axis(stack: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` to every qubit axis of ``stack``, an (S, d, ..., d)
+    stack of states; the axis order comes back unchanged. Each round takes
+    the first qubit axis and multiplies the stack, laid out as (S, rest, d),
+    by mat.T: the product tensordot made, one state at a time."""
+    count, shape = len(stack), stack.shape[1:]
+    for _ in shape:
+        moved = np.moveaxis(stack, 1, -1).reshape(count, -1, shape[0])
+        stack = (moved @ mat.T).reshape((count,) + stack.shape[2:] + (mat.shape[0],))
+    return stack
 
 
 def _density_to_pauli(state: DensityMatrix) -> np.ndarray:
     n = state.n_qubits
     paired = state.entries.reshape((2,) * (2 * n))
     paired = paired.transpose([a for q in range(n) for a in (q, n + q)])
-    return np.real(_each_axis(paired.reshape((4,) * n), _TO_PAULI))
+    return np.real(_on_each_axis(paired.reshape((1,) + (4,) * n), _TO_PAULI)[0])
 
 
 def _pauli_to_density(tensor: np.ndarray) -> DensityMatrix:
     n = tensor.ndim
     order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    paired = _each_axis(tensor, _FROM_PAULI).reshape((2,) * (2 * n))
+    paired = _on_each_axis(tensor[None], _FROM_PAULI).reshape((2,) * (2 * n))
     # the reshape copies, so the paired tensor is freed before validation
     entries = paired.transpose(order).reshape(2**n, 2**n)
     del paired
     return DensityMatrix(n, entries)
 
 
-def _pauli_diagonal(tensor: np.ndarray) -> np.ndarray:
-    """The outcome probabilities of a PTM state: the diagonal of rho, read
-    from the {I, Z}^n corner of the tensor and clipped at 0, as
-    DensityMatrix.probabilities_vector gives them after _pauli_to_density
-    (bit for bit: the corner is transformed axis by axis in the same order,
-    and the X and Y terms it leaves out are exact zeros on the diagonal).
+def _pauli_diagonals(stack: np.ndarray) -> tuple[np.ndarray, list]:
+    """The outcome probabilities of a stack of PTM states, one row each: the
+    diagonal of rho, read from the {I, Z}^n corner of each tensor and
+    clipped at 0, as DensityMatrix.probabilities_vector gives them after
+    _pauli_to_density (bit for bit: the corner is transformed axis by axis
+    in the same order, and the X and Y terms it leaves out are exact zeros
+    on the diagonal). Returns the rows and the state checks on them
+    (for _readout to raise).
 
-    The state's checks that stay meaningful without rho: its trace
-    r[0, ..., 0] lies within 1e-9 of 1, and no diagonal entry lies below
-    -1e-8, which every state without an eigenvalue below -1e-8 satisfies.
-    Hermiticity holds by construction, since the coefficients are real.
+    The checks that stay meaningful without rho: the trace r[0, ..., 0]
+    lies within 1e-9 of 1, and no diagonal entry lies below -1e-8, which
+    every state without an eigenvalue below -1e-8 satisfies. Hermiticity
+    holds by construction, since the coefficients are real.
     """
-    n = tensor.ndim
-    trace = float(tensor[(0,) * n])
-    if abs(trace - 1.0) > 1e-9:
-        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-9")
-    diagonal = _each_axis(tensor[np.ix_(*[_PAULI_ZERO] * n)], _DIAGONAL_FROM_PAULI).reshape(-1)
-    low = float(diagonal.min())
-    if low < -1e-8:
-        raise ValidationError(f"density matrix has diagonal entry {low} below -1e-8")
-    return np.clip(diagonal, 0.0, None)
+    count, n = len(stack), stack.ndim - 1
+    traces = stack[(slice(None),) + (0,) * n]
+    corner = stack[(slice(None),) + np.ix_(*[_PAULI_ZERO] * n)]
+    diagonal = _on_each_axis(corner, _DIAGONAL_FROM_PAULI).reshape(count, -1)
+    lows = diagonal.min(axis=1)
+    return np.clip(diagonal, 0.0, None), [
+        (
+            np.abs(traces - 1.0) > 1e-9,
+            lambda row: f"density matrix trace {float(traces[row])} deviates from 1 beyond 1e-9",
+        ),
+        (lows < -1e-8, lambda row: f"density matrix has diagonal entry {float(lows[row])} below -1e-8"),
+    ]
+
+
+def _measure_pauli(stack: np.ndarray, profile: NoiseProfile) -> np.ndarray:
+    """The measured distributions of a stack of PTM states, one row each,
+    as measure_distribution(_pauli_to_density(state), profile).vector gives
+    them, bit for bit, with every check of that path on every row."""
+    return _readout(*_pauli_diagonals(stack), stack.ndim - 1, profile)
 
 
 @lru_cache(maxsize=None)
@@ -329,13 +389,25 @@ def _pauli_basis(k: int) -> np.ndarray:
     return basis
 
 
-def _kraus_ptm(operators: tuple[np.ndarray, ...]) -> np.ndarray:
-    """PTM of rho -> sum_i K_i rho K_i^dagger, through the row-major
-    superoperator sum_i kron(K_i, conj(K_i))."""
-    dim = operators[0].shape[0]
+def _kraus_ptms(operators: np.ndarray) -> np.ndarray:
+    """PTMs of maps rho -> sum_i K_i rho K_i^dagger, one per Kraus set of
+    ``operators``, an (S, m, d, d) stack of m operators per set, through the
+    row-major superoperators sum_i kron(K_i, conj(K_i)). Every step is one
+    broadcast product or matmul over the stack; ``sum`` starts from 0, so a
+    -0.0 entry becomes +0.0 whatever m is. A set's PTM has the same bits
+    alone or in a stack."""
+    count, _, dim, _ = operators.shape
     basis = _pauli_basis(int(math.log2(dim)))
-    superop = sum(np.kron(op, op.conj()) for op in operators)
+    superop = sum(
+        (ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]).reshape(count, dim**2, dim**2)
+        for ops in operators.transpose(1, 0, 2, 3)
+    )
     return np.real(basis.conj() @ superop @ basis.T) / dim
+
+
+def _kraus_ptm(operators: tuple[np.ndarray, ...]) -> np.ndarray:
+    """PTM of one Kraus set: _kraus_ptms of a stack of one."""
+    return _kraus_ptms(np.array(operators)[None])[0]
 
 
 def unitary_ptm(gate: Gate) -> np.ndarray:
@@ -373,10 +445,18 @@ def noise_ptm(profile: NoiseProfile, targets: tuple[int, ...]) -> np.ndarray:
     return ptm
 
 
+def _noisy_gate_ptms(profile: NoiseProfile, gates: list[Gate]) -> np.ndarray:
+    """PTMs of (gate unitary, then its noise), one per gate, for gates on
+    the same targets, stacked: one contraction applies both. Each has the
+    same bits as the gate's PTM built alone."""
+    unitaries = np.stack([gate_matrix(gate) for gate in gates])[:, None]
+    return noise_ptm(profile, gates[0].targets) @ _kraus_ptms(unitaries)
+
+
 @lru_cache(maxsize=16384)
 def _noisy_gate_ptm(profile: NoiseProfile, gate: Gate) -> np.ndarray:
-    """PTM of (gate unitary, then its noise): one contraction applies both."""
-    ptm = noise_ptm(profile, gate.targets) @ unitary_ptm(gate)
+    """_noisy_gate_ptms of one gate, cached per profile and gate."""
+    ptm = _noisy_gate_ptms(profile, [gate])[0]
     ptm.flags.writeable = False
     return ptm
 
@@ -493,14 +573,17 @@ def _program(gates: tuple[Gate, ...], fuse: bool) -> tuple:
 
 def _ops(profile: NoiseProfile | None, steps: list) -> np.ndarray:
     """The matrix a walk applies for ``steps``, one step per slab, all of
-    one shape: one matrix when the steps are equal, else one per slab,
-    stacked. Blocks that differ (rows' blocks with their own angles) are
-    multiplied out together (_block_ops)."""
+    one shape: one matrix when the steps are equal (cached, _step_op), else
+    one per slab, stacked and built together, uncached: blocks that differ
+    (rows' blocks with their own angles) by _block_ops, gates that differ
+    by _noisy_gate_ptms under a profile."""
     if steps.count(steps[0]) == len(steps):
         return _step_op(profile, steps[0])
     if isinstance(steps[0], _Block):
         return _block_ops(profile, steps)
-    return np.stack([_step_op(profile, step) for step in steps])
+    if profile is None:
+        return np.stack([gate_matrix(step) for step in steps])
+    return _noisy_gate_ptms(profile, steps)
 
 
 def _step_op(profile: NoiseProfile | None, step: Gate | _Block) -> np.ndarray:
@@ -544,9 +627,13 @@ def _walk(
     circuits: list[Circuit], initial: np.ndarray, profile: NoiseProfile | None, finish
 ) -> list:
     """Evolve ``initial`` through the gate list of every circuit and return
-    ``finish(final state)`` per circuit, in order. With a profile the states
-    are PTM tensors and each gate applies its noisy PTM, without one they
-    are state vectors and each gate applies its unitary (_step_op).
+    one result per circuit, in order. Where circuits end, at one node and
+    depth, ``finish`` takes the stack of their final states (one slab per
+    circuit, in member order) and returns one result per slab; the node's
+    slabs are passed without a copy when every one of them ends there. With
+    a profile the states are PTM tensors and each gate applies its noisy
+    PTM, without one they are state vectors and each gate applies its
+    unitary (_step_op).
 
     A state with more entries than a block's operator (d^n >
     d^(2 * FUSED_QUBITS), from 7 qubits) steps through its circuit's
@@ -576,13 +663,12 @@ def _walk(
             index: list[int] = []
             leads: list[tuple] = []
             groups: list[list[int]] = []
+            ending: list[tuple[int, int]] = []  # (slab, circuit) of each circuit that ends here
             stop = math.inf
             for s, group in members:
                 live = [i for i in group if depth < len(lists[i])]
                 if len(live) < len(group):
-                    for i in group:
-                        if depth == len(lists[i]):
-                            states[i] = finish(slabs[s])
+                    ending += [(s, i) for i in group if depth == len(lists[i])]
                 if not live:
                     continue
                 lead = lists[live[0]]
@@ -605,6 +691,10 @@ def _walk(
                     leads.append(lists[sub[0]])
                     groups.append(sub)
                 stop = depth + 1
+            if ending:
+                finished = finish(_take(slabs, [s for s, _ in ending]))
+                for (_, i), result in zip(ending, finished):
+                    states[i] = result
             if not index:
                 break
             # apply the steps up to `stop` whose shape every slab shares
@@ -658,12 +748,35 @@ def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> StateVector:
 def run_ideal_many(circuits: list[Circuit], cap: int = IDEAL_QUBIT_CAP) -> list[StateVector]:
     """run_ideal of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
+    return _walk_ideal(
+        circuits, cap, "run_ideal_many",
+        lambda stack: [StateVector(state.ndim, state.reshape(-1)) for state in stack],
+    )
+
+
+def ideal_probabilities(circuits: list[Circuit]) -> np.ndarray:
+    """measure_distribution(run_ideal(circuit)).vector of every circuit, one
+    row each, in order and bit for bit, evolved together by one walk. The
+    states are measured one stack per node, with StateVector's norm check
+    and OutcomeDistribution's checks on every row."""
+    return np.array(_walk_ideal(circuits, IDEAL_QUBIT_CAP, "ideal_probabilities", _measure_amplitudes))
+
+
+def _walk_ideal(circuits: list[Circuit], cap: int, runner: str, finish) -> list:
+    """_walk from |0...0> in the state-vector representation."""
     if not circuits:
         return []
-    n = _qubit_count(circuits, cap, "run_ideal_many", "ideal")
+    n = _qubit_count(circuits, cap, runner, "ideal")
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
-    return _walk(circuits, tensor, None, lambda state: StateVector(n, state.reshape(-1)))
+    return _walk(circuits, tensor, None, finish)
+
+
+def _measure_amplitudes(stack: np.ndarray) -> np.ndarray:
+    """The measured distributions of a stack of state vectors, one row each,
+    as measure_distribution(StateVector(n, state)).vector gives them."""
+    squares = np.abs(stack.reshape(len(stack), -1)) ** 2
+    return _readout(squares, _norm_checks(squares), stack.ndim - 1, None)
 
 
 def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
@@ -677,17 +790,22 @@ def run_noisy_many(
 ) -> list[DensityMatrix]:
     """run_noisy of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
-    return _walk_noisy(circuits, profile, cap, "run_noisy_many", _pauli_to_density)
-
-
-def noisy_distributions(circuits: list[Circuit], profile: NoiseProfile) -> list[OutcomeDistribution]:
-    """measure_distribution(run_noisy(circuit, profile), profile) of every
-    circuit, in order and bit for bit, evolved together by one walk. No
-    density matrix is built: each distribution is read from the evolved PTM
-    state by _pauli_diagonal, which checks the state's trace and diagonal."""
     return _walk_noisy(
-        circuits, profile, DENSITY_QUBIT_CAP, "noisy_distributions",
-        lambda state: _readout(_pauli_diagonal(state), state.ndim, profile),
+        circuits, profile, cap, "run_noisy_many", lambda stack: [_pauli_to_density(state) for state in stack]
+    )
+
+
+def noisy_probabilities(circuits: list[Circuit], profile: NoiseProfile) -> np.ndarray:
+    """measure_distribution(run_noisy(circuit, profile), profile).vector of
+    every circuit, one row each, in order and bit for bit, evolved together
+    by one walk. No density matrix is built: the states are measured one
+    stack per node by _measure_pauli, which checks each state's trace and
+    diagonal."""
+    return np.array(
+        _walk_noisy(
+            circuits, profile, DENSITY_QUBIT_CAP, "noisy_probabilities",
+            lambda stack: _measure_pauli(stack, profile),
+        )
     )
 
 
@@ -744,24 +862,29 @@ def measure_distribution(
     confusion matrix (independent per-qubit model) and the result is
     renormalized.
     """
-    return _readout(state.probabilities_vector().astype(float), state.n_qubits, profile)
+    vec = state.probabilities_vector().astype(float)
+    return OutcomeDistribution(state.n_qubits, _readout(vec[None], [], state.n_qubits, profile)[0])
 
 
-def _readout(vec: np.ndarray, n: int, profile: NoiseProfile | None) -> OutcomeDistribution:
-    """The distribution of measuring basis probabilities ``vec``: readout
-    confusion (with a profile), then clipped at 0 and renormalized."""
+def _readout(probs: np.ndarray, checks: list, n: int, profile: NoiseProfile | None) -> np.ndarray:
+    """Measure rows of basis probabilities ``probs``: readout confusion
+    (with a profile) through the kernel, one qubit at a time on the whole
+    stack, then each row clipped at 0, renormalized, checked and clipped as
+    an OutcomeDistribution. ``checks`` are the state checks of the rows,
+    which a state runs before these."""
     if profile is not None:
         if profile.n_qubits < n:
             raise IncompatibleProfile(
                 f"profile {profile.name!r} covers {profile.n_qubits} qubits, state has {n}"
             )
-        tensor = vec.reshape((2,) * n)
+        tensor = probs.reshape((len(probs),) + (2,) * n)
         for q in range(n):
-            tensor = _apply_local(tensor, profile.confusion_matrix(q).T, (q,))
-        vec = tensor.reshape(-1)
-    vec = np.clip(vec, 0.0, None)
-    vec = vec / vec.sum()
-    return OutcomeDistribution(n, vec)
+            tensor = _apply_slabs(tensor, profile.confusion_matrix(q).T, (q,))
+        probs = tensor.reshape(len(probs), -1)
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    _raise_first(checks + _distribution_checks(probs))
+    return np.clip(probs, 0.0, 1.0)
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int) -> ShotCounts:
@@ -776,6 +899,18 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int) -> ShotCounts:
     return ShotCounts(shots, counts, n)
 
 
+def sampled_probabilities(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """sample(dist, shots, seed).to_distribution().vector for every row of
+    ``probs`` (as OutcomeDistribution.vector holds it), row r with seeds[r],
+    stacked; the frequencies get OutcomeDistribution's checks."""
+    if shots < 1:
+        raise ValidationError(f"shots must be >= 1, got {shots}")
+    counts = np.array([Rng(seed).multinomial(p, shots) for p, seed in zip(probs, seeds)])
+    freqs = counts.reshape(probs.shape) / shots
+    _raise_first(_distribution_checks(freqs))
+    return np.clip(freqs, 0.0, 1.0)
+
+
 @lru_cache(maxsize=None)
 def _z_signs(n: int, qubit: int) -> np.ndarray:
     """The read-only +-1 vector of Z_qubit over the 2^n basis outcomes. It
@@ -787,21 +922,31 @@ def _z_signs(n: int, qubit: int) -> np.ndarray:
     return signs
 
 
+def z_expectations(probs: np.ndarray, qubit_sets: list[tuple[int, ...]]) -> np.ndarray:
+    """<Z_a Z_b ...> over the qubits of each set, for every row of
+    ``probs`` (outcome distributions of one qubit count): one column per
+    set, each the sum along a row of the row times the sets' sign vectors
+    in turn."""
+    n = probs.shape[1].bit_length() - 1
+    for qubits in qubit_sets:
+        for q in qubits:
+            if not 0 <= q < n:
+                raise InvalidTarget(f"qubit {q} out of range for {n}-qubit distribution")
+    columns = [
+        np.sum(reduce(mul, [_z_signs(n, q) for q in qubits], probs), axis=1)
+        for qubits in qubit_sets
+    ]
+    return np.stack(columns, axis=1)
+
+
 def expectation_z(dist: OutcomeDistribution, qubit: int) -> float:
     """<Z_qubit> of the outcome distribution: +1 for bit 0, -1 for bit 1."""
-    n = dist.n_qubits
-    if not 0 <= qubit < n:
-        raise InvalidTarget(f"qubit {qubit} out of range for {n}-qubit distribution")
-    return float(np.sum(dist.vector * _z_signs(n, qubit)))
+    return float(z_expectations(dist.vector[None], [(qubit,)])[0, 0])
 
 
 def expectation_zz(dist: OutcomeDistribution, q_a: int, q_b: int) -> float:
     """<Z_a Z_b> of the outcome distribution."""
-    n = dist.n_qubits
-    for q in (q_a, q_b):
-        if not 0 <= q < n:
-            raise InvalidTarget(f"qubit {q} out of range for {n}-qubit distribution")
-    return float(np.sum(dist.vector * _z_signs(n, q_a) * _z_signs(n, q_b)))
+    return float(z_expectations(dist.vector[None], [(q_a, q_b)])[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -323,3 +323,23 @@ def test_single_prediction_shapes():
     assert label in (0, 1)
     assert probs.shape == (2,)
     assert probs.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_a_feature_matrix_of_zero_rows_is_empty(cached):
+    from qelm_lab import mitigation
+
+    front = qelm.QelmFront(
+        qelm.EncoderSpec(unit_ranges(3)),
+        qelm.ReservoirSpec("rotation", n_qubits=3, seed=2),
+        qelm.FeatureMapSpec("z_and_zz_expectations"),
+    )
+    profile = bundled_profile("device-a")
+    for backend in (
+        qelm.IdealBackend(),
+        qelm.NoisyBackend(profile),
+        mitigation.MitigatedBackend(profile, mitigation.ZneMitigator()),
+    ):
+        cache = qelm.FeatureCache() if cached else None
+        features = qelm.feature_matrix(front, np.zeros((0, 3)), backend, 0, cache)
+        assert features.shape == (0, front.n_features) and features.dtype == float

@@ -443,11 +443,11 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     monkeypatch.setattr(sim, "_apply_slabs", recorded)
     walked = []
     for module in (qelm, mitigation):
-        def run(circuits, profile, walk=module.noisy_distributions):
+        def run(circuits, profile, walk=module.noisy_probabilities):
             walked.append((circuits[0].n_qubits, len(circuits)))
             return walk(circuits, profile)
 
-        monkeypatch.setattr(module, "noisy_distributions", run)
+        monkeypatch.setattr(module, "noisy_probabilities", run)
     profile = noise.bundled_profile("device-a")
     rng = np.random.default_rng(4)
     for n, rows, backend in (
@@ -511,11 +511,11 @@ def test_noisy_distributions_are_bit_identical_to_measuring_run_noisy(n, seed, n
     base = random_circuit(n, n_gates, seed)
     rows = [base, _shifted_angles(base, shift)]
     batch = rows + [f for row in rows for f in circ.fold_to_scales(row, ZneConfig().scale_factors)]
-    dists = sim.noisy_distributions(batch, profile)
+    dists = sim.noisy_probabilities(batch, profile)
     assert len(dists) == len(batch)
     for circuit, dist in zip(batch, dists):
         want = sim.measure_distribution(sim.run_noisy(circuit, profile), profile).vector
-        assert np.array_equal(dist.vector, want)
+        assert np.array_equal(dist, want)
 
 
 def test_feature_paths_build_no_density_matrix(monkeypatch):
@@ -553,22 +553,29 @@ def test_feature_paths_build_no_density_matrix(monkeypatch):
     assert checked == [4]
 
 
+def _pauli_diagonal(tensor: np.ndarray) -> np.ndarray:
+    """The diagonal of one PTM state, with its checks raised."""
+    diagonals, checks = sim._pauli_diagonals(tensor[None])
+    sim._raise_first(checks)
+    return diagonals[0]
+
+
 def test_pauli_diagonal_checks_the_trace_and_the_diagonal():
     # one qubit: r = (r_I, r_X, r_Y, r_Z) has diagonal ((r_I + r_Z) / 2, (r_I - r_Z) / 2)
-    assert np.array_equal(sim._pauli_diagonal(np.array([1.0, 0.5, 0.5, 0.5])), [0.75, 0.25])
+    assert np.array_equal(_pauli_diagonal(np.array([1.0, 0.5, 0.5, 0.5])), [0.75, 0.25])
     # a diagonal entry of -5e-9 is let through and clipped to 0
-    assert np.array_equal(sim._pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 1e-8])), [1.0 + 5e-9, 0.0])
+    assert np.array_equal(_pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 1e-8])), [1.0 + 5e-9, 0.0])
     with pytest.raises(ValidationError, match="diagonal entry .* below -1e-8"):
-        sim._pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 3e-8]))
+        _pauli_diagonal(np.array([1.0, 0.0, 0.0, 1.0 + 3e-8]))
     # two qubits: <11|rho|11> = (r_II - r_IZ - r_ZI + r_ZZ) / 4
     tensor = np.zeros((4, 4))
     tensor[0, 0], tensor[0, 3], tensor[3, 0], tensor[3, 3] = 1.0, 0.9, 0.9, 0.7
     with pytest.raises(ValidationError, match=r"diagonal entry -0\.025\d* below -1e-8"):
-        sim._pauli_diagonal(tensor)
+        _pauli_diagonal(tensor)
     tensor = np.zeros((4, 4))
     tensor[0, 0] = 1.0 + 2e-9
     with pytest.raises(ValidationError, match="trace"):
-        sim._pauli_diagonal(tensor)
+        _pauli_diagonal(tensor)
 
 
 def test_an_incomplete_kraus_set_is_refused_before_its_ptm_is_built():
@@ -670,7 +677,7 @@ def test_an_eight_qubit_ising_row_takes_43_contractions_instead_of_124(monkeypat
     for n, gates, contractions in ((8, 124, 43), (6, 75, 75)):
         row = _ising_row(n)
         widths.clear()
-        sim.noisy_distributions([row], profile)
+        sim.noisy_probabilities([row], profile)
         assert (len(row.gates), len(widths)) == (gates, contractions)
         assert max(widths) == (sim.FUSED_QUBITS if n == 8 else 2)
 
@@ -680,10 +687,10 @@ def test_fused_blocks_keep_the_noise_of_every_gate():
     multiply noisy PTMs, never bare unitaries."""
     row = _ising_row(8)
     scales = circ.fold_to_scales(row, (1.0, 3.0))
-    noisy = sim.noisy_distributions(scales, noise.bundled_profile("device-a"))
-    assert np.abs(noisy[0].vector - noisy[1].vector).max() > 1e-6
-    clean = sim.noisy_distributions(scales, zero_noise_profile(8))
-    assert np.abs(clean[0].vector - clean[1].vector).max() <= 1e-12
+    noisy = sim.noisy_probabilities(scales, noise.bundled_profile("device-a"))
+    assert np.abs(noisy[0] - noisy[1]).max() > 1e-6
+    clean = sim.noisy_probabilities(scales, zero_noise_profile(8))
+    assert np.abs(clean[0] - clean[1]).max() <= 1e-12
 
 
 def _tensordot_readout(vec: np.ndarray, n: int, profile) -> np.ndarray:
@@ -706,4 +713,212 @@ def _tensordot_readout(vec: np.ndarray, n: int, profile) -> np.ndarray:
 def test_readout_through_the_kernel_is_bit_identical_to_the_tensordot_loop(n, seed, name):
     profile = noise.bundled_profile(name)
     vec = np.random.default_rng(seed).dirichlet(np.ones(2**n))
-    assert np.array_equal(sim._readout(vec, n, profile).vector, _tensordot_readout(vec, n, profile))
+    assert np.array_equal(sim._readout(vec[None], [], n, profile)[0], _tensordot_readout(vec, n, profile))
+
+
+# ---------------------------------------------------------------------------
+# stacked PTM builds and the stacked measurement tail, against the per-gate
+# and per-row paths they replace (kept here as oracles)
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _former_unitary_ptm(gate: circ.Gate) -> np.ndarray:
+    """A gate unitary's PTM as it was built one gate at a time: np.kron and
+    2-D matmuls."""
+    u = sim.gate_matrix(gate)
+    dim = u.shape[0]
+    basis = sim._pauli_basis(len(gate.targets))
+    superop = sum(np.kron(op, op.conj()) for op in (u,))
+    return np.real(basis.conj() @ superop @ basis.T) / dim
+
+
+GATE_TARGETS = {1: [(0,), (1,), (3,)], 2: [(0, 1), (1, 0), (0, 3), (3, 2)]}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(noise.BUNDLED_PROFILES),
+    kind=st.sampled_from(["RX", "RY", "RZ", "ZZ", "H", "X", "CX"]),
+    angles=st.lists(st.floats(-4 * np.pi, 4 * np.pi), min_size=1, max_size=6),
+    slot=st.integers(0, 3),
+)
+def test_stacked_gate_ptms_are_bit_identical_to_one_gate_builds(name, kind, angles, slot):
+    profile = noise.bundled_profile(name)
+    options = GATE_TARGETS[2 if kind in ("ZZ", "CX") else 1]
+    targets = options[slot % len(options)]
+    params = [(a,) for a in angles + [0.0, np.pi]] if kind in ("RX", "RY", "RZ", "ZZ") else [()] * 3
+    gates = [circ.Gate(kind, targets, p) for p in params]
+    stacked = sim._noisy_gate_ptms(profile, gates)
+    assert stacked.shape == (len(gates),) + (4 ** len(targets),) * 2
+    unitaries = sim._kraus_ptms(np.stack([sim.gate_matrix(g) for g in gates])[:, None])
+    for gate, ptm, unitary in zip(gates, stacked, unitaries):
+        assert _same_bits(unitary, _former_unitary_ptm(gate))
+        assert _same_bits(ptm, sim._noisy_gate_ptm(profile, gate))
+        assert _same_bits(ptm, sim.noise_ptm(profile, targets) @ _former_unitary_ptm(gate))
+
+
+def _former_distribution(vec: np.ndarray) -> np.ndarray:
+    """OutcomeDistribution's checks and clip, one vector at a time."""
+    if np.any(vec < -1e-12) or np.any(vec > 1.0 + 1e-12):
+        raise ValidationError("probabilities must lie in [0, 1]")
+    total = float(vec.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"probabilities sum to {total}, beyond 1e-9 of 1")
+    return np.clip(vec, 0.0, 1.0)
+
+
+def _former_noisy_tail(tensor: np.ndarray, profile) -> np.ndarray:
+    """_pauli_diagonal, then _readout, one PTM state at a time: tensordot
+    per axis on the {I, Z}^n corner, confusion per qubit through the kernel."""
+    n = tensor.ndim
+    trace = float(tensor[(0,) * n])
+    if abs(trace - 1.0) > 1e-9:
+        raise ValidationError(f"density matrix trace {trace} deviates from 1 beyond 1e-9")
+    diagonal = tensor[np.ix_(*[(0, 3)] * n)]
+    for _ in range(n):
+        diagonal = np.tensordot(diagonal, sim._DIAGONAL_FROM_PAULI, axes=([0], [1]))
+    diagonal = diagonal.reshape(-1)
+    low = float(diagonal.min())
+    if low < -1e-8:
+        raise ValidationError(f"density matrix has diagonal entry {low} below -1e-8")
+    probs = np.clip(diagonal, 0.0, None).reshape((2,) * n)
+    for q in range(n):
+        probs = sim._apply_local(probs, profile.confusion_matrix(q).T, (q,))
+    vec = np.clip(probs.reshape(-1), 0.0, None)
+    return _former_distribution(vec / vec.sum())
+
+
+def _former_features(vec: np.ndarray, spec, seed: int) -> np.ndarray:
+    """distribution_features one row at a time: sample, then one
+    expectation per qubit and pair."""
+    n = len(vec).bit_length() - 1
+    if spec.shots > 0:
+        counts = sim.sample(sim.OutcomeDistribution(n, vec), spec.shots, seed).counts
+        vec = np.zeros(2**n)
+        for bits, c in counts.items():
+            vec[int(bits, 2)] = c / spec.shots
+        vec = _former_distribution(vec)
+    if spec.kind == "probabilities":
+        return vec.copy()
+    signs = [sim._z_signs(n, q) for q in range(n)]
+    z = [float(np.sum(vec * signs[q])) for q in range(n)]
+    if spec.kind == "z_expectations":
+        return np.array(z)
+    zz = [float(np.sum(vec * signs[a] * signs[b])) for a in range(n) for b in range(a + 1, n)]
+    return np.array(z + zz)
+
+
+def _final_ptm(circuit: circ.Circuit, profile) -> np.ndarray:
+    """One circuit's final PTM state, walked alone (fused as in any walk)."""
+    states = sim._walk_noisy([circuit], profile, sim.DENSITY_QUBIT_CAP, "test", lambda s: [s[0].copy()])
+    return states[0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=4, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.integers(0, 10),
+    shift=st.floats(-np.pi, np.pi),
+    name=st.sampled_from(noise.BUNDLED_PROFILES + ("zero",)),
+    shots=st.sampled_from([0, 97]),
+    order=st.randoms(use_true_random=False),
+)
+def test_the_stacked_measurement_tail_matches_the_per_row_tail(n, seed, n_gates, shift, name, shots, order):
+    """Noisy and ideal rows (angle-shifted rows and their ZNE folds) are
+    measured and mapped to features stack by stack, with the bits of the
+    per-row tail; a row's features do not move when its batch mates are
+    permuted or removed."""
+    profile = zero_noise_profile(8) if name == "zero" else noise.bundled_profile(name)
+    base = random_circuit(n, n_gates, seed)
+    rows = [base, _shifted_angles(base, shift)]
+    batch = rows + [f for row in rows for f in circ.fold_to_scales(row, (1.0, 3.0))]
+    seeds = [seed % 1000 + i for i in range(len(batch))]
+    noisy = sim.noisy_probabilities(batch, profile)
+    ideal = sim.ideal_probabilities(batch)
+    for kind in qelm.FEATURE_MAP_KINDS:
+        spec = qelm.FeatureMapSpec(kind, shots)
+        stacked = qelm.probabilities_features(noisy, spec, seeds)
+        stacked_ideal = qelm.probabilities_features(ideal, spec, seeds)
+        for j, circuit in enumerate(batch):
+            vec = _former_noisy_tail(_final_ptm(circuit, profile), profile)
+            assert _same_bits(stacked[j], _former_features(vec, spec, seeds[j]))
+            amps = sim.run_ideal(circuit).amplitudes
+            squares = np.clip(np.abs(amps) ** 2, 0.0, None)
+            want = _former_features(_former_distribution(squares / squares.sum()), spec, seeds[j])
+            assert _same_bits(stacked_ideal[j], want)
+        kept = order.sample(range(len(batch)), order.randint(1, len(batch)))
+        again = qelm.probabilities_features(
+            sim.noisy_probabilities([batch[j] for j in kept], profile), spec, [seeds[j] for j in kept]
+        )
+        for row, j in zip(again, kept):
+            assert _same_bits(row, stacked[j])
+
+
+# ---------------------------------------------------------------------------
+# the checks of the stacked paths: one bad state in a stack raises what the
+# per-row path raises for it
+
+def _good_ptm_stack(n: int, count: int) -> np.ndarray:
+    profile = noise.bundled_profile("device-a")
+    return np.stack([_final_ptm(random_circuit(n, 8, seed), profile) for seed in range(count)])
+
+
+def _error_of(call) -> tuple[type, str]:
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("defect", ["trace", "diagonal"])
+def test_one_bad_ptm_state_in_a_stack_raises_the_error_of_the_per_row_path(n, defect):
+    profile = noise.bundled_profile("device-a")
+    stack = _good_ptm_stack(n, 5)
+    if defect == "trace":
+        stack[2][(0,) * n] += 1e-6
+    else:  # the outcome 10...0 gets a diagonal entry of about -3e-8
+        stack[2][np.ix_(*[(0, 3)] * n)] = 1.0
+        stack[2][(3,) + (0,) * (n - 1)] += 2**n * 3e-8
+    want = _error_of(lambda: _former_noisy_tail(stack[2], profile))
+    assert want[0] is ValidationError
+    assert ("trace" if defect == "trace" else "diagonal entry") in want[1]
+    assert _error_of(lambda: sim._measure_pauli(stack, profile)) == want
+    for row in (0, 1, 3, 4):
+        _former_noisy_tail(stack[row], profile)
+
+
+def test_one_bad_distribution_in_a_stack_raises_the_error_of_the_per_row_path():
+    rng = np.random.default_rng(3)
+    for bad, kind in ((np.array([0.5, 0.5, 1.0 + 1e-9, -1.0 - 1e-9]), "lie in"),
+                      (np.array([0.25, 0.25, 0.25, 0.25 + 1e-6]), "sum to")):
+        probs = rng.dirichlet(np.ones(4), size=5)
+        probs[3] = bad
+        want = _error_of(lambda: _former_distribution(probs[3]))
+        assert want[0] is ValidationError and kind in want[1]
+        assert _error_of(lambda: sim._raise_first(sim._distribution_checks(probs))) == want
+        assert _error_of(lambda: sim.OutcomeDistribution(2, probs[3])) == want
+
+
+def test_one_unnormalized_state_vector_in_a_stack_raises_the_error_of_the_per_row_path():
+    stack = np.stack([sim.run_ideal(random_circuit(3, 8, seed)).amplitudes for seed in range(4)])
+    stack[1] *= 1.0 + 1e-6
+    norm = float(np.sum(np.abs(stack[1]) ** 2))
+    want = (ValidationError, f"state norm {norm} deviates from 1 beyond 1e-9")
+    assert _error_of(lambda: sim._measure_amplitudes(stack.reshape((4,) + (2,) * 3))) == want
+    assert _error_of(lambda: sim.StateVector(3, stack[1])) == want
+
+
+def test_the_first_failing_row_decides_the_error_whatever_check_it_fails():
+    """Row 1 fails a late check (its diagonal), row 3 an early one (its
+    trace): checking row by row meets row 1 first."""
+    profile = noise.bundled_profile("device-a")
+    stack = _good_ptm_stack(2, 4)
+    stack[1][np.ix_((0, 3), (0, 3))] = 1.0
+    stack[1][3, 0] += 4 * 3e-8
+    stack[3][0, 0] += 1e-6
+    want = _error_of(lambda: _former_noisy_tail(stack[1], profile))
+    assert "diagonal entry" in want[1]
+    assert _error_of(lambda: sim._measure_pauli(stack, profile)) == want
