@@ -108,20 +108,25 @@ _FLAG_TO_PATH = {
 }
 
 
+def _read_json_object(key: str, name: str) -> dict:
+    """The JSON object in file ``name``; a UsageError naming ``key`` if the
+    file is missing, is not JSON, or holds something else."""
+    path = Path(name)
+    if not path.exists():
+        raise UsageError(f"{key}: file {path} does not exist")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{key}: {path} is not valid JSON ({exc})") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"{key}: top level must be a JSON object")
+    return raw
+
+
 def merge_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge config file, flags, and environment into one RunConfig. Its
     values are checked when run_inputs turns it into the harness types."""
-    raw: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config: file {path} does not exist")
-        try:
-            raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config: {path} is not valid JSON ({exc})") from None
-        if not isinstance(raw, dict):
-            raise UsageError("config: top level must be a JSON object")
+    raw = _read_json_object("config", args.config) if getattr(args, "config", None) else {}
 
     config = RunConfig()
     for key in ("scenario", "profile", "mitigator", "out"):
@@ -372,12 +377,12 @@ def _cmd_calibrate_zne(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.results)
-    if not path.exists():
-        raise UsageError(f"results: file {path} does not exist")
-    payload = json.loads(path.read_text())
+    payload = _read_json_object("results", args.results)
     if payload.get("schema") != "scenario-report/1":
         raise UsageError("results: not a scenario report document")
+    missing = [key for key in ("scenario", "metric", "runs") if key not in payload]
+    if missing:
+        raise UsageError(f"results: the report has no {', '.join(missing)}")
     written = emit_report(payload, args.out or "out")
     print(f"re-emitted {len(written)} files to {args.out or 'out'}")
     return 0

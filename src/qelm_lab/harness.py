@@ -54,7 +54,6 @@ from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
-    ReliabilityDiagram,
     bootstrap_distribution,
     classification_uq_metrics,
     ensemble_distribution,
@@ -340,8 +339,10 @@ class UqSpec:
     def __post_init__(self):
         if self.method not in UQ_METHODS:
             raise ValidationError(f"unknown uq method {self.method!r}")
-        if self.samples < 0:
-            raise ValidationError("uq samples must be non-negative")
+        if self.samples < 0 or self.samples == 1:
+            raise ValidationError(
+                f"uq.samples: need 0 (the method default) or at least 2, got {self.samples}"
+            )
 
     @property
     def resolved_samples(self) -> int:
@@ -832,20 +833,6 @@ def _metrics_csv(runs: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _reliability_from_payload(payload: dict) -> ReliabilityDiagram:
-    rel = payload["reliability"]
-    return ReliabilityDiagram(
-        edges=np.asarray(rel["edges"], dtype=float),
-        mean_confidence=np.asarray(
-            [math.nan if v is None else v for v in rel["mean_confidence"]], dtype=float
-        ),
-        observed_frequency=np.asarray(
-            [math.nan if v is None else v for v in rel["observed_frequency"]], dtype=float
-        ),
-        counts=np.asarray(rel["counts"], dtype=int),
-    )
-
-
 def emit_report(report: "ScenarioReport | dict", out_dir: str | Path) -> list[Path]:
     """Write results.json, metrics.csv, and the SVG charts; returns the
     written paths. Identical reports produce identical bytes."""
@@ -897,9 +884,7 @@ def emit_report(report: "ScenarioReport | dict", out_dir: str | Path) -> list[Pa
                 written.extend([table, chart])
             else:
                 table = out / f"uq_reliability_{variant}.csv"
-                table.write_text(
-                    reliability_to_csv(_reliability_from_payload(summary)), encoding="utf-8"
-                )
+                table.write_text(reliability_to_csv(summary["reliability"]), encoding="utf-8")
                 chart = out / f"uq_reliability_{variant}.svg"
                 chart.write_text(
                     render_reliability_chart(

@@ -2,6 +2,10 @@
 full-batch gradient descent, and greedy CART trees (classification and
 regression), plus a small bagged-tree ensemble used for learned error
 correction. All fits are deterministic given their inputs and seeds.
+
+A fitted tree has one form, flat node arrays numbered breadth-first
+(_FlatTree): trees grow into them, route rows through them, and write and
+read their nested JSON node documents from and into them.
 """
 
 from __future__ import annotations
@@ -73,50 +77,6 @@ class LogisticReadout:
             "degenerate": self.degenerate,
             "converged": self.converged,
         }
-
-
-@dataclass(slots=True)
-class TreeNode:
-    # leaf nodes keep value and no children; internal nodes route on
-    # x[feature] <= threshold
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: np.ndarray | float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            value = self.value
-            if isinstance(value, np.ndarray):
-                value = [float(v) for v in value]
-            else:
-                value = float(value)
-            return {"value": value}
-        return {
-            "feature": self.feature,
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "TreeNode":
-        if "value" in raw:
-            value = raw["value"]
-            if isinstance(value, list):
-                value = np.asarray(value, dtype=float)
-            return TreeNode(value=value)
-        return TreeNode(
-            feature=int(raw["feature"]),
-            threshold=float(raw["threshold"]),
-            left=TreeNode.from_dict(raw["left"]),
-            right=TreeNode.from_dict(raw["right"]),
-        )
 
 
 def _best_split(features: np.ndarray, targets: np.ndarray, segments: list, task: str) -> list:
@@ -217,9 +177,10 @@ def _search(features, targets, segments, group, task, found) -> None:
 
 
 class _FlatTree(NamedTuple):
-    """Trees laid out as arrays, one entry per node. An internal node sends a
-    row to ``left`` when its ``feature`` value is <= ``threshold``; a leaf
-    sends every row to itself, so ``depth`` steps take any row to its leaf."""
+    """Trees laid out as arrays, one entry per node, numbered breadth-first.
+    An internal node sends a row to ``left`` when its ``feature`` value is
+    <= ``threshold``; a leaf sends every row to itself, so ``depth`` steps
+    take any row to its leaf."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -227,6 +188,48 @@ class _FlatTree(NamedTuple):
     right: np.ndarray
     value: np.ndarray  # a leaf's value; NaN on internal nodes
     depth: int
+
+    @staticmethod
+    def build(links: list, values: list) -> "_FlatTree":
+        """A tree from its nodes, numbered breadth-first: an internal node's
+        (feature, threshold, left, right) link and None value, or a leaf's
+        None link and its value."""
+        links = [link or (0, 0.0, i, i) for i, link in enumerate(links)]
+        levels = [0] * len(links)
+        for i, (_, _, left_child, right_child) in enumerate(links):
+            if left_child != i:
+                levels[left_child] = levels[right_child] = levels[i] + 1
+        feature, threshold, left, right = (np.array(column) for column in zip(*links))
+        leaves = [i for i, v in enumerate(values) if v is not None]
+        value = np.full((len(values),) + np.shape(values[leaves[0]]), np.nan)
+        value[leaves] = [values[i] for i in leaves]
+        return _FlatTree(feature, threshold.astype(float), left, right, value, max(levels))
+
+    @staticmethod
+    def from_dict(root: dict) -> "_FlatTree":
+        """The tree of a nested node document, read breadth-first."""
+        nodes, links, values = [root], [], []
+        for node in nodes:  # appends children while it walks
+            if "value" in node:
+                links.append(None)
+                values.append(node["value"])
+            else:
+                child = len(nodes)
+                links.append((int(node["feature"]), float(node["threshold"]), child, child + 1))
+                values.append(None)
+                nodes += (node["left"], node["right"])
+        return _FlatTree.build(links, values)
+
+    def to_dict(self, node: int = 0) -> dict:
+        """The nested node document of the subtree under ``node``."""
+        if self.left[node] == node:
+            return {"value": self.value[node].tolist()}
+        return {
+            "feature": int(self.feature[node]),
+            "threshold": float(self.threshold[node]),
+            "left": self.to_dict(int(self.left[node])),
+            "right": self.to_dict(int(self.right[node])),
+        }
 
     def leaves(self, features: np.ndarray, roots: np.ndarray) -> np.ndarray:
         """The leaf each row reaches from each root: shape (roots, rows)."""
@@ -236,25 +239,6 @@ class _FlatTree(NamedTuple):
             go_left = features[rows, self.feature[node]] <= self.threshold[node]
             node = np.where(go_left, self.left[node], self.right[node])
         return node
-
-
-def _flatten(root: TreeNode) -> _FlatTree:
-    """The tree under ``root`` as arrays, nodes numbered breadth-first."""
-    nodes, levels, links = [root], [0], []
-    for i, node in enumerate(nodes):  # appends children while it walks
-        if node.is_leaf:
-            links.append((0, 0.0, i, i))
-        else:
-            links.append((node.feature, node.threshold, len(nodes), len(nodes) + 1))
-            nodes += (node.left, node.right)
-            levels += (levels[i] + 1,) * 2
-    feature, threshold, left, right = (np.array(column) for column in zip(*links))
-    leaf_shape = np.shape(next(node.value for node in nodes if node.is_leaf))
-    value = np.full((len(nodes),) + leaf_shape, np.nan)
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            value[i] = node.value
-    return _FlatTree(feature, threshold.astype(float), left, right, value, max(levels))
 
 
 def _stack_trees(trees: list[_FlatTree]) -> tuple[_FlatTree, np.ndarray]:
@@ -274,14 +258,11 @@ class DecisionTree:
     task: str  # "classification" | "regression"
     max_depth: int = 5
     min_samples_split: int = 2
-    root: TreeNode | None = None
     _flat: _FlatTree | None = field(default=None, init=False, repr=False, compare=False)
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "DecisionTree":
-        features = np.asarray(features, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        self.root = self._grow(features, targets, 0)
-        self._flat = _flatten(self.root)
+        (tree,) = self.fit_samples(features, targets, [np.arange(len(targets))])
+        self._flat = tree._flat
         return self
 
     def fit_samples(self, features: np.ndarray, targets: np.ndarray, samples):
@@ -294,59 +275,63 @@ class DecisionTree:
         widest = max(map(len, samples), default=1) * features.shape[1]
         batch = max(1, _GROW_CELLS // max(widest, 1))
         for start in range(0, len(samples), batch):
-            batch_samples = samples[start : start + batch]
-            for root in self._grow_level_wise(features, targets, batch_samples, 0):
-                tree = replace(self, root=root)
-                tree._flat = _flatten(root)
+            for flat in self._grow_level_wise(features, targets, samples[start : start + batch]):
+                tree = replace(self)
+                tree._flat = flat
                 yield tree
 
-    def _leaf(self, targets: np.ndarray) -> TreeNode:
+    def _leaf(self, targets: np.ndarray):
         if self.task == "classification":
             counts = np.array([(targets == 0).sum(), (targets == 1).sum()], dtype=float)
-            return TreeNode(value=counts / counts.sum())
-        return TreeNode(value=float(targets.mean()))
+            return counts / counts.sum()
+        return float(targets.mean())
 
-    def _grow(self, features, targets, level) -> TreeNode:
-        return self._grow_level_wise(features, targets, [np.arange(len(targets))], level)[0]
-
-    def _grow_level_wise(self, features, targets, samples, level) -> list[TreeNode]:
-        """One tree per sample of row indices (repeats allowed), grown from
-        ``level`` on; the nodes of one depth are searched by one _best_split call."""
-        roots = [TreeNode() for _ in samples]
-        # each node's rows, and per feature its rows in that feature's order
+    def _grow_level_wise(self, features, targets, samples) -> list[_FlatTree]:
+        """One tree per sample of row indices (repeats allowed); the nodes of
+        one depth are searched by one _best_split call. A tree's nodes are
+        numbered as they are reached, so breadth-first."""
+        # per tree, per node: an internal node's link, a leaf's value
+        links = [[None] for _ in samples]
+        values = [[None] for _ in samples]
+        # each node's tree, number and rows, and per feature its rows in that
+        # feature's order
         frontier = [
-            (root, rows, rows[np.argsort(features[rows], axis=0, kind="stable")].T)
-            for root, rows in zip(roots, samples)
+            (t, 0, rows, rows[np.argsort(features[rows], axis=0, kind="stable")].T)
+            for t, rows in enumerate(samples)
         ]
+        level = 0
         while frontier:
             open_nodes = []
-            for node, rows, order in frontier:
+            for t, i, rows, order in frontier:
                 node_targets = targets[rows]
                 if (
                     level >= self.max_depth
                     or len(rows) < self.min_samples_split
                     or np.var(node_targets) <= 1e-24
                 ):
-                    node.value = self._leaf(node_targets).value
+                    values[t][i] = self._leaf(node_targets)
                 else:
-                    open_nodes.append((node, rows, order))
+                    open_nodes.append((t, i, rows, order))
             frontier = []
             splits = _best_split(features, targets, [order for *_, order in open_nodes], self.task)
-            for i, split in enumerate(splits):
-                (node, rows, order), open_nodes[i] = open_nodes[i], None  # free as we go
+            for k, split in enumerate(splits):
+                (t, i, rows, order), open_nodes[k] = open_nodes[k], None  # free as we go
                 if split is None:
-                    node.value = self._leaf(targets[rows]).value
+                    values[t][i] = self._leaf(targets[rows])
                     continue
-                node.feature, node.threshold = j, threshold = split
-                node.left, node.right = TreeNode(), TreeNode()
+                j, threshold = split
+                left = len(links[t])
+                links[t][i] = (j, threshold, left, left + 1)
+                links[t] += (None, None)
+                values[t] += (None, None)
                 go_left = features[rows, j] <= threshold
                 ordered_left = features[order, j] <= threshold  # kept in order
                 frontier += [
-                    (node.left, rows[go_left], order[ordered_left].reshape(len(order), -1)),
-                    (node.right, rows[~go_left], order[~ordered_left].reshape(len(order), -1)),
+                    (t, left, rows[go_left], order[ordered_left].reshape(len(order), -1)),
+                    (t, left + 1, rows[~go_left], order[~ordered_left].reshape(len(order), -1)),
                 ]
             level += 1
-        return roots
+        return [_FlatTree.build(*tree) for tree in zip(links, values)]
 
     def _leaf_values(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -369,7 +354,7 @@ class DecisionTree:
             "task": self.task,
             "max_depth": self.max_depth,
             "min_samples_split": self.min_samples_split,
-            "root": self.root.to_dict(),
+            "root": self._flat.to_dict(),
         }
 
     @staticmethod
@@ -379,8 +364,7 @@ class DecisionTree:
             max_depth=int(raw["max_depth"]),
             min_samples_split=int(raw["min_samples_split"]),
         )
-        tree.root = TreeNode.from_dict(raw["root"])
-        tree._flat = _flatten(tree.root)
+        tree._flat = _FlatTree.from_dict(raw["root"])
         return tree
 
 

@@ -404,15 +404,12 @@ def intervals_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reliability_to_csv(diagram: ReliabilityDiagram) -> str:
+def reliability_to_csv(diagram: dict) -> str:
+    """One row per bin of a ReliabilityDiagram.to_dict() payload; an empty
+    bin's None statistics are empty cells."""
+    edges, conf, freq = (diagram[k] for k in ("edges", "mean_confidence", "observed_frequency"))
     lines = ["bin_low,bin_high,mean_confidence,observed_frequency,count"]
-    for b in range(diagram.n_bins):
-        conf = diagram.mean_confidence[b]
-        freq = diagram.observed_frequency[b]
-        conf_s = "" if math.isnan(conf) else repr(float(conf))
-        freq_s = "" if math.isnan(freq) else repr(float(freq))
-        lines.append(
-            f"{diagram.edges[b]!r},{diagram.edges[b + 1]!r},{conf_s},{freq_s},"
-            f"{int(diagram.counts[b])}"
-        )
+    for b, count in enumerate(diagram["counts"]):
+        cells = (edges[b], edges[b + 1], conf[b], freq[b])
+        lines.append(",".join("" if v is None else repr(float(v)) for v in cells) + f",{int(count)}")
     return "\n".join(lines) + "\n"

@@ -353,3 +353,37 @@ def test_readout_that_does_not_fit_the_task_exits_one(capsys, tmp_path, command,
     assert out == ""
     assert err.startswith("error: readout:") and f"{readout!r} does not fit" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "top level must be a JSON object"),
+        ('{"schema": "scenario-report/1"}', "has no scenario, metric, runs"),
+    ],
+)
+def test_report_on_a_malformed_results_file_exits_one(capsys, tmp_path, text, problem):
+    results = tmp_path / "results.json"
+    results.write_text(text)
+    code, out, err = run_cli(
+        capsys, "report", "--results", str(results), "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: results: ") and problem in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["uq", "scenario"])
+@pytest.mark.parametrize("print_config", [False, True])
+def test_one_uq_sample_exits_one_before_any_work(capsys, tmp_path, command, print_config):
+    argv = [command, "--profile", "zero-noise", "--dataset-size", "20", "--uq-samples", "1"]
+    argv += ["--scenario", "C3_1"] if command == "scenario" else []
+    argv += ["--out", str(tmp_path / "out")] + (["--print-config"] if print_config else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: uq.samples:") and "got 1" in err
+    assert not (tmp_path / "out").exists()

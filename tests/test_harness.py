@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from itertools import combinations
@@ -362,6 +363,23 @@ def test_uq_scenario_emits_uq_files(tmp_path):
     files = {f.name for f in emit_report(report, tmp_path / "uq")}
     assert "uq_intervals_configured.csv" in files
     assert "uq_intervals_ideal.svg" in files
+
+
+@pytest.mark.parametrize("kind", ["regression3", "classification4"])
+def test_every_emitted_csv_cell_is_a_number_or_empty(tmp_path, kind):
+    dataset = generate_dataset(kind, 24, seed=2)
+    config = ScenarioConfig(
+        "C3_2", zero_noise_profile(dataset.n_features), repeats=3, seed=1,
+        uq=UqSpec("bootstrap", 4), jobs=1,
+    )
+    tables = [f for f in emit_report(run_scenario(config, dataset), tmp_path) if f.suffix == ".csv"]
+    assert len([f for f in tables if f.name.startswith("uq_")]) == 2
+    for table in tables:
+        header, *rows = csv.reader(table.read_text().splitlines())
+        for row in rows:
+            assert len(row) == len(header)
+            for cell in filter(None, row):
+                float(cell)  # a ValueError names the cell that is not a number
 
 
 def test_run_uq_requires_uq_spec():

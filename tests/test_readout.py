@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from qelm_lab.errors import ValidationError
 from qelm_lab.readout import (
     BaggedTrees,
     DecisionTree,
-    TreeNode,
     fit_linear,
     fit_logistic,
     fit_readout,
+    fit_readouts,
     readout_from_dict,
 )
 from qelm_lab.rng import Rng, derive_seed
@@ -66,7 +68,7 @@ def test_tree_root_split_matches_exhaustive_oracle():
     x = rng.uniform(size=(60, 2))
     y = (x[:, 0] + 0.3 * x[:, 1] > 0.8).astype(int)
     tree = DecisionTree("classification", max_depth=1).fit(x, y)
-    root = tree.root
+    root = tree.to_dict()["root"]
 
     def gini(labels):
         if len(labels) == 0:
@@ -83,7 +85,7 @@ def test_tree_root_split_matches_exhaustive_oracle():
             score = (mask.sum() * gini(y[mask]) + (~mask).sum() * gini(y[~mask])) / len(y)
             if best is None or score < best - 1e-15:
                 best = score
-    mask = x[:, root.feature] <= root.threshold
+    mask = x[:, root["feature"]] <= root["threshold"]
     score = (mask.sum() * gini(y[mask]) + (~mask).sum() * gini(y[~mask])) / len(y)
     assert score == pytest.approx(best)
 
@@ -136,7 +138,23 @@ def _oracle_column_split(x_col, y, task):
 
 class _OracleTree(DecisionTree):
     """The tree grown by a per-task, per-column search; the reference for
-    the single vectorized split search."""
+    the single vectorized split search. It keeps its tree as a nested node
+    document."""
+
+    def fit(self, features, targets):
+        features = np.asarray(features, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        self.root = self._grow(features, targets, 0)
+        return self
+
+    def to_dict(self):
+        return {
+            "kind": "tree",
+            "task": self.task,
+            "max_depth": self.max_depth,
+            "min_samples_split": self.min_samples_split,
+            "root": self.root,
+        }
 
     def _grow(self, features, targets, level):
         n = len(targets)
@@ -146,22 +164,22 @@ class _OracleTree(DecisionTree):
         else:
             pure = float(np.var(targets)) <= 1e-24
         if level >= self.max_depth or n < self.min_samples_split or pure:
-            return self._leaf(targets)
+            return {"value": np.asarray(self._leaf(targets)).tolist()}
         best = None
         for j in range(features.shape[1]):
             cand = _oracle_column_split(features[:, j], targets, self.task)
             if cand is not None and (best is None or cand[1] < best[2] - 1e-15):
                 best = (j, cand[0], cand[1])
         if best is None:
-            return self._leaf(targets)
+            return {"value": np.asarray(self._leaf(targets)).tolist()}
         j, threshold, _ = best
         mask = features[:, j] <= threshold
-        return TreeNode(
-            feature=j,
-            threshold=threshold,
-            left=self._grow(features[mask], targets[mask], level + 1),
-            right=self._grow(features[~mask], targets[~mask], level + 1),
-        )
+        return {
+            "feature": j,
+            "threshold": float(threshold),
+            "left": self._grow(features[mask], targets[mask], level + 1),
+            "right": self._grow(features[~mask], targets[~mask], level + 1),
+        }
 
 
 @st.composite
@@ -198,15 +216,16 @@ def test_split_search_grows_the_same_tree_as_the_per_column_oracle(problem):
 
 
 def _route(node, row):
-    """The leaf value ``row`` reaches, one node at a time: the reference for
-    routing every row through flat arrays."""
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+    """The leaf value ``row`` reaches, one node of the tree's document at a
+    time: the reference for routing every row through flat arrays."""
+    while "value" not in node:
+        node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+    return node["value"]
 
 
 def _routed(tree, x):
-    values = [_route(tree.root, row) for row in x]
+    root = tree.to_dict()["root"]
+    values = [_route(root, row) for row in x]
     if tree.task == "classification":
         return np.vstack(values), np.argmax(np.vstack(values), axis=1)
     return None, np.array(values, dtype=float)
@@ -257,6 +276,43 @@ def test_forest_prediction_is_the_in_order_sum_of_its_trees(seed, n_trees):
         for tree in bagged.trees:
             acc += _routed(tree, probe)[1]
         assert bagged.predict(probe).tobytes() == (acc / n_trees).tobytes()
+
+
+def _assert_survives_json(model, load, probe):
+    """``model``'s document passes through JSON text unchanged, and the model
+    ``load`` reads back from it predicts the same bytes."""
+    document = model.to_dict()
+    clone = load(json.loads(json.dumps(document)))
+    assert clone.to_dict() == document
+    assert clone.predict(probe).tobytes() == model.predict(probe).tobytes()
+    if hasattr(model, "predict_proba"):
+        assert clone.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tree_problems())
+def test_tree_documents_survive_json(problem):
+    task, x, y, max_depth, min_samples_split = problem
+    tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split).fit(x, y)
+    _assert_survives_json(tree, readout_from_dict, np.vstack([x, x + 0.125]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+def test_bagged_tree_documents_survive_json(seed, n_trees, max_depth):
+    x, y = _bagging_problem(seed)
+    model = BaggedTrees(n_trees=n_trees, max_depth=max_depth, seed=seed).fit(x, y)
+    _assert_survives_json(model, BaggedTrees.from_dict, np.vstack([x, x + 0.125]))
+
+
+def test_trees_grown_together_keep_their_own_depth():
+    x = np.arange(8.0).reshape(-1, 1)
+    y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    samples = [np.arange(4), np.arange(8)]  # a pure sample and a parity pattern
+    trees = list(fit_readouts(x, y, "tree", {"max_depth": 5}, samples))
+    alone = [DecisionTree("classification", max_depth=5).fit(x[s], y[s]) for s in samples]
+    assert [tree.depth() for tree in trees] == [tree.depth() for tree in alone]
+    assert trees[0].depth() == 0 < trees[1].depth()
 
 
 def test_trees_predict_zero_rows():

@@ -205,7 +205,7 @@ def test_reliability_validation():
 
 def test_reliability_csv_shapes():
     diagram = uq.reliability_diagram([0.1, 0.9, 0.95], [0, 1, 1], n_bins=10)
-    text = uq.reliability_to_csv(diagram)
+    text = uq.reliability_to_csv(diagram.to_dict())
     assert len(text.strip().splitlines()) == 11
 
 
