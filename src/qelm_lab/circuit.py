@@ -22,6 +22,7 @@ Text form (one gate per line, used by the CLI):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, InvalidTarget, ParseError, ScaleOutOfRange, ValidationError
@@ -64,6 +65,9 @@ class Gate:
             raise InvalidTarget(f"{self.kind} targets must be distinct, got {self.targets}")
         if any(t < 0 for t in self.targets):
             raise InvalidTarget(f"negative target index in {self.targets}")
+        for p in self.params:
+            if not math.isfinite(p):
+                raise ValidationError(f"{self.kind} parameter must be finite, got {p}")
 
     @property
     def n_targets(self) -> int:
@@ -259,7 +263,7 @@ def from_text(text: str) -> Circuit:
             raise ParseError(f"line {lineno}: bad number in {raw!r}") from None
         try:
             gates.append(Gate(kind, targets, params))
-        except (ArityMismatch, InvalidTarget) as exc:
+        except (ArityMismatch, InvalidTarget, ValidationError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     if n_qubits is None:
         raise ParseError("missing 'qubits N' header")

@@ -12,15 +12,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from . import circuit as circ
-from .errors import ParseError, QelmLabError, UsageError, ValidationError, coerce
+from .errors import ParseError, QelmLabError, UsageError, ValidationError
 from .harness import (
     DATASET_KINDS,
     MITIGATOR_KINDS,
+    RESULTS_KEYS,
     SCENARIO_IDS,
     UQ_METHODS,
     Dataset,
@@ -37,7 +38,7 @@ from .harness import (
     run_scenario,
     run_uq,
 )
-from .mitigation import ZneConfig, random_circuit, zne_calibrate
+from .mitigation import ZNE_KEYS, ZneConfig, random_circuit, zne_calibrate
 from .noise import resolve_profile
 from .qelm import (
     FEATURE_MAP_KINDS,
@@ -48,7 +49,8 @@ from .qelm import (
     save_model,
     train,
 )
-from .readout import READOUT_KINDS, check_readout_task
+from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
+from .schema import Opt, read
 from .simulator import measure_distribution, run_ideal, run_noisy, sample
 
 
@@ -57,54 +59,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved settings for scenario and uq runs."""
-
-    scenario: str = "C1_1"
-    profile: str | None = None
-    dataset: dict = field(
-        default_factory=lambda: {
-            "kind": "regression3",
-            "size": 120,
-            "seed": 7,
-            "noise_level": 0.1,
-        }
-    )
-    model: dict = field(default_factory=dict)
-    mitigator: str | None = None
-    zne: dict | None = None
-    qlear: dict = field(default_factory=lambda: {"corpus": 24, "trees": 20, "max_depth": 6})
-    uq: dict | None = None
-    repeats: int = 10
-    seed: int = 0
-    out: str = "out"
-    jobs: int | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-_FLAG_TO_PATH = {
-    "scenario": ("scenario",),
-    "profile": ("profile",),
-    "dataset": ("dataset", "kind"),
-    "dataset_size": ("dataset", "size"),
-    "dataset_seed": ("dataset", "seed"),
-    "noise_level": ("dataset", "noise_level"),
-    "reservoir": ("model", "reservoir_style"),
-    "layers": ("model", "layers"),
-    "trotter_steps": ("model", "trotter_steps"),
-    "feature_map": ("model", "feature_map"),
-    "shots": ("model", "shots"),
-    "readout": ("model", "readout"),
-    "mitigator": ("mitigator",),
-    "uq_method": ("uq", "method"),
-    "uq_samples": ("uq", "samples"),
-    "repeats": ("repeats",),
-    "seed": ("seed",),
-    "out": ("out",),
-    "jobs": ("jobs",),
+# The run config of scenario and uq. A missing model key takes its value from
+# default_model_spec for the dataset, a missing zne or uq key the ZneConfig or
+# UqSpec default.
+RUN_CONFIG = {
+    "scenario": Opt(str, "C1_1"),
+    "profile": Opt(str, None),
+    "dataset": Opt(
+        {"kind": Opt(str, "regression3"), "size": Opt(int, 120), "seed": Opt(int, 7),
+         "noise_level": Opt(float, 0.1)},
+        {},
+    ),
+    "model": Opt(
+        {"reservoir_style": Opt(str), "layers": Opt(int), "trotter_steps": Opt(int),
+         "evolution_time": Opt(float), "j_range": Opt((float, float)), "h_range": Opt((float, float)),
+         "feature_map": Opt(str), "shots": Opt(int), "readout": Opt(str), "entangle": Opt(bool),
+         "readout_hyper": Opt({k: Opt(t) for hyper in READOUT_HYPER.values() for k, t in hyper.items()})},
+        {},
+    ),
+    "mitigator": Opt(str, None),
+    "zne": Opt(ZNE_KEYS, None),
+    "qlear": Opt({"corpus": Opt(int, 24), "trees": Opt(int, 20), "max_depth": Opt(int, 6)}, {}),
+    "uq": Opt({"method": Opt(str, "bootstrap"), "samples": Opt(int)}, None),
+    "repeats": Opt(int, 10),
+    "seed": Opt(int, 0),
+    "out": Opt(str, "out"),
+    "jobs": Opt(int, None),
 }
 
 
@@ -123,112 +103,63 @@ def _read_json_object(key: str, name: str) -> dict:
     return raw
 
 
-def merge_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge config file, flags, and environment into one RunConfig. Its
-    values are checked when run_inputs turns it into the harness types."""
-    raw = _read_json_object("config", args.config) if getattr(args, "config", None) else {}
-
-    config = RunConfig()
-    for key in ("scenario", "profile", "mitigator", "out"):
-        if key in raw and raw[key] is not None:
-            setattr(config, key, str(raw[key]))
-    for key in ("repeats", "seed", "jobs"):
-        if key in raw and raw[key] is not None:
-            try:
-                setattr(config, key, int(raw[key]))
-            except (TypeError, ValueError):
-                raise UsageError(f"{key}: must be an integer, got {raw[key]!r}") from None
-    for key in ("dataset", "model", "qlear", "zne", "uq"):
-        if not raw.get(key):
+def _with_flags(raw: dict, args: argparse.Namespace) -> dict:
+    """``raw`` with every run-config flag that was given set over it. A
+    flag's dest is its key's path, such as ``dataset.size``."""
+    for dest, value in vars(args).items():
+        head, _, key = dest.partition(".")
+        if value is None or head not in RUN_CONFIG:
             continue
-        if not isinstance(raw[key], dict):
-            raise UsageError(f"{key}: must be a JSON object, got {raw[key]!r}")
-        if getattr(config, key) is None:
-            setattr(config, key, {})
-        getattr(config, key).update(raw[key])
+        if key and raw.get(head) is None:
+            raw[head] = {}
+        if not key:
+            raw[head] = value
+        elif isinstance(raw[head], dict):  # anything else fails the reader
+            raw[head][key] = value
+    return raw
 
+
+def merge_run_config(args: argparse.Namespace, **fallback) -> dict:
+    """The run config of a command line, checked by the reader: the config
+    file, then QELM_LAB_SEED, then the flags, then ``fallback`` for keys
+    still unset or null."""
+    raw = _read_json_object("config", args.config) if args.config else {}
     env_seed = os.environ.get("QELM_LAB_SEED")
-    if env_seed is not None and "seed" not in raw and getattr(args, "seed", None) is None:
+    if env_seed is not None and "seed" not in raw and args.seed is None:
         try:
-            config.seed = int(env_seed)
+            raw["seed"] = int(env_seed)
         except ValueError:
             raise UsageError(f"seed: QELM_LAB_SEED={env_seed!r} is not an integer") from None
-
-    for flag, path in _FLAG_TO_PATH.items():
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        if len(path) == 1:
-            setattr(config, path[0], value)
-        else:
-            container = getattr(config, path[0])
-            if container is None:
-                container = {}
-                setattr(config, path[0], container)
-            container[path[1]] = value
-
-    return config
-
-
-_INT, _NUMBER = "an integer", "a number"
-
-
-def _model_spec(config: RunConfig, dataset: Dataset) -> ModelSpec:
-    base = default_model_spec(dataset).to_dict()
-    base.update(config.model)
-
-    def value(key, to, expected):
-        return coerce(f"model.{key}", base[key], to, expected)
-
-    return ModelSpec(
-        reservoir_style=base["reservoir_style"],
-        layers=value("layers", int, _INT),
-        trotter_steps=value("trotter_steps", int, _INT),
-        evolution_time=value("evolution_time", float, _NUMBER),
-        j_range=value("j_range", tuple, "a [min, max] pair"),
-        h_range=value("h_range", tuple, "a [min, max] pair"),
-        feature_map=base["feature_map"],
-        shots=value("shots", int, _INT),
-        readout=base["readout"],
-        entangle=bool(base["entangle"]),
-        readout_hyper=tuple(sorted(value("readout_hyper", dict, "a JSON object").items())),
-    )
+    raw = _with_flags(raw, args)
+    for key, value in fallback.items():
+        if raw.get(key) is None:
+            raw[key] = value
+    return read(RUN_CONFIG, raw)
 
 
 def run_inputs(
-    config: RunConfig, scenario_id: str | None = None
+    config: dict, scenario_id: str | None = None
 ) -> tuple[ScenarioConfig, Dataset, ModelSpec]:
-    """The harness inputs of a merged run config. Converting the JSON values
-    and filling in the default uq method are done here; every rule on them is
-    checked by the harness types."""
-    if config.profile is None:
+    """The harness inputs of a run config from merge_run_config; the rules
+    on its values are checked by the harness types."""
+    if config["profile"] is None:
         raise UsageError("profile: required for noisy or mitigated scenarios")
-    d, q = config.dataset, config.qlear
-    dataset = generate_dataset(
-        d["kind"],
-        coerce("dataset.size", d["size"], int, _INT),
-        coerce("dataset.seed", d["seed"], int, _INT),
-        coerce("dataset.noise_level", d.get("noise_level", 0.1), float, _NUMBER),
-    )
-    uq = None
-    if config.uq is not None:
-        config.uq.setdefault("method", "bootstrap")  # for scenario and uq alike
-        samples = coerce("uq.samples", config.uq.get("samples", 0), int, _INT)
-        uq = UqSpec(config.uq["method"], samples)
+    d, q = config["dataset"], config["qlear"]
+    dataset = generate_dataset(d["kind"], d["size"], d["seed"], d["noise_level"])
     scenario = ScenarioConfig(
-        scenario_id=scenario_id or config.scenario,
-        profile=resolve_profile(config.profile),
-        repeats=config.repeats,
-        seed=config.seed,
-        mitigator=config.mitigator,
-        zne=ZneConfig.from_dict(config.zne) if config.zne else None,
-        qlear_corpus=coerce("qlear.corpus", q.get("corpus", 24), int, _INT),
-        qlear_trees=coerce("qlear.trees", q.get("trees", 20), int, _INT),
-        qlear_max_depth=coerce("qlear.max_depth", q.get("max_depth", 6), int, _INT),
-        uq=uq,
-        jobs=config.jobs,
+        scenario_id=scenario_id or config["scenario"],
+        profile=resolve_profile(config["profile"]),
+        repeats=config["repeats"],
+        seed=config["seed"],
+        mitigator=config["mitigator"],
+        zne=ZneConfig(**config["zne"]) if config["zne"] is not None else None,
+        qlear_corpus=q["corpus"],
+        qlear_trees=q["trees"],
+        qlear_max_depth=q["max_depth"],
+        uq=UqSpec(**config["uq"]) if config["uq"] is not None else None,
+        jobs=config["jobs"],
     )
-    spec = _model_spec(config, dataset)
+    spec = replace(default_model_spec(dataset), **config["model"])
     check_readout_task(spec.readout, dataset.task)
     return scenario, dataset, spec
 
@@ -262,28 +193,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    config = read(RUN_CONFIG, _with_flags({}, args))
+    d, seed = config["dataset"], config["seed"]
     if args.data:
         if not args.task:
             raise UsageError("task: required when training from a CSV file")
-        dataset = load_csv_dataset(args.data, args.task, args.dataset_seed or 0)
+        split_seed = getattr(args, "dataset.seed")  # a CSV split defaults to seed 0
+        dataset = load_csv_dataset(args.data, args.task, 0 if split_seed is None else split_seed)
     else:
-        dataset = generate_dataset(
-            args.dataset or "regression3",
-            args.dataset_size or 120,
-            args.dataset_seed or 7,
-            args.noise_level if args.noise_level is not None else 0.1,
-        )
-    config = RunConfig(dataset={"kind": dataset.kind})
-    for flag in ("reservoir", "layers", "trotter_steps", "feature_map", "shots", "readout"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config.model[_FLAG_TO_PATH[flag][1]] = value
-    spec = _model_spec(config, dataset)
-    seed = args.seed if args.seed is not None else 0
+        dataset = generate_dataset(d["kind"], d["size"], d["seed"], d["noise_level"])
+    spec = replace(default_model_spec(dataset), **config["model"])
     if args.backend == "noisy":
-        if not args.profile:
+        if not config["profile"]:
             raise UsageError("profile: required for the noisy backend")
-        backend = NoisyBackend(resolve_profile(args.profile))
+        backend = NoisyBackend(resolve_profile(config["profile"]))
     else:
         backend = IdealBackend()
     front = spec.front(encoder_ranges(dataset.train_features), seed)
@@ -302,7 +225,7 @@ def _cmd_train(args) -> int:
     metric = evaluate_model(
         model, dataset.test_features, dataset.test_targets, backend, seed, cache
     )
-    out = Path(args.out or "out")
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")
     name = "mse" if dataset.task == "regression" else "accuracy"
@@ -318,12 +241,12 @@ def _cmd_scenario(args) -> int:
     config = merge_run_config(args)
     scenario, dataset, spec = run_inputs(config)
     if args.print_config:
-        print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(config, indent=2, sort_keys=True))
         return 0
     report = run_scenario(scenario, dataset, spec)
-    written = emit_report(report, config.out)
+    written = emit_report(report, config["out"])
     summary = report.statistics or {}
-    print(f"scenario {report.scenario_id} on {report.dataset_info['kind']}: wrote {len(written)} files to {config.out}")
+    print(f"scenario {report.scenario_id} on {report.dataset_info['kind']}: wrote {len(written)} files to {config['out']}")
     if summary:
         print(
             f"  p={summary['p_value']:.4g}  A12={summary['a12_observed_vs_ideal']:.3f}  "
@@ -336,17 +259,15 @@ _UQ_COUNTERPART = {"C1_1": "C3_1", "C1_2": "C3_2", "C2_1": "C3_3", "C2_2": "C3_4
 
 
 def _cmd_uq(args) -> int:
-    config = merge_run_config(args)
-    if config.uq is None:
-        config.uq = {"samples": 0}
+    config = merge_run_config(args, uq={"samples": 0})
     scenario, dataset, spec = run_inputs(
-        config, _UQ_COUNTERPART.get(config.scenario, config.scenario)
+        config, _UQ_COUNTERPART.get(config["scenario"], config["scenario"])
     )
     if args.print_config:
-        print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(config, indent=2, sort_keys=True))
         return 0
     payload = run_uq(scenario, dataset, spec)
-    out = Path(config.out)
+    out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "uq.json").write_text(report_json_bytes(payload).decode("utf-8"))
     print(f"uq {scenario.scenario_id} ({payload['method']}, {payload['samples']} samples) -> {out}")
@@ -380,9 +301,7 @@ def _cmd_report(args) -> int:
     payload = _read_json_object("results", args.results)
     if payload.get("schema") != "scenario-report/1":
         raise UsageError("results: not a scenario report document")
-    missing = [key for key in ("scenario", "metric", "runs") if key not in payload]
-    if missing:
-        raise UsageError(f"results: the report has no {', '.join(missing)}")
+    payload = read(RESULTS_KEYS, payload, doc="results")
     written = emit_report(payload, args.out or "out")
     print(f"re-emitted {len(written)} files to {args.out or 'out'}")
     return 0
@@ -391,17 +310,18 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+# a run-config flag's dest is its key's path
 def _add_dataset_and_model_flags(parser: _Parser) -> None:
-    parser.add_argument("--dataset", choices=DATASET_KINDS)
-    parser.add_argument("--dataset-size", type=int, dest="dataset_size")
-    parser.add_argument("--dataset-seed", type=int, dest="dataset_seed")
-    parser.add_argument("--noise-level", type=float, dest="noise_level")
-    parser.add_argument("--reservoir", choices=RESERVOIR_STYLES)
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--trotter-steps", type=int, dest="trotter_steps")
-    parser.add_argument("--feature-map", dest="feature_map", choices=FEATURE_MAP_KINDS)
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--readout", choices=READOUT_KINDS)
+    parser.add_argument("--dataset", dest="dataset.kind", choices=DATASET_KINDS)
+    parser.add_argument("--dataset-size", type=int, dest="dataset.size")
+    parser.add_argument("--dataset-seed", type=int, dest="dataset.seed")
+    parser.add_argument("--noise-level", type=float, dest="dataset.noise_level")
+    parser.add_argument("--reservoir", dest="model.reservoir_style", choices=RESERVOIR_STYLES)
+    parser.add_argument("--layers", type=int, dest="model.layers")
+    parser.add_argument("--trotter-steps", type=int, dest="model.trotter_steps")
+    parser.add_argument("--feature-map", dest="model.feature_map", choices=FEATURE_MAP_KINDS)
+    parser.add_argument("--shots", type=int, dest="model.shots")
+    parser.add_argument("--readout", dest="model.readout", choices=READOUT_KINDS)
 
 
 def _add_run_flags(parser: _Parser) -> None:
@@ -410,8 +330,8 @@ def _add_run_flags(parser: _Parser) -> None:
     parser.add_argument("--profile", help="bundled profile name or profile file path")
     _add_dataset_and_model_flags(parser)
     parser.add_argument("--mitigator", choices=MITIGATOR_KINDS)
-    parser.add_argument("--uq-method", dest="uq_method", choices=UQ_METHODS)
-    parser.add_argument("--uq-samples", type=int, dest="uq_samples")
+    parser.add_argument("--uq-method", dest="uq.method", choices=UQ_METHODS)
+    parser.add_argument("--uq-samples", type=int, dest="uq.samples")
     parser.add_argument("--repeats", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")

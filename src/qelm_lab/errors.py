@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the one conversion of
-untyped (JSON) values that reports a bad value as a ValidationError."""
+"""Exception types shared across the package."""
 
 
 class QelmLabError(Exception):
@@ -77,11 +76,3 @@ class EmptyInput(QelmLabError):
 class UsageError(QelmLabError):
     """Bad command-line arguments or run configuration."""
 
-
-def coerce(path: str, value, to, expected: str):
-    """``to(value)``; a value ``to`` cannot convert raises a ValidationError
-    that names ``path``, the key the value was read from."""
-    try:
-        return to(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: expected {expected}, got {value!r}") from None

@@ -22,7 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,7 @@ from .qelm import (
 )
 from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
+from .schema import Either, Opt, Rule
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
     bootstrap_distribution,
@@ -63,6 +64,7 @@ from .uq import (
 )
 
 DATASET_KINDS = ("regression3", "classification4", "classification8")
+MAX_SAMPLES = 100_000
 SCENARIO_IDS = ("C1_1", "C1_2", "C2_1", "C2_2", "C3_1", "C3_2", "C3_3", "C3_4")
 MITIGATOR_KINDS = ("zne", "qlear")
 UQ_METHODS = ("bootstrap", "ensemble")
@@ -138,12 +140,13 @@ def generate_dataset(kind: str, n_samples: int, seed: int, noise_level: float = 
     classification8   two Gaussian clusters whose overlap grows with
                       noise_level
     """
+    noise_level = float(noise_level)
     if kind not in DATASET_KINDS:
-        raise ValidationError(f"unknown dataset kind {kind!r}")
-    if n_samples < 20:
-        raise ValidationError(f"need at least 20 samples, got {n_samples}")
+        raise ValidationError(f"dataset.kind: unknown dataset kind {kind!r}")
+    if not 20 <= n_samples <= MAX_SAMPLES:
+        raise ValidationError(f"dataset.size: need at least 20 samples, at most {MAX_SAMPLES}, got {n_samples}")
     if noise_level < 0:
-        raise ValidationError("noise_level must be non-negative")
+        raise ValidationError("dataset.noise_level: must be non-negative")
     rng = Rng(derive_seed(seed, kind))
     if kind == "regression3":
         x = rng.uniforms(3 * n_samples).reshape(n_samples, 3)
@@ -202,9 +205,12 @@ def load_csv_dataset(path: str | Path, task: str, split_seed: int = 0) -> Datase
                 try:
                     values.append(float(cell))
                 except ValueError:
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
                     raise ValidationError(
-                        f"{path}: row {reader.line_num}, column {name!r}: {cell!r} is not a number"
-                    ) from None
+                        f"{path}: row {reader.line_num}, column {name!r}: "
+                        f"{cell!r} is not a finite number"
+                    )
             rows.append(values)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least two data rows")
@@ -368,53 +374,39 @@ class ModelSpec:
     readout_hyper: tuple = ()
 
     def __post_init__(self):
-        # checked here so that a bad kind fails the run, not every repeat
+        # from JSON: ranges are lists, the time may be an integer, hyperparameters an object
+        object.__setattr__(self, "evolution_time", float(self.evolution_time))
+        object.__setattr__(self, "j_range", tuple(self.j_range))
+        object.__setattr__(self, "h_range", tuple(self.h_range))
+        object.__setattr__(self, "readout_hyper", tuple(sorted(dict(self.readout_hyper).items())))
+        # checked here so that a bad setting fails the run, not every repeat:
+        # the specs are built once, and front() fills in each repeat's parts
         if self.readout not in READOUT_KINDS:
             raise ValidationError(f"unknown readout kind {self.readout!r}")
-        for name in ("j_range", "h_range"):
-            pair = getattr(self, name)
-            if len(pair) != 2 or not all(isinstance(v, (int, float)) for v in pair):
-                raise ValidationError(f"{name}: expected a [min, max] pair, got {pair!r}")
         known = READOUT_HYPER[self.readout]
-        for key, value in self.readout_hyper:
+        for key, _ in self.readout_hyper:
             if key not in known:
                 raise ValidationError(f"readout_hyper.{key}: not one of {', '.join(known)}")
-            if isinstance(value, bool) or not isinstance(value, (int, known[key])):
-                expected = "an integer" if known[key] is int else "a number"
-                raise ValidationError(f"readout_hyper.{key}: expected {expected}, got {value!r}")
+        object.__setattr__(self, "_encoder", EncoderSpec(feature_range=(), entangle=self.entangle))
+        reservoir = ReservoirSpec(  # one qubit and seed 0 until front() sets a repeat's
+            self.reservoir_style, 1, 0, self.layers, self.j_range, self.h_range,
+            self.evolution_time, self.trotter_steps,
+        )
+        object.__setattr__(self, "_reservoir", reservoir)
+        object.__setattr__(self, "_feature_map", FeatureMapSpec(self.feature_map, self.shots))
 
     def hyper_dict(self) -> dict:
         return dict(self.readout_hyper)
 
     def front(self, feature_range: tuple, reservoir_seed: int) -> QelmFront:
-        n_qubits = len(feature_range)
-        encoder = EncoderSpec(feature_range=feature_range, entangle=self.entangle)
-        reservoir = ReservoirSpec(
-            style=self.reservoir_style,
-            n_qubits=n_qubits,
-            seed=reservoir_seed,
-            layers=self.layers,
-            j_range=self.j_range,
-            h_range=self.h_range,
-            time=self.evolution_time,
-            trotter_steps=self.trotter_steps,
+        return QelmFront(
+            replace(self._encoder, feature_range=feature_range),
+            replace(self._reservoir, n_qubits=len(feature_range), seed=reservoir_seed),
+            self._feature_map,
         )
-        return QelmFront(encoder, reservoir, FeatureMapSpec(self.feature_map, self.shots))
 
     def to_dict(self) -> dict:
-        return {
-            "reservoir_style": self.reservoir_style,
-            "layers": self.layers,
-            "trotter_steps": self.trotter_steps,
-            "evolution_time": self.evolution_time,
-            "j_range": list(self.j_range),
-            "h_range": list(self.h_range),
-            "feature_map": self.feature_map,
-            "shots": self.shots,
-            "readout": self.readout,
-            "entangle": self.entangle,
-            "readout_hyper": dict(self.readout_hyper),
-        }
+        return {**asdict(self), "readout_hyper": self.hyper_dict()}
 
 
 def default_model_spec(dataset: Dataset, shots: int = 0) -> ModelSpec:
@@ -812,6 +804,29 @@ def run_scenario(
 
 # ---------------------------------------------------------------------------
 # report emission
+
+# What emit_report reads of a results document; other keys pass unchecked.
+# A UQ variant holds the interval rows of a regression task or the
+# reliability lists of a classification task.
+_NUMBER_OR_NULL = Either(float, None)
+_RUN_RECORD = {"repeat": int, "seed": int, "error": Either(str, None), ...: None}
+_RUN_RECORD |= dict.fromkeys(("metric", "ideal_metric", "pct_change"), _NUMBER_OR_NULL)
+_INTERVAL_ROW = {"index": int, "covered": bool, ...: None}
+_INTERVAL_ROW |= dict.fromkeys(("y_true", "mean", "lower", "upper", "width"), float)
+_RELIABILITY = Rule(
+    {"edges": [float], "mean_confidence": [_NUMBER_OR_NULL], "observed_frequency": [_NUMBER_OR_NULL],
+     "counts": [int], ...: None},
+    lambda r: len(r["edges"]) - 1 == len(r["counts"]) == len(r["mean_confidence"]) == len(r["observed_frequency"]),
+    "needs one more edge than bins, and one confidence, frequency and count per bin",
+)
+_UQ_VARIANT = Rule(
+    {"intervals": Opt([_INTERVAL_ROW]), "reliability": Opt(_RELIABILITY), ...: None},
+    lambda variant: "intervals" in variant or "reliability" in variant,
+    "has neither intervals nor reliability",
+)
+RESULTS_KEYS = {"scenario": str, "metric": str, "runs": [_RUN_RECORD], ...: None}
+RESULTS_KEYS["uq"] = Opt(Either({"configured": _UQ_VARIANT, "ideal": _UQ_VARIANT, ...: None}, None))
+
 
 def _metrics_csv(runs: list[dict]) -> str:
     buf = io.StringIO()

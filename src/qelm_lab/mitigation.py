@@ -31,11 +31,12 @@ import numpy as np
 
 from . import circuit as circ
 from .circuit import Circuit, depth, fold_to_scales, gate_counts
-from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError, coerce
+from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError
 from .noise import NoiseProfile
 from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, probabilities_features
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
+from .schema import Opt, read
 from .simulator import (
     batches,
     measure_distribution,
@@ -72,6 +73,8 @@ class ZneConfig:
     degree: int = 3
 
     def __post_init__(self):
+        # from JSON the factors are a list that may hold integers
+        object.__setattr__(self, "scale_factors", tuple(float(s) for s in self.scale_factors))
         if self.folding != "global":
             raise ValidationError(f"unsupported folding strategy {self.folding!r}")
         if self.extrapolation not in EXTRAPOLATION_METHODS:
@@ -107,17 +110,11 @@ class ZneConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ZneConfig":
-        return ZneConfig(
-            scale_factors=coerce(
-                "zne.scale_factors",
-                raw.get("scale_factors"),
-                lambda v: tuple(float(s) for s in v),
-                "a list of numbers",
-            ),
-            folding=raw.get("folding", "global"),
-            extrapolation=raw.get("extrapolation", "polynomial"),
-            degree=coerce("zne.degree", raw.get("degree", 3), int, "an integer"),
-        )
+        return ZneConfig(**read(ZNE_KEYS, raw, at="zne"))
+
+
+# the JSON form of a ZneConfig; a missing key keeps the field's default
+ZNE_KEYS = {"scale_factors": [float], "folding": Opt(str), "extrapolation": Opt(str), "degree": Opt(int)}
 
 
 def extrapolate(scales, values, method: str = "polynomial", degree: int = 3):

@@ -34,7 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Gate
-from .errors import ParseError, ValidationError, coerce
+from .errors import ParseError, ValidationError
+from .schema import Either, read
 
 BUNDLED_PROFILES = ("device-a", "device-b", "device-c")
 
@@ -61,6 +62,13 @@ class NoiseProfile:
     readout_confusion: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
 
     def __post_init__(self):
+        # from JSON the numbers may be integers and the sequences lists
+        for name in ("depol_1q", "depol_2q", "gate_time_1q_us", "gate_time_2q_us"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("t1_us", "t2_us"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        confusion = tuple(tuple(tuple(map(float, row)) for row in m) for m in self.readout_confusion)
+        object.__setattr__(self, "readout_confusion", confusion)
         for label, p in (("depol_1q", self.depol_1q), ("depol_2q", self.depol_2q)):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError(f"{label} must lie in [0, 1], got {p}")
@@ -78,7 +86,7 @@ class NoiseProfile:
             ("gate_time_1q_us", self.gate_time_1q_us),
             ("gate_time_2q_us", self.gate_time_2q_us),
         ):
-            if t < 0:
+            if not t >= 0:  # NaN too
                 raise ValidationError(f"{label} must be non-negative, got {t}")
         for q, rows in enumerate(self.readout_confusion):
             for row in rows:
@@ -278,57 +286,20 @@ def zero_noise_profile(n_qubits: int = 12, name: str = "zero-noise") -> NoisePro
     )
 
 
+# the JSON form of a NoiseProfile: t1_us and t2_us are one number for every
+# qubit or one per qubit, and readout holds one 2x2 matrix per qubit
+PROFILE_KEYS = {"name": str, "readout": [((float, float), (float, float))]}
+PROFILE_KEYS |= dict.fromkeys(("depol_1q", "depol_2q", "gate_time_1q_us", "gate_time_2q_us"), float)
+PROFILE_KEYS |= dict.fromkeys(("t1_us", "t2_us"), Either(float, [float]))
+
+
 def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
-    required = [
-        "name",
-        "depol_1q",
-        "depol_2q",
-        "t1_us",
-        "t2_us",
-        "gate_time_1q_us",
-        "gate_time_2q_us",
-        "readout",
-    ]
-    for key in required:
-        if key not in raw:
-            raise ValidationError(f"{source}: missing key {key!r}")
-    readout = raw["readout"]
-    if not isinstance(readout, list) or not readout:
-        raise ValidationError(f"{source}: readout must be a non-empty list of 2x2 matrices")
-    n = len(readout)
-
-    def number(key):
-        return coerce(f"{source}: {key}", raw[key], float, "a number")
-
-    def per_qubit(value, label):
-        if isinstance(value, (int, float)):
-            return (float(value),) * n
-        if isinstance(value, list) and len(value) == n:
-            return tuple(
-                coerce(f"{source}: {label}[{q}]", v, float, "a number")
-                for q, v in enumerate(value)
-            )
-        raise ValidationError(f"{source}: {label} must be a number or a list of {n} numbers")
-
-    confusion = []
-    for q, mat in enumerate(readout):
-        try:
-            rows = tuple(tuple(float(v) for v in row) for row in mat)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{source}: readout[{q}] is not a 2x2 matrix") from None
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValidationError(f"{source}: readout[{q}] is not a 2x2 matrix")
-        confusion.append(rows)
-    return NoiseProfile(
-        name=str(raw["name"]),
-        depol_1q=number("depol_1q"),
-        depol_2q=number("depol_2q"),
-        t1_us=per_qubit(raw["t1_us"], "t1_us"),
-        t2_us=per_qubit(raw["t2_us"], "t2_us"),
-        gate_time_1q_us=number("gate_time_1q_us"),
-        gate_time_2q_us=number("gate_time_2q_us"),
-        readout_confusion=tuple(confusion),
-    )
+    doc = read(PROFILE_KEYS, raw, doc=source)
+    confusion = doc.pop("readout")
+    for key in ("t1_us", "t2_us"):
+        if not isinstance(doc[key], list):
+            doc[key] = [doc[key]] * len(confusion)
+    return NoiseProfile(**doc, readout_confusion=confusion)
 
 
 def load_profile(path: str | Path) -> NoiseProfile:
@@ -338,8 +309,6 @@ def load_profile(path: str | Path) -> NoiseProfile:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be a JSON object")
     return _profile_from_dict(raw, str(path))
 
 

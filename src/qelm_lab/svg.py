@@ -26,10 +26,11 @@ class _Frame:
         self.width, self.height, self.pad = width, height, pad
         x_lo, x_hi = x_range
         y_lo, y_hi = y_range
+        # an empty range gets width 1, or more where 1 is lost to rounding
         if x_hi - x_lo <= 0:
-            x_hi = x_lo + 1.0
+            x_hi = x_lo + max(1.0, abs(x_lo) * 1e-9)
         if y_hi - y_lo <= 0:
-            y_hi = y_lo + 1.0
+            y_hi = y_lo + max(1.0, abs(y_lo) * 1e-9)
         span_x = x_hi - x_lo
         span_y = y_hi - y_lo
         self.x_lo, self.x_hi = x_lo - 0.04 * span_x, x_hi + 0.04 * span_x
@@ -117,8 +118,8 @@ def render_interval_chart(rows: list[dict], title: str) -> str:
     means = [rows[i]["mean"] for i in order]
     lows = [rows[i]["lower"] for i in order]
     highs = [rows[i]["upper"] for i in order]
-    lo = min(min(lows), min(y_true))
-    hi = max(max(highs), max(y_true))
+    lo = float(min(min(lows), min(y_true)))  # a results file may hold integers
+    hi = float(max(max(highs), max(y_true)))
     frame = _Frame((0.0, float(len(rows) - 1)), (lo, hi))
     body = _axes(frame, title, "test inputs (sorted by true value)", "prediction")
     band = [f"{_fmt(frame.x(i))},{_fmt(frame.y(v))}" for i, v in enumerate(lows)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
-from qelm_lab.errors import ArityMismatch, InvalidTarget, ParseError, ScaleOutOfRange
+from qelm_lab.errors import ArityMismatch, InvalidTarget, ParseError, ScaleOutOfRange, ValidationError
 from qelm_lab.simulator import measure_distribution, run_ideal
 
 from conftest import circuits, random_gate_list
@@ -162,3 +162,11 @@ def test_text_parse_errors():
         circ.from_text("qubits 2\nCX 0 5\n")
     with pytest.raises(ParseError):
         circ.from_text("qubits 2\nRX 0\n")
+
+
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_a_gate_rejects_a_non_finite_parameter(angle):
+    with pytest.raises(ValidationError, match="ZZ parameter must be finite"):
+        circ.Gate("ZZ", (0, 1), (angle,))
+    with pytest.raises(ParseError, match="^line 3: RY parameter must be finite"):
+        circ.from_text(f"qubits 1\n# an angle\nRY 0 {angle}\n")

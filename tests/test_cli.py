@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -269,6 +270,23 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
         ({"dataset": {"kind": "classification4"}, "model": {"readout": "linear"}}, "readout"),
         ({"qlear": {"trees": 0}}, "qlear.trees"),
         ({"jobs": 0}, "jobs"),
+        ({"repeat": 3}, "repeat"),
+        ({"model": {"layer": 3}}, "model.layer"),
+        ({"model": {"entangle": "no"}}, "model.entangle"),
+        ({"model": {"entangle": "false"}}, "model.entangle"),
+        ({"uq": {"samples": 2.9}}, "uq.samples"),
+        ({"model": {"shots": 1.5}}, "model.shots"),
+        ({"seed": 1.9}, "seed"),
+        ({"repeats": 5.0}, "repeats"),
+        ({"dataset": {"size": "120"}}, "dataset.size"),
+        ({"dataset": {"noise_level": True}}, "dataset.noise_level"),
+        ({"model": {"evolution_time": "inf"}}, "model.evolution_time"),
+        ({"model": {"evolution_time": float("inf")}}, "model.evolution_time"),
+        ({"dataset": {"noise_level": "nan"}}, "dataset.noise_level"),
+        ({"dataset": {"noise_level": float("nan")}}, "dataset.noise_level"),
+        ({"model": {"j_range": [float("-inf"), 1]}}, "model.j_range[0]"),
+        ({"zne": {"scale_factors": [1, "3"]}}, "zne.scale_factors[1]"),
+        ({"zne": {"scale_factors": [1, 3], "degre": 1}}, "zne.degre"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])
@@ -355,12 +373,51 @@ def test_readout_that_does_not_fit_the_task_exits_one(capsys, tmp_path, command,
     assert not (tmp_path / "out").exists()
 
 
+_RESULTS = {
+    "schema": "scenario-report/1",
+    "scenario": "C1_1",
+    "metric": "mse",
+    "runs": [{"repeat": 0, "seed": 1, "metric": 0.2, "ideal_metric": 0.1, "pct_change": 100.0, "error": None}],
+}
+_RELIABILITY = {"edges": [0.0, 1.0], "mean_confidence": [0.5], "observed_frequency": [0.5], "counts": [2]}
+
+
+def _results(**change) -> str:
+    return json.dumps({**_RESULTS, **change})
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [
         ("{not json", "is not valid JSON"),
         ("[1, 2]", "top level must be a JSON object"),
         ('{"schema": "scenario-report/1"}', "has no scenario, metric, runs"),
+        pytest.param(_results(runs=[1]), "runs[0]: expected an object, got 1", id="run-not-object"),
+        pytest.param(_results(runs=[{}]), "runs[0].repeat: required", id="run-empty"),
+        pytest.param(_results(runs=5), "runs: expected a list, got 5", id="runs-not-list"),
+        pytest.param(
+            _results(runs=[{**_RESULTS["runs"][0], "pct_change": "x"}]),
+            "runs[0].pct_change: expected",
+            id="pct-change-string",
+        ),
+        pytest.param(
+            _results(uq={"configured": {}}), "uq.ideal: required; uq has no ideal", id="uq-no-ideal"
+        ),
+        pytest.param(
+            _results(uq={"configured": {}, "ideal": {}}),
+            "uq.configured: has neither intervals nor reliability",
+            id="uq-variant-empty",
+        ),
+        pytest.param(
+            _results(uq={"configured": {"intervals": [1]}, "ideal": {"reliability": _RELIABILITY}}),
+            "uq.configured.intervals[0]: expected an object, got 1",
+            id="interval-not-object",
+        ),
+        pytest.param(
+            _results(uq={"configured": {"reliability": {**_RELIABILITY, "edges": [0.0]}}, "ideal": {}}),
+            "uq.configured.reliability: needs one more edge than bins",
+            id="reliability-edges",
+        ),
     ],
 )
 def test_report_on_a_malformed_results_file_exits_one(capsys, tmp_path, text, problem):
@@ -387,3 +444,173 @@ def test_one_uq_sample_exits_one_before_any_work(capsys, tmp_path, command, prin
     assert out == ""
     assert err.startswith("error: uq.samples:") and "got 1" in err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# values the run-config reader rejects before any work
+
+@pytest.mark.parametrize(
+    "flag, value", [("--uq-samples", "2.9"), ("--shots", "1.5"), ("--seed", "1.9"), ("--dataset-size", "x")]
+)
+def test_a_flag_of_the_wrong_type_exits_one_naming_the_flag(capsys, tmp_path, flag, value):
+    argv = ["scenario", "--profile", "zero-noise", flag, value, "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: argument {flag}: invalid int value: '{value}'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["scenario", "uq", "train"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_non_finite_noise_level_flag_exits_one_naming_its_path(capsys, tmp_path, command, value):
+    argv = [command, "--noise-level", value, "--dataset-size", "20", "--out", str(tmp_path / "out")]
+    argv += [] if command == "train" else ["--profile", "zero-noise"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: dataset.noise_level: must be finite, got {value}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_uses_the_dataset_seed_it_is_given(capsys, tmp_path):
+    mse = {}
+    for seed in ("0", "7"):
+        code, out, _ = run_cli(
+            capsys, "train", "--dataset-seed", seed, "--dataset-size", "30",
+            "--out", str(tmp_path / seed),
+        )
+        assert code == 0
+        mse[seed] = out
+    assert mse["0"] != mse["7"]
+
+
+@pytest.mark.parametrize("command", ["train", "scenario"])
+def test_a_dataset_size_of_zero_exits_one(capsys, tmp_path, command):
+    argv = [command, "--dataset-size", "0", "--out", str(tmp_path / "out")]
+    argv += [] if command == "train" else ["--profile", "zero-noise"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dataset.size: need at least 20 samples")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        ({"depol1q": 0.5}, "depol1q: unknown key"),
+        ({"depol_1q": True}, "depol_1q: expected a number, got True"),
+        ({"gate_time_1q_us": "nan"}, "gate_time_1q_us: expected a number, got 'nan'"),
+        ({"gate_time_1q_us": float("nan")}, "gate_time_1q_us: must be finite, got nan"),
+        ({"readout": [[[1.0, 0.0]]]}, "readout[0]: expected a list of 2"),
+    ],
+)
+@pytest.mark.parametrize("command", ["simulate", "scenario"])
+def test_a_profile_value_the_reader_rejects_exits_one_naming_file_and_key(
+    capsys, tmp_path, change, key, command
+):
+    raw = json.loads(resources.files("qelm_lab").joinpath("profiles/device-a.json").read_text())
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**raw, **change}))
+    argv = [command, "--profile", str(path), "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: {key}")
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# results files
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "C3_2", "--dataset", "regression3", "--uq-samples", "4"],
+        ["--scenario", "C3_2", "--dataset", "classification4", "--uq-samples", "4"],
+        ["--scenario", "C2_1", "--mitigator", "zne", "--dataset", "regression3"],
+    ],
+    ids=["C3_2-regression-bootstrap", "C3_2-classification-bootstrap", "C2_1-zne"],
+)
+def test_report_re_emits_every_file_byte_for_byte(capsys, tmp_path, argv):
+    run_dir, re_dir = tmp_path / "run", tmp_path / "re"
+    code, _, err = run_cli(
+        capsys, "scenario", *argv, "--profile", "device-a", "--dataset-size", "20",
+        "--repeats", "3", "--seed", "5", "--jobs", "1", "--out", str(run_dir),
+    )
+    assert code == 0, err
+    code, _, err = run_cli(
+        capsys, "report", "--results", str(run_dir / "results.json"), "--out", str(re_dir)
+    )
+    assert code == 0, err
+    written = sorted(p.name for p in run_dir.iterdir())
+    assert sorted(p.name for p in re_dir.iterdir()) == written
+    assert any(name.startswith("uq_") for name in written) == ("C3_2" in argv)
+    for name in written:
+        assert (re_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# model settings fail before any work, also under --print-config
+
+@pytest.mark.parametrize(
+    "model, problem",
+    [
+        ({"reservoir_style": "bogus"}, "unknown reservoir style 'bogus'"),
+        ({"feature_map": "bogus"}, "unknown feature map kind 'bogus'"),
+        ({"shots": -1}, "shots must be >= 0"),
+        ({"trotter_steps": 0}, "ising reservoir needs at least one trotter step"),
+        ({"layers": 0, "reservoir_style": "rotation"}, "rotation reservoir needs at least one layer"),
+    ],
+)
+@pytest.mark.parametrize("print_config", [False, True])
+def test_a_bad_model_setting_exits_one_before_any_work(capsys, tmp_path, model, problem, print_config):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({"scenario": "C2_2", "mitigator": "qlear", "model": model}))
+    argv = ["scenario", "--config", str(config_file), "--profile", "device-a"]
+    argv += ["--dataset-size", "20", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, *(["--print-config"] if print_config else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and problem in err
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# non-finite numbers outside JSON
+
+@pytest.mark.parametrize("angle", ["inf", "nan", "-inf"])
+def test_simulate_rejects_a_non_finite_angle_naming_the_line(capsys, tmp_path, angle):
+    path = tmp_path / "c.txt"
+    path.write_text(f"qubits 1\nH 0\nRX 0 {angle}\n")
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 3: RX parameter must be finite")
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+def test_train_csv_with_a_non_finite_cell_exits_one(capsys, tmp_path, cell):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text(f"a,b,y\n1,2,3\n1,{cell},4\n2,3,5\n")
+    code, out, err = run_cli(
+        capsys, "train", "--data", str(csv_path), "--task", "regression",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert out == ""
+    assert "row 3" in err and "'b'" in err and f"{cell!r} is not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_charts_integers_beyond_the_float_precision(capsys, tmp_path):
+    row = {"index": 0, "y_true": 10**30, "mean": 1.4, "lower": 1.0, "upper": 2.0, "width": 1.0, "covered": True}
+    results = tmp_path / "results.json"
+    results.write_text(_results(
+        runs=[{**_RESULTS["runs"][0], "pct_change": -(2**63)}],
+        uq={"configured": {"intervals": [row]}, "ideal": {"intervals": []}},
+    ))
+    code, _, err = run_cli(capsys, "report", "--results", str(results), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert (tmp_path / "out" / "uq_intervals_configured.svg").exists()

@@ -102,6 +102,18 @@ def test_load_profile_round_trip(tmp_path):
     assert profile.t2_us == (90.0, 95.0)
 
 
+def test_a_profile_from_json_values_holds_floats_in_tuples():
+    profile = noise.NoiseProfile("ints", 0, 0, [100, 90], (80, 90), 1, 0, [[[1, 0], [0, 1]]] * 2)
+    assert profile.t1_us == (100.0, 90.0) and type(profile.t1_us[0]) is float
+    assert profile.readout_confusion == (((1.0, 0.0), (0.0, 1.0)),) * 2
+    assert type(profile.gate_time_1q_us) is float and hash(profile)
+
+
+def test_a_nan_gate_time_is_rejected():
+    with pytest.raises(ValidationError, match="gate_time_1q_us must be non-negative, got nan"):
+        noise.NoiseProfile("nan", 0, 0, (100,), (100,), math.nan, 0, (((1, 0), (0, 1)),))
+
+
 def test_zero_noise_channel_is_identity():
     profile = noise.zero_noise_profile(2)
     channel = noise.channel_for_gate(profile, circ.h(0))
