@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArityMismatch, InvalidTarget, ParseError, ScaleOutOfRange, ValidationError
 
@@ -77,6 +78,23 @@ class Gate:
         if self.kind in _SELF_ADJOINT:
             return self
         return Gate(self.kind, self.targets, tuple(-p for p in self.params))
+
+
+class Slot(NamedTuple):
+    """RY(sign * angle) on ``qubit``, the angle from column ``qubit`` of a
+    row's angles. A circuit with slots is a program, which the transforms
+    fold for every row at once: a slot's adjoint negates its sign."""
+
+    qubit: int
+    sign: float = 1.0
+    kind = "RY"
+
+    @property
+    def targets(self) -> tuple[int]:
+        return (self.qubit,)
+
+    def adjoint(self) -> "Slot":
+        return Slot(self.qubit, -self.sign)
 
 
 def h(q: int) -> Gate:
@@ -159,9 +177,7 @@ def global_fold(circuit: Circuit, k: int) -> Circuit:
     """
     if k < 0:
         raise ValidationError(f"fold count must be non-negative, got {k}")
-    inv = inverse(circuit)
-    gates = circuit.gates + k * (inv.gates + circuit.gates)
-    return Circuit(circuit.n_qubits, gates)
+    return fold_to_scale(circuit, 2 * k + 1)
 
 
 def fold_to_scale(circuit: Circuit, scale: float) -> Circuit:
@@ -207,7 +223,7 @@ def fold_to_scales(circuit: Circuit, scales) -> list[Circuit]:
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:
     """(single-qubit gate count, two-qubit gate count)."""
-    ones = sum(1 for g in circuit.gates if g.n_targets == 1)
+    ones = sum(1 for g in circuit.gates if len(g.targets) == 1)
     return ones, len(circuit.gates) - ones
 
 

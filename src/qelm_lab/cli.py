@@ -51,7 +51,7 @@ from .qelm import (
 )
 from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .schema import Opt, read
-from .simulator import measure_distribution, run_ideal, run_noisy, sample
+from .simulator import DENSITY_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,6 +279,13 @@ def _cmd_calibrate_zne(args) -> int:
     if args.circuit:
         representative = circ.from_text(Path(args.circuit).read_text())
     else:
+        top = min(profile.n_qubits, DENSITY_QUBIT_CAP)
+        if not 1 <= args.qubits <= top:
+            raise UsageError(
+                f"--qubits must lie in [1, {top}] for profile {profile.name!r}, got {args.qubits}"
+            )
+        if args.gates < 0:
+            raise UsageError(f"--gates must be non-negative, got {args.gates}")
         representative = random_circuit(args.qubits, args.gates, args.seed or 0)
     grid = [
         ZneConfig((1.0, 2.0, 3.0, 5.0), extrapolation="polynomial", degree=3),

@@ -1,8 +1,8 @@
 """Error mitigation for QELM feature extraction.
 
-A mitigator computes the features of circuits from their noisy runs:
-``circuits_features(circuits, feature_map, profile, seeds)``, which evolves
-the circuits together. Two exist:
+A mitigator computes the features of programs from their noisy runs:
+``programs_features(programs, angles, feature_map, profile, seeds)``, for
+every row of an angle table together, as the qelm backends do. Two exist:
 
     ZneMitigator     zero-noise extrapolation. Each feature is measured at
                      several noise-scale factors (realized by unitary
@@ -17,8 +17,8 @@ renormalized to a valid distribution; expectation features are clipped to
 [-1, 1]. Correction never changes the feature-vector dimension.
 
 MitigatedBackend binds a mitigator to a profile, which gives it the backend
-interface of the qelm module: ``key`` plus ``circuits_features(circuits,
-spec, seeds)``.
+interface of the qelm module: ``key`` plus ``programs_features(programs,
+angles, spec, seeds)``.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from . import circuit as circ
 from .circuit import Circuit, depth, fold_to_scales, gate_counts
 from .errors import CorpusTooSmall, InsufficientPoints, NotTrained, ValidationError
 from .noise import NoiseProfile
-from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend, probabilities_features
+from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
 from .schema import Opt, read
 from .simulator import (
-    batches,
     measure_distribution,
-    noisy_probabilities,
     run_ideal,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
 )
@@ -186,12 +184,12 @@ def _exponential(scales: np.ndarray, values: np.ndarray) -> float:
 
 
 def _postprocess(values: np.ndarray, feature_kind: str) -> np.ndarray:
+    """A feature vector, or each row of a stack of them, made valid."""
     if feature_kind == "probabilities":
         clipped = np.clip(values, 0.0, 1.0)
-        total = clipped.sum()
-        if total <= 0.0:
-            return np.full_like(clipped, 1.0 / len(clipped))
-        return clipped / total
+        total = clipped.sum(axis=-1, keepdims=True)
+        uniform = np.full_like(clipped, 1.0 / clipped.shape[-1])
+        return np.divide(clipped, total, out=uniform, where=total > 0.0)
     return np.clip(values, -1.0, 1.0)
 
 
@@ -201,7 +199,7 @@ def _scale_seed(seed: int, index: int) -> int:
 
 
 class ZneMitigator:
-    """Digital ZNE: fold the circuit to each scale factor, run it noisy,
+    """Digital ZNE: fold the program to each scale factor, run it noisy,
     extrapolate every feature to scale 0, then clip (and renormalize)."""
 
     def __init__(self, config: ZneConfig | None = None):
@@ -212,29 +210,22 @@ class ZneMitigator:
         scales = ",".join(repr(s) for s in c.scale_factors)
         return f"zne[{scales};{c.extrapolation};{c.degree}]"
 
-    def circuits_features(self, circuits, feature_map, profile, seeds):
+    def programs_features(self, programs, angles, feature_map, profile, seeds):
         c = self.config
         n_scales = len(c.scale_factors)
-        rows = []
-        for part in batches(circuits, 4, n_scales):
-            # every fold of every row in one walk: the folds of a row share
-            # leading gates (C, then C^dagger C ...), and rows share shapes
-            folds = [
-                fold
-                for circuit in circuits[part]
-                for fold in fold_to_scales(circuit, c.scale_factors)
-            ]
-            fold_seeds = [_scale_seed(seed, i) for seed in seeds[part] for i in range(n_scales)]
-            features = probabilities_features(noisy_probabilities(folds, profile), feature_map, fold_seeds)
-            for start in range(0, len(folds), n_scales):
-                mitigated = extrapolate(
-                    c.scale_factors, features[start : start + n_scales], c.extrapolation, c.degree
-                )
-                rows.append(_postprocess(mitigated, feature_map.kind))
-        return rows
+        # every fold of every program, once for all rows, in one walk: the
+        # folds share leading steps (C, then C^dagger C ...)
+        folds = [fold for program in programs for fold in fold_to_scales(program, c.scale_factors)]
+        fold_seeds = [_scale_seed(seed, i) for seed in seeds or () for i in range(n_scales)]
+        features = NoisyBackend(profile).programs_features(folds, angles, feature_map, fold_seeds)
+        # one fit for all of them: a column per (row, feature), a row per scale
+        k = features.shape[1]
+        values = features.reshape(-1, n_scales, k).transpose(1, 0, 2).reshape(n_scales, -1)
+        mitigated = extrapolate(c.scale_factors, values, c.extrapolation, c.degree)
+        return _postprocess(np.reshape(mitigated, (-1, k)), feature_map.kind)
 
     def circuit_features(self, circuit, feature_map, profile, seed):
-        return self.circuits_features([circuit], feature_map, profile, [seed])[0]
+        return self.programs_features([circuit], None, feature_map, profile, [seed])[0]
 
 
 def zne_calibrate(
@@ -310,18 +301,19 @@ class QlearModel:
 def _schema_rows(
     noisy: np.ndarray, meta: CircuitMeta, profile: NoiseProfile
 ) -> np.ndarray:
-    """Regressor inputs: one row per feature.
+    """Regressor inputs: one row per feature of a feature vector, or of each
+    row of a stack of them in turn.
 
     Columns: noisy value, circuit depth, 1q gate count, 2q gate count,
     feature index, profile depol_1q, profile depol_2q.
     """
-    k = len(noisy)
-    rows = np.empty((k, 7))
-    rows[:, 0] = noisy
+    noisy = np.atleast_2d(noisy)
+    rows = np.empty((noisy.size, 7))
+    rows[:, 0] = noisy.ravel()
     rows[:, 1] = meta.depth
     rows[:, 2] = meta.n_1q
     rows[:, 3] = meta.n_2q
-    rows[:, 4] = np.arange(k)
+    rows[:, 4] = np.tile(np.arange(noisy.shape[1]), len(noisy))
     rows[:, 5] = profile.depol_1q
     rows[:, 6] = profile.depol_2q
     return rows
@@ -386,8 +378,8 @@ def qlear_train(
     if any(c.n_qubits != n_qubits for c in calibration):
         raise ValidationError("all calibration circuits must share one qubit count")
     run_seeds = [derive_seed(seed, "qlear-run", c_index) for c_index in range(len(calibration))]
-    ideal_rows = IdealBackend().circuits_features(calibration, feature_map, run_seeds)
-    noisy_rows = NoisyBackend(profile).circuits_features(calibration, feature_map, run_seeds)
+    ideal_rows = IdealBackend().programs_features(calibration, None, feature_map, run_seeds)
+    noisy_rows = NoisyBackend(profile).programs_features(calibration, None, feature_map, run_seeds)
     rows, residuals, owners = [], [], []
     for c_index, (circuit, ideal, noisy) in enumerate(zip(calibration, ideal_rows, noisy_rows)):
         rows.append(_schema_rows(noisy, circuit_meta(circuit), profile))
@@ -423,14 +415,16 @@ def qlear_correct(
     meta: CircuitMeta,
     profile: NoiseProfile,
 ) -> np.ndarray:
-    """Apply the learned per-feature correction to one feature vector."""
+    """Apply the learned per-feature correction to one feature vector, or
+    to every row of a (rows x k) stack of them (circuits with one meta) by
+    one regressor call."""
     if not model.trained:
         raise NotTrained("corrector must be trained before use")
-    noisy_features = np.asarray(noisy_features, dtype=float).reshape(-1)
-    corrected = noisy_features + model.regressor.predict(
-        _schema_rows(noisy_features, meta, profile)
-    )
-    return _postprocess(corrected, model.feature_kind)
+    noisy = np.asarray(noisy_features, dtype=float)
+    stack = noisy if noisy.ndim == 2 else noisy.reshape(1, -1)
+    corrected = stack + model.regressor.predict(_schema_rows(stack, meta, profile)).reshape(stack.shape)
+    corrected = _postprocess(corrected, model.feature_kind)
+    return corrected if noisy.ndim == 2 else corrected[0]
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +437,19 @@ class QlearMitigator:
     def key_suffix(self) -> str:
         return f"qlear[{self.model.corpus_size};{self.model.seed}]"
 
-    def circuits_features(self, circuits, feature_map, profile, seeds):
+    def programs_features(self, programs, angles, feature_map, profile, seeds):
         if feature_map.kind != self.model.feature_kind:
             raise ValidationError(
                 f"corrector was trained on {self.model.feature_kind!r} features, "
                 f"got {feature_map.kind!r}"
             )
-        noisy = NoisyBackend(profile).circuits_features(circuits, feature_map, seeds)
-        return [
-            qlear_correct(self.model, row, circuit_meta(circuit), profile)
-            for circuit, row in zip(circuits, noisy)
-        ]
+        noisy = NoisyBackend(profile).programs_features(programs, angles, feature_map, seeds)
+        # the rows of program p are p, p + P, ...; a program's meta is its rows'
+        for p, program in enumerate(programs):
+            noisy[p :: len(programs)] = qlear_correct(
+                self.model, noisy[p :: len(programs)], circuit_meta(program), profile
+            )
+        return noisy
 
 
 class MitigatedBackend:
@@ -464,8 +460,8 @@ class MitigatedBackend:
         self.mitigator = mitigator
         self.key = f"mitigated:{profile.name}:{mitigator.key_suffix()}"
 
-    def circuits_features(self, circuits, spec, seeds):
-        return self.mitigator.circuits_features(circuits, spec, self.profile, seeds)
+    def programs_features(self, programs, angles, spec, seeds):
+        return self.mitigator.programs_features(programs, angles, spec, self.profile, seeds)
 
     def circuit_features(self, circuit, spec, seed):
-        return self.circuits_features([circuit], spec, [seed])[0]
+        return self.programs_features([circuit], None, spec, [seed])[0]

@@ -299,7 +299,10 @@ def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
     for key in ("t1_us", "t2_us"):
         if not isinstance(doc[key], list):
             doc[key] = [doc[key]] * len(confusion)
-    return NoiseProfile(**doc, readout_confusion=confusion)
+    try:
+        return NoiseProfile(**doc, readout_confusion=confusion)
+    except ValidationError as exc:  # a rule across values: name the document
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def load_profile(path: str | Path) -> NoiseProfile:

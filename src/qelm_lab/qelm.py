@@ -8,21 +8,22 @@ The pipeline for one input x is
 
 The reservoir is drawn once from its seed and never changes; training only
 fits the readout. A backend decides how circuits are executed; it is a
-``key`` naming it plus ``circuits_features(circuits, spec, seeds)``, which
-evolves the circuits together (the one-circuit ``circuit_features(circuit,
-spec, seed)`` is its batch of one):
+``key`` naming it plus ``programs_features(programs, angles, spec, seeds)``,
+which evolves programs for every row of an angle table (None: circuits,
+one row) together (``circuit_features(circuit, spec, seed)``: one circuit):
 
     IdealBackend()            exact state-vector probabilities
     NoisyBackend(profile)     density-matrix evolution plus readout confusion,
                               measured without rebuilding the density matrix
 
-(the mitigation module adds MitigatedBackend). feature_matrix builds the
-circuits of all its rows (FeatureCache: of the rows it has not seen) and
-hands them to the backend in one call; extract_features does the same for
-one input. A backend measures a batch of rows as one stack of distributions
-and maps it to feature rows in one step (probabilities_features). Feature
-extraction per row is pure given (front, x, backend, seed), which makes
-results cacheable and runs replayable.
+(the mitigation module adds MitigatedBackend). Every row of a front runs
+one program (front_program: the encoder's RY gates as slots); feature_matrix
+computes the angles of all its rows (FeatureCache: of the rows it has not
+seen) in one step and hands them to the backend in one call, as
+extract_features does for one input. A backend maps all rows' distributions
+to feature rows in one step (probabilities_features). Feature extraction
+per row is pure given (front, x, backend, seed), which makes results
+cacheable and runs replayable.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .readout import check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
 from .simulator import (
     OutcomeDistribution,
-    batches,
     ideal_probabilities,
     noisy_probabilities,
     run_noisy,  # noqa: F401  (bench/spans.py traces it wherever a module holds it)
@@ -157,21 +157,32 @@ class QelmFront:
 def encode(features: np.ndarray, spec: EncoderSpec, n_qubits: int) -> Circuit:
     """Min-max scale each feature into an RY angle in [0, pi], one qubit per
     feature, then close with a CX ring when entangling is on."""
-    features = np.asarray(features, dtype=float).reshape(-1)
-    if len(features) != n_qubits:
-        raise DimensionMismatch(f"got {len(features)} features for {n_qubits} qubits")
+    features = np.asarray(features, dtype=float).reshape(1, -1)
+    if features.shape[1] != n_qubits:
+        raise DimensionMismatch(f"got {features.shape[1]} features for {n_qubits} qubits")
     if len(spec.feature_range) != n_qubits:
         raise DimensionMismatch(
             f"encoder covers {len(spec.feature_range)} features, circuit has {n_qubits} qubits"
         )
-    gates = []
-    for q, (value, (lo, hi)) in enumerate(zip(features, spec.feature_range)):
-        theta = np.pi * (value - lo) / (hi - lo)
-        gates.append(circ.ry(q, float(np.clip(theta, 0.0, np.pi))))
+    gates = [circ.ry(q, theta) for q, theta in enumerate(encoder_angles(spec, features)[0])]
     if spec.entangle and n_qubits >= 2:
-        for q in range(n_qubits):
-            gates.append(circ.cx(q, (q + 1) % n_qubits))
+        gates += [circ.cx(q, (q + 1) % n_qubits) for q in range(n_qubits)]
     return Circuit(n_qubits, tuple(gates))
+
+
+def encoder_angles(spec: EncoderSpec, inputs) -> np.ndarray:
+    """The encoder's angles of rows of features, one row each, with encode's
+    bits and errors: a wrong feature count, a non-finite angle."""
+    inputs = np.asarray(inputs, dtype=float)
+    n = len(spec.feature_range)
+    rows = inputs.reshape(len(inputs), -1) if len(inputs) else inputs.reshape(0, n)
+    if rows.shape[1] != n:
+        raise DimensionMismatch(f"got {rows.shape[1]} features for {n} qubits")
+    lo, hi = np.array(spec.feature_range).T
+    angles = np.clip(np.pi * (rows - lo) / (hi - lo), 0.0, np.pi)
+    if not np.isfinite(angles).all():
+        raise ValidationError(f"RY parameter must be finite, got {angles[~np.isfinite(angles)][0]}")
+    return angles
 
 
 @lru_cache(maxsize=512)
@@ -205,6 +216,14 @@ def build_reservoir(spec: ReservoirSpec) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def front_program(front: QelmFront) -> Circuit:
+    """The program every row of the front runs: front_circuit with the
+    encoder's RY gates as slots."""
+    n = front.n_qubits
+    ring = encode(np.zeros(n), front.encoder, n).gates[n:]
+    return Circuit(n, tuple(map(circ.Slot, range(n))) + ring + build_reservoir(front.reservoir).gates)
+
+
 def front_circuit(front: QelmFront, x: np.ndarray) -> Circuit:
     return circ.compose(encode(x, front.encoder, front.n_qubits), build_reservoir(front.reservoir))
 
@@ -232,28 +251,16 @@ def probabilities_features(probs: np.ndarray, spec: FeatureMapSpec, seeds) -> np
     return z_expectations(probs, qubit_sets)
 
 
-def _batched_features(circuits, spec, seeds, d: int, measure) -> list[np.ndarray]:
-    """The feature rows of ``circuits`` (states of d^n entries), one batch
-    of states at a time: ``measure`` gives a batch's distributions, and
-    probabilities_features maps them in one step."""
-    rows: list[np.ndarray] = []
-    for part in batches(circuits, d):
-        rows.extend(probabilities_features(measure(circuits[part]), spec, seeds[part]))
-    return rows
-
-
 class IdealBackend:
     """Exact state-vector execution."""
 
     key = "ideal"
 
-    def circuits_features(
-        self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
-    ) -> list[np.ndarray]:
-        return _batched_features(circuits, spec, seeds, 2, ideal_probabilities)
+    def programs_features(self, programs: list[Circuit], angles, spec: FeatureMapSpec, seeds) -> np.ndarray:
+        return probabilities_features(ideal_probabilities(programs, angles), spec, seeds)
 
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-        return self.circuits_features([circuit], spec, [seed])[0]
+        return self.programs_features([circuit], None, spec, [seed])[0]
 
 
 class NoisyBackend:
@@ -264,31 +271,27 @@ class NoisyBackend:
         self.profile = profile
         self.key = f"noisy:{profile.name}"
 
-    def circuits_features(
-        self, circuits: list[Circuit], spec: FeatureMapSpec, seeds: list[int]
-    ) -> list[np.ndarray]:
-        return _batched_features(
-            circuits, spec, seeds, 4, lambda part: noisy_probabilities(part, self.profile)
-        )
+    def programs_features(self, programs: list[Circuit], angles, spec: FeatureMapSpec, seeds) -> np.ndarray:
+        return probabilities_features(noisy_probabilities(programs, self.profile, angles), spec, seeds)
 
     def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-        return self.circuits_features([circuit], spec, [seed])[0]
+        return self.programs_features([circuit], None, spec, [seed])[0]
 
 
 def extract_features(front: QelmFront, x: np.ndarray, backend, seed: int = 0) -> np.ndarray:
     """Run the front end for one input on the given backend."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(x) != front.n_qubits:
-        raise DimensionMismatch(f"got {len(x)} features for {front.n_qubits} qubits")
-    return backend.circuit_features(front_circuit(front, x), front.feature_map, seed)
+    angles = encoder_angles(front.encoder, np.reshape(x, (1, -1)))
+    return backend.programs_features([front_program(front)], angles, front.feature_map, [seed])[0]
 
 
 def _rows_features(front: QelmFront, inputs, indices, backend, base_seed: int) -> list[np.ndarray]:
     """Features of the rows ``inputs``, numbered ``indices``, from one
     backend call. Row i samples with derive_seed(base_seed, "row", i)."""
-    circuits = [front_circuit(front, x) for x in inputs]
-    seeds = [derive_seed(base_seed, "row", i) for i in indices]
-    return backend.circuits_features(circuits, front.feature_map, seeds)
+    angles = encoder_angles(front.encoder, inputs)
+    if not len(angles):
+        return []
+    seeds = [derive_seed(base_seed, "row", i) for i in indices] if front.feature_map.shots else None
+    return list(backend.programs_features([front_program(front)], angles, front.feature_map, seeds))
 
 
 class FeatureCache:

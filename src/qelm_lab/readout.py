@@ -301,13 +301,23 @@ class DecisionTree:
         ]
         level = 0
         while frontier:
+            # a variance is at least (max - min)^2 / 2n, so a node whose
+            # spread puts that above 1e-20 is impure without np.var
+            sizes = np.array([len(rows) for _, _, rows, _ in frontier])
+            wide = np.zeros(len(frontier), dtype=bool)
+            if level < self.max_depth and sizes.any():
+                pooled = targets[np.concatenate([rows for _, _, rows, _ in frontier])]
+                starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide as np.var does
+                    spread = np.maximum.reduceat(pooled, starts) - np.minimum.reduceat(pooled, starts)
+                    wide[sizes > 0] = spread * spread / (2 * sizes[sizes > 0]) > 1e-20
             open_nodes = []
-            for t, i, rows, order in frontier:
+            for (t, i, rows, order), impure in zip(frontier, wide):
                 node_targets = targets[rows]
                 if (
                     level >= self.max_depth
                     or len(rows) < self.min_samples_split
-                    or np.var(node_targets) <= 1e-24
+                    or not impure and np.var(node_targets) <= 1e-24
                 ):
                     values[t][i] = self._leaf(node_targets)
                 else:

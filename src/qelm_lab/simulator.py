@@ -7,8 +7,8 @@ Two backends share one evolution walker and one tensor contraction:
     run_ideal, run_noisy   the one-circuit case of each
     ideal_probabilities, noisy_probabilities
                      the measured outcome distributions of those runs, one
-                     row per circuit, read from the evolved states (without
-                     rebuilding a density matrix) one stack at a time
+                     per row of angles and circuit, read from the evolved
+                     states (no density matrix) one stack at a time
 
 The contraction (_apply_slabs) applies a k-qubit operator to a stack of
 states held on a leading slab axis: the stack is transposed so the target
@@ -24,11 +24,10 @@ state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
 followed by its noise is one real 4^k x 4^k matrix, the product of the
 noise's PTM (cached per profile and target qubits, since the noise does not
 depend on the gate's angle, and built from part PTMs cached per defining
-numbers) and the gate unitary's PTM. A walk step whose gate is the same in
-every slab takes its PTM from a cache per (profile, gate); a step whose
-gates differ (rows' encoder angles, ZNE adjoints) builds their PTMs as one
-stack, uncached, by the same builder (_noisy_gate_ptms; a gate's cached PTM
-is the stack of one), with the same bits. run_noisy_many rebuilds and
+numbers) and the gate unitary's PTM. A walk builds the PTMs of its gates
+as stacks, with the bits of one-gate builds (_noisy_gate_ptms): its fixed
+gates' one stack per target set, a slot's (circuit.Slot: an RY whose angle
+each row supplies) one for every row. run_noisy_many rebuilds and
 validates each density matrix once, at the end. noisy_probabilities builds
 none: the diagonal of rho depends only on the coefficients whose Pauli
 indices all lie in {I, Z}, so it reads those 2^n coefficients, applies
@@ -37,21 +36,20 @@ the diagonal on the way (_measure_pauli); the feature paths of the qelm and
 mitigation modules measure through it. apply_gate_density and
 apply_channel_density go through the same kernel.
 
-The walker (_walk) evolves all the circuits of a call together. It walks
-their gate lists as a trie keyed on gate shape (kind, targets); a node holds
-one slab per distinct exact gate prefix. So rows of a feature matrix, which
-share their gate shapes and differ only in angles, take one matmul per gate
-for all of them, and a leading run of gates that several circuits share is
-evolved once: zero-noise extrapolation's folds share a prefix (the scale-3
-fold C C^dagger C extends the scale-1 circuit C). Where circuits end, the
-walker calls its ``finish`` once per node with the stack of their states;
-the measurement paths measure that stack in one pass, running every check
-of the one-state path on each row and raising, for the first row that fails
+The walker (_walk) evolves programs, circuits whose slots take their
+angles from the rows of an angle table, for every row at once; a list of
+circuits is programs without slots, for one row. It walks their gate lists
+as a trie: a node holds one slab per (row, distinct exact gate prefix), so
+the rows of a feature matrix take one matmul per gate for all of them, and
+a leading run of gates that several programs share is evolved once per
+row: zero-noise extrapolation's folds share a prefix (the scale-3 fold C
+C^dagger C extends the scale-1 program C). Where programs end, the walker
+calls its ``finish`` once per node with the stack of their states; the
+measurement paths measure that stack in one pass, running every check of
+the one-state path on each row and raising, for the first row that fails
 one, that row's error (_raise_first). No stack of slabs holds more than
 BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM state, so an
-8-qubit noisy node keeps one slab and is measured alone; the backends of the
-qelm module hand the walker at most that many states' worth of rows at a
-time (``batches``).
+8-qubit noisy node keeps one slab and is measured alone.
 
 Gate fusion: a state with more entries than a 3-qubit block's operator
 (d^n > d^6, from 7 qubits on both backends) is evolved block by block. Each
@@ -60,12 +58,11 @@ by a greedy plan that is a function of its gate shapes only (cached per
 shape sequence); a gate moves only past gates on disjoint qubits. A block's
 operator is the product of its gates' matrices, built by the same kernel:
 under noise the gates' noisy PTMs, so every gate keeps its noise and a ZNE
-fold still amplifies it. Reservoir blocks are cached per (profile, gates).
+fold still amplifies it. A walk builds each distinct fixed block once.
 An 8-qubit Ising row takes 43 contractions instead of 124. Fused states
 are within 1e-12 of gate-by-gate runs, not bit-identical to them; since
 the plan depends on the circuit alone, a state still has the same bits
-whether it is evolved alone or with others. Smaller states are evolved
-gate by gate, as before.
+whether it is evolved alone or with others.
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -87,7 +84,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, Slot
 from .errors import CapExceeded, IncompatibleProfile, InvalidTarget, ValidationError
 from .noise import KrausChannel, NoiseProfile, gate_noise_parts
 from .rng import Rng
@@ -117,10 +114,7 @@ def _gate_matrix_cached(kind: str, params: tuple[float, ...]) -> np.ndarray:
             [[math.cos(t), -1j * math.sin(t)], [-1j * math.sin(t), math.cos(t)]], dtype=complex
         )
     if kind == "RY":
-        t = params[0] / 2.0
-        return np.array(
-            [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]], dtype=complex
-        )
+        return _ry_matrices(params)[0]
     if kind == "RZ":
         t = params[0] / 2.0
         return np.diag([np.exp(-1j * t), np.exp(1j * t)]).astype(complex)
@@ -129,6 +123,13 @@ def _gate_matrix_cached(kind: str, params: tuple[float, ...]) -> np.ndarray:
         lo, hi = np.exp(-1j * t), np.exp(1j * t)
         return np.diag([lo, hi, hi, lo]).astype(complex)
     raise ValidationError(f"no matrix for gate kind {kind!r}")
+
+
+def _ry_matrices(thetas) -> np.ndarray:
+    """RY(theta) of each angle, stacked, from scalar math.cos and math.sin."""
+    halves = [theta / 2.0 for theta in thetas]
+    rows = [[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in halves]
+    return np.array(rows, dtype=complex)
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -445,47 +446,20 @@ def noise_ptm(profile: NoiseProfile, targets: tuple[int, ...]) -> np.ndarray:
     return ptm
 
 
-def _noisy_gate_ptms(profile: NoiseProfile, gates: list[Gate]) -> np.ndarray:
-    """PTMs of (gate unitary, then its noise), one per gate, for gates on
-    the same targets, stacked: one contraction applies both. Each has the
-    same bits as the gate's PTM built alone."""
-    unitaries = np.stack([gate_matrix(gate) for gate in gates])[:, None]
-    return noise_ptm(profile, gates[0].targets) @ _kraus_ptms(unitaries)
-
-
-@lru_cache(maxsize=16384)
-def _noisy_gate_ptm(profile: NoiseProfile, gate: Gate) -> np.ndarray:
-    """_noisy_gate_ptms of one gate, cached per profile and gate."""
-    ptm = _noisy_gate_ptms(profile, [gate])[0]
-    ptm.flags.writeable = False
-    return ptm
+def _noisy_gate_ptms(profile: NoiseProfile, targets: tuple[int, ...], unitaries: np.ndarray) -> np.ndarray:
+    """PTMs of (gate unitary, then its noise), one per unitary of the
+    stack, for gates on ``targets``: one contraction applies both. Each has
+    the same bits as the gate's PTM built alone."""
+    return noise_ptm(profile, targets) @ _kraus_ptms(unitaries[:, None])
 
 
 # ---------------------------------------------------------------------------
 # execution
 
-# Every batch of states, one slab stack of the walk below or the rows a
-# backend evolves together, holds at most this many entries: one 8-qubit
-# PTM state. Batching larger states does not pay, and it would raise the
-# peak memory of an 8-qubit noisy run.
+# Every stack of slabs of the walk below holds at most this many entries
+# (and at least one state): one 8-qubit PTM state. Batching larger states
+# does not pay, and it would raise the peak memory of an 8-qubit noisy run.
 BATCH_ENTRIES = 2**16
-
-
-def batch_size(state_entries: int) -> int:
-    """How many states of ``state_entries`` entries make one batch (at
-    least one)."""
-    return max(1, BATCH_ENTRIES // state_entries)
-
-
-def batches(circuits: list[Circuit], d: int, copies: int = 1) -> list[slice]:
-    """Consecutive slices of ``circuits``, each a batch of at least one
-    circuit, whose states (``copies`` per circuit, d^n entries each) make one
-    batch. A caller that evolves and measures one slice at a time keeps at
-    most one batch of states alive."""
-    if not circuits:
-        return []
-    size = batch_size(copies * d ** circuits[0].n_qubits)
-    return [slice(start, start + size) for start in range(0, len(circuits), size)]
 
 
 # Gate fusion: on a state wider than a block, runs of gates on at most
@@ -571,104 +545,118 @@ def _program(gates: tuple[Gate, ...], fuse: bool) -> tuple:
     return tuple(steps)
 
 
-def _ops(profile: NoiseProfile | None, steps: list) -> np.ndarray:
-    """The matrix a walk applies for ``steps``, one step per slab, all of
-    one shape: one matrix when the steps are equal (cached, _step_op), else
-    one per slab, stacked and built together, uncached: blocks that differ
-    (rows' blocks with their own angles) by _block_ops, gates that differ
-    by _noisy_gate_ptms under a profile."""
-    if steps.count(steps[0]) == len(steps):
-        return _step_op(profile, steps[0])
-    if isinstance(steps[0], _Block):
-        return _block_ops(profile, steps)
-    if profile is None:
-        return np.stack([gate_matrix(step) for step in steps])
-    return _noisy_gate_ptms(profile, steps)
+def _ops(profile: NoiseProfile | None, steps: list, angles, rows, memo) -> np.ndarray:
+    """The matrices a walk step applies to a node, for ``steps``, one per
+    group of the node, all of one shape: one matrix for every slab, or one
+    per slab (len(rows) per group), stacked."""
+    ops = [_step_ops(profile, step, angles, rows, memo) for step in steps]
+    if len(ops) == 1 or all(op is ops[0] and op.ndim == 2 for op in ops):
+        return ops[0]
+    # contiguous, as matmul takes a strided stack down another path with other bits
+    return np.concatenate([op if op.ndim == 3 else np.repeat(op[None], len(rows), axis=0) for op in ops])
 
 
-def _step_op(profile: NoiseProfile | None, step: Gate | _Block) -> np.ndarray:
-    """The matrix of one walk step: a gate's noisy PTM under a profile, its
-    unitary without one; a block's product of those (_block_op)."""
-    if isinstance(step, _Block):
-        return _block_op(profile, step)
-    return gate_matrix(step) if profile is None else _noisy_gate_ptm(profile, step)
-
-
-# about one reservoir's blocks: an 8-qubit Ising row fuses into 43 blocks, 39
-# of them the same in every row
-@lru_cache(maxsize=48)
-def _block_op(profile: NoiseProfile | None, block: _Block) -> np.ndarray:
-    """The operator of one block (_block_ops), cached per profile and
-    gates, so a reservoir's blocks are built once."""
-    op = _block_ops(profile, [block])[0]
-    op.flags.writeable = False
+def _step_ops(profile: NoiseProfile | None, step, angles, rows, memo) -> np.ndarray:
+    """The matrix of one walk step: a gate's noisy PTM under a profile (the
+    walk builds them first), its unitary without one; a fixed block's
+    product of those (_block_ops), built once per walk. A slot's and a
+    slotted block's are one per row of ``rows``; a slot's come from a stack
+    built once per walk for every row of ``angles``."""
+    if isinstance(step, Gate):
+        return gate_matrix(step) if profile is None else memo[id(step)]
+    op = memo.get(step)
+    if isinstance(step, Slot):
+        if op is None:
+            unitaries = _ry_matrices([step.sign * theta for theta in angles[:, step.qubit].tolist()])
+            op = unitaries if profile is None else _noisy_gate_ptms(profile, step.targets, unitaries)
+            memo[step] = op
+        return op if len(rows) == len(op) else op[rows]
+    if op is None:
+        op = _block_ops(profile, step, angles, rows, memo)
+        if op.ndim == 2:
+            memo[step] = op
     return op
 
 
-def _block_ops(profile: NoiseProfile | None, blocks: list[_Block]) -> np.ndarray:
-    """The operators of blocks of one shape, stacked: each block's gate
-    matrices (_ops, so under a profile every gate keeps its noise and a fold
-    G G^dagger G does not cancel) multiplied in order, by evolving the
-    identity through the kernel as a stack of 2k-axis tensors, each gate on
-    the k output axes. A block's operator has the same bits whether it is
-    built alone or in a stack."""
-    first = blocks[0]
+def _block_ops(profile: NoiseProfile | None, block: _Block, angles, rows, memo) -> np.ndarray:
+    """The operator of a block: its steps' matrices (_step_ops, so under a
+    profile every gate keeps its noise and a fold G G^dagger G does not
+    cancel) multiplied in order, by evolving the identity through the kernel
+    as 2k-axis tensors, each step on the k output axes; one per row of
+    ``rows`` from its first slot on, with the bits of a build alone."""
     d = 2 if profile is None else 4
-    k = len(first.targets)
-    eye = np.eye(d**k, dtype=complex if profile is None else float)
-    ops = np.repeat(eye.reshape((1,) + (d,) * (2 * k)), len(blocks), axis=0)
-    for m, (_, targets) in enumerate(first.kind):
-        axes = tuple(first.targets.index(t) for t in targets)
-        ops = _apply_slabs(ops, _ops(profile, [block.gates[m] for block in blocks]), axes)
-    return ops.reshape(len(blocks), d**k, d**k)
+    k = len(block.targets)
+    ops = np.eye(d**k, dtype=complex if profile is None else float).reshape((1,) + (d,) * (2 * k))
+    per_row = False
+    for step in block.gates:
+        op = _step_ops(profile, step, angles, rows, memo)
+        if op.ndim == 3 and not per_row:
+            ops, per_row = np.repeat(ops, len(op), axis=0), True
+        ops = _apply_slabs(ops, op, tuple(block.targets.index(t) for t in step.targets))
+    ops = ops.reshape(len(ops), d**k, d**k)
+    return ops if per_row else ops[0]
 
 
-def _walk(
-    circuits: list[Circuit], initial: np.ndarray, profile: NoiseProfile | None, finish
-) -> list:
-    """Evolve ``initial`` through the gate list of every circuit and return
-    one result per circuit, in order. Where circuits end, at one node and
-    depth, ``finish`` takes the stack of their final states (one slab per
-    circuit, in member order) and returns one result per slab; the node's
-    slabs are passed without a copy when every one of them ends there. With
-    a profile the states are PTM tensors and each gate applies its noisy
-    PTM, without one they are state vectors and each gate applies its
-    unitary (_step_op).
+def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoiseProfile | None, finish) -> list:
+    """Evolve ``initial`` through the gate list of every circuit for every
+    row of ``angles`` (None: one row, for circuits without slots), and
+    return one result per (row, circuit), row by row. Where circuits end,
+    ``finish`` takes the stack of their final states (uncopied when the
+    whole node ends) and returns one result per state. With a profile the
+    states are PTM tensors, without one state vectors (_step_ops).
 
-    A state with more entries than a block's operator (d^n >
-    d^(2 * FUSED_QUBITS), from 7 qubits) steps through its circuit's
-    fusion plan (_program), one contraction per block; a smaller one steps
-    gate by gate. The step lists are walked as a trie keyed on step shape
-    (kind, targets). A node holds one slab per distinct exact step prefix
-    among its circuits, stacked on a leading axis, and applies each step to
-    all its slabs in one _apply_slabs call: circuits that differ only in
-    angles stay in one node, and a leading run of steps that several
-    circuits share is applied once. A node forks where the shapes differ,
-    or where it would exceed batch_size slabs. Every state is bit-identical
-    to its circuit's run on its own.
+    From 7 qubits (d^n > d^(2 * FUSED_QUBITS)) a circuit steps through its
+    fusion plan (_program), else gate by gate. The step lists are walked as
+    a trie: a node holds groups of circuits that share their exact steps so
+    far, one slab per (group, row), and applies each step to all its slabs
+    in one _apply_slabs call. Rows never split a node, so a step's Python
+    work does not grow with the rows. A node forks where its groups' step
+    shapes differ, and into chunks of at most max_slabs slabs. Every state
+    is bit-identical to its circuit's run on its own. The slot stacks and
+    fixed blocks (``memo``) belong to the walk, so threads share none.
     """
-    max_slabs = batch_size(initial.size)
+    angles = np.zeros((1, 0)) if angles is None else np.asarray(angles, dtype=float)
+    count = len(circuits)
+    max_slabs = max(1, BATCH_ENTRIES // initial.size)
     fuse = initial.size > initial.shape[0] ** (2 * FUSED_QUBITS)
     lists = [_program(c.gates, fuse) for c in circuits]
-    states: list = [None] * len(circuits)
-    # (slabs, depth, members): each (s, group) in members says that slabs[s]
-    # is the state after the first `depth` steps of every circuit in group
-    pending = [(initial[None], 0, [(0, range(len(circuits)))])]
+    memo: dict = {}  # by a fixed gate's id (the circuits keep it alive), a slot, a block
+    if profile is not None:  # every fixed gate's noisy PTM, one stack per target set
+        fixed: dict = {}
+        for gate in (g for c in circuits for g in c.gates if isinstance(g, Gate)):
+            fixed.setdefault(gate.targets, {})[id(gate)] = gate
+        for targets, gates in fixed.items():
+            unitaries = np.stack([gate_matrix(gate) for gate in gates.values()])
+            memo.update(zip(gates, _noisy_gate_ptms(profile, targets, unitaries)))
+    results: list = [None] * (len(angles) * count)
+    # (slabs, depth, groups, rows, index): slab g * len(rows) + i of the node
+    # is slabs[index[g * len(rows) + i]], the state of row rows[i] after the
+    # first `depth` steps of every circuit in groups[g]
+    pending = [(initial[None], 0, [list(range(count))], np.arange(len(angles)), np.zeros(len(angles), int))]
     while pending:
-        slabs, depth, members = pending.pop()
+        slabs, depth, groups, rows, index = pending.pop()
+        width = len(rows)
+        if len(groups) * width > max_slabs:  # chunks, each taking its slabs when popped
+            grid = index.reshape(len(groups), width)
+            per = max(1, max_slabs // width)
+            for g in range(0, len(groups), per):
+                part = max(1, max_slabs // len(groups[g : g + per]))
+                for r in range(0, width, part):
+                    pending.append((slabs, depth, groups[g : g + per], rows[r : r + part],
+                                    grid[g : g + per, r : r + part].ravel()))
+            continue
+        slabs = _take(slabs, index)
         while True:
-            # the node's next slabs: the slab each starts from (index), the
-            # step list of its circuits (leads), which all share it up to
-            # `stop`, and the circuits (groups); circuits that end here finish
-            index: list[int] = []
-            leads: list[tuple] = []
-            groups: list[list[int]] = []
-            ending: list[tuple[int, int]] = []  # (slab, circuit) of each circuit that ends here
+            # the node's next groups (kept), each continuing group parents[k] and
+            # all sharing their steps up to `stop`; circuits that end here finish
+            kept: list[list[int]] = []
+            parents: list[int] = []
+            ending: list[tuple[int, int]] = []  # (group, circuit) of each circuit that ends here
             stop = math.inf
-            for s, group in members:
+            for g, group in enumerate(groups):
                 live = [i for i in group if depth < len(lists[i])]
                 if len(live) < len(group):
-                    ending += [(s, i) for i in group if depth == len(lists[i])]
+                    ending += [(g, i) for i in group if depth == len(lists[i])]
                 if not live:
                     continue
                 lead = lists[live[0]]
@@ -677,58 +665,53 @@ def _walk(
                     steps = lists[i]
                     if steps[depth:shared] != lead[depth:shared]:
                         shared = next(j for j in range(depth, shared) if steps[j] != lead[j])
-                if shared > depth:
-                    index.append(s)
-                    leads.append(lead)
-                    groups.append(live)
-                    stop = min(stop, shared)
-                    continue
-                split: dict = {}  # the circuits differ at the next step
+                split: dict = {}  # by the next step, if the circuits differ there
                 for i in live:
-                    split.setdefault(lists[i][depth], []).append(i)
-                for sub in split.values():
-                    index.append(s)
-                    leads.append(lists[sub[0]])
-                    groups.append(sub)
-                stop = depth + 1
+                    split.setdefault(lists[i][depth] if shared == depth else None, []).append(i)
+                kept += split.values()
+                parents += [g] * len(split)
+                stop = min(stop, max(shared, depth + 1))
             if ending:
-                finished = finish(_take(slabs, [s for s, _ in ending]))
-                for (_, i), result in zip(ending, finished):
-                    states[i] = result
-            if not index:
+                at = np.concatenate([g * width + np.arange(width) for g, _ in ending])
+                finished = finish(_take(slabs, at))
+                for k, (_, i) in enumerate(ending):
+                    for row, result in zip(rows.tolist(), finished[k * width : (k + 1) * width]):
+                        results[row * count + i] = result
+            if not kept:
                 break
-            # apply the steps up to `stop` whose shape every slab shares
+            groups, leads = kept, [lists[group[0]] for group in kept]
+            index = (np.array(parents)[:, None] * width + np.arange(width)).ravel()
             first = leads[0]
-            same = all(lead is first or lead[depth:stop] == first[depth:stop] for lead in leads)
-            if not same:
-                for lead in leads:
-                    for j in range(depth, stop):
-                        if lead[j].kind != first[j].kind or lead[j].targets != first[j].targets:
-                            stop = j
-                            break
+            for lead in leads[1:]:  # apply the steps up to `stop` whose shape every group shares
+                for j in range(depth, stop):
+                    step, other = lead[j], first[j]
+                    if step is not other and (step.kind, step.targets) != (other.kind, other.targets):
+                        stop = j
+                        break
             if stop > depth and len(index) <= max_slabs:
                 slabs = _take(slabs, index)
                 for j in range(depth, stop):
-                    steps = [first[j]] if same else [lead[j] for lead in leads]
-                    slabs = _apply_slabs(slabs, _ops(profile, steps), steps[0].targets)
-                members = list(enumerate(groups))
+                    if len(leads) == 1:
+                        ops = _step_ops(profile, first[j], angles, rows, memo)
+                    else:
+                        ops = _ops(profile, [lead[j] for lead in leads], angles, rows, memo)
+                    slabs = _apply_slabs(slabs, ops, first[j].targets)
                 depth = stop
                 continue
-            # fork by the next step's shape, and into chunks of at most
-            # max_slabs slabs; a child takes its slabs when it is popped
-            forks: dict[tuple, list[tuple[int, list[int]]]] = {}
-            for s, lead, group in zip(index, leads, groups):
-                forks.setdefault((lead[depth].kind, lead[depth].targets), []).append((s, group))
+            # fork by the next step's shape; a child over max_slabs chunks when popped
+            forks: dict[tuple, list[int]] = {}
+            for g, lead in enumerate(leads):
+                forks.setdefault((lead[depth].kind, lead[depth].targets), []).append(g)
+            grid = index.reshape(len(groups), width)
             for fork in forks.values():
-                for start in range(0, len(fork), max_slabs):
-                    pending.append((slabs, depth, fork[start : start + max_slabs]))
+                pending.append((slabs, depth, [groups[g] for g in fork], rows, grid[fork].ravel()))
             break
-    return states
+    return results
 
 
-def _take(slabs: np.ndarray, index: list[int]) -> np.ndarray:
+def _take(slabs: np.ndarray, index: np.ndarray) -> np.ndarray:
     """The slabs at ``index``, without a copy when that is all of them."""
-    return slabs if index == list(range(len(slabs))) else slabs[index]
+    return slabs if len(index) == len(slabs) and (index == np.arange(len(slabs))).all() else slabs[index]
 
 
 def _qubit_count(circuits: list[Circuit], cap: int, runner: str, backend: str) -> int:
@@ -749,27 +732,28 @@ def run_ideal_many(circuits: list[Circuit], cap: int = IDEAL_QUBIT_CAP) -> list[
     """run_ideal of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
     return _walk_ideal(
-        circuits, cap, "run_ideal_many",
+        circuits, None, cap, "run_ideal_many",
         lambda stack: [StateVector(state.ndim, state.reshape(-1)) for state in stack],
     )
 
 
-def ideal_probabilities(circuits: list[Circuit]) -> np.ndarray:
-    """measure_distribution(run_ideal(circuit)).vector of every circuit, one
-    row each, in order and bit for bit, evolved together by one walk. The
+def ideal_probabilities(circuits: list[Circuit], angles: np.ndarray | None = None) -> np.ndarray:
+    """measure_distribution(run_ideal(circuit)).vector of every circuit, for
+    every row of ``angles`` (without it, of circuits without slots), one row
+    each, row by row and bit for bit, evolved together by one walk. The
     states are measured one stack per node, with StateVector's norm check
     and OutcomeDistribution's checks on every row."""
-    return np.array(_walk_ideal(circuits, IDEAL_QUBIT_CAP, "ideal_probabilities", _measure_amplitudes))
+    return np.array(_walk_ideal(circuits, angles, IDEAL_QUBIT_CAP, "ideal_probabilities", _measure_amplitudes))
 
 
-def _walk_ideal(circuits: list[Circuit], cap: int, runner: str, finish) -> list:
+def _walk_ideal(circuits: list[Circuit], angles, cap: int, runner: str, finish) -> list:
     """_walk from |0...0> in the state-vector representation."""
     if not circuits:
         return []
     n = _qubit_count(circuits, cap, runner, "ideal")
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
-    return _walk(circuits, tensor, None, finish)
+    return _walk(circuits, angles, tensor, None, finish)
 
 
 def _measure_amplitudes(stack: np.ndarray) -> np.ndarray:
@@ -791,25 +775,29 @@ def run_noisy_many(
     """run_noisy of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
     return _walk_noisy(
-        circuits, profile, cap, "run_noisy_many", lambda stack: [_pauli_to_density(state) for state in stack]
+        circuits, None, profile, cap, "run_noisy_many",
+        lambda stack: [_pauli_to_density(state) for state in stack],
     )
 
 
-def noisy_probabilities(circuits: list[Circuit], profile: NoiseProfile) -> np.ndarray:
+def noisy_probabilities(
+    circuits: list[Circuit], profile: NoiseProfile, angles: np.ndarray | None = None
+) -> np.ndarray:
     """measure_distribution(run_noisy(circuit, profile), profile).vector of
-    every circuit, one row each, in order and bit for bit, evolved together
-    by one walk. No density matrix is built: the states are measured one
-    stack per node by _measure_pauli, which checks each state's trace and
-    diagonal."""
+    every circuit, for every row of ``angles`` (without it, of circuits
+    without slots), one row each, row by row and bit for bit, evolved
+    together by one walk. No density matrix is built: the states are
+    measured one stack per node by _measure_pauli, which checks each state's
+    trace and diagonal."""
     return np.array(
         _walk_noisy(
-            circuits, profile, DENSITY_QUBIT_CAP, "noisy_probabilities",
+            circuits, angles, profile, DENSITY_QUBIT_CAP, "noisy_probabilities",
             lambda stack: _measure_pauli(stack, profile),
         )
     )
 
 
-def _walk_noisy(circuits: list[Circuit], profile: NoiseProfile, cap: int, runner: str, finish) -> list:
+def _walk_noisy(circuits: list[Circuit], angles, profile: NoiseProfile, cap: int, runner: str, finish) -> list:
     """_walk from |0...0><0...0| in the PTM representation, each gate
     followed by the profile's noise."""
     if not circuits:
@@ -821,7 +809,7 @@ def _walk_noisy(circuits: list[Circuit], profile: NoiseProfile, cap: int, runner
         )
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
-    return _walk(circuits, tensor, profile, finish)
+    return _walk(circuits, angles, tensor, profile, finish)
 
 
 def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:

@@ -521,6 +521,37 @@ def test_a_profile_value_the_reader_rejects_exits_one_naming_file_and_key(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "change, rule",
+    [
+        ({"t1_us": [50.0, 50.0, 50.0], "readout": [[[0.98, 0.02], [0.03, 0.97]]] * 2},
+         "t1_us, t2_us and readout must cover the same qubits"),
+        ({"t1_us": 50.0, "t2_us": 150.0}, "t2_us[0] must satisfy 0 < t2 <= 2*t1, got 150.0"),
+        ({"depol_1q": 1.5}, "depol_1q must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_a_rule_a_profile_file_breaks_exits_one_naming_the_file(capsys, tmp_path, change, rule):
+    raw = json.loads(resources.files("qelm_lab").joinpath("profiles/device-a.json").read_text())
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**raw, **change}))
+    code, out, err = run_cli(capsys, "simulate", "--profile", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: {rule}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, problem",
+    [
+        (["--qubits", "30"], "--qubits must lie in [1, 12] for profile 'device-a', got 30"),
+        (["--qubits", "0"], "--qubits must lie in [1, 12] for profile 'device-a', got 0"),
+        (["--gates", "-1"], "--gates must be non-negative, got -1"),
+    ],
+)
+def test_calibrate_zne_rejects_a_bad_flag_with_exit_one(capsys, tmp_path, flags, problem):
+    code, out, err = run_cli(capsys, "calibrate-zne", "--profile", "device-a", *flags, "--out", str(tmp_path))
+    assert (code, out, err) == (1, "", f"error: {problem}\n")
+    assert not (tmp_path / "zne_config.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # results files
 

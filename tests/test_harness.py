@@ -337,7 +337,6 @@ def test_parallel_repeats_reproduce_serial_bytes():
         # start each run with empty process-wide caches, so the two threads
         # of the parallel run fill them concurrently
         sim.noise_ptm.cache_clear()
-        sim._noisy_gate_ptm.cache_clear()
         config = ScenarioConfig(
             "C1_1", noise.bundled_profile("device-a"), repeats=4, seed=5, jobs=jobs
         )

@@ -426,3 +426,53 @@ def test_feature_matrix_equals_a_row_by_row_loop(shots):
         assert batched.tobytes() == np.vstack(rows).tobytes(), backend.key
         cached = qelm.feature_matrix(front, inputs, backend, 9, qelm.FeatureCache())
         assert cached.tobytes() == batched.tobytes(), backend.key
+
+
+def _former_qlear_correct(model, noisy, meta, profile):
+    """qlear_correct one feature vector at a time, as it was: one regressor
+    call per vector, its clip and renormalization on that vector alone."""
+    k = len(noisy)
+    rows = np.empty((k, 7))
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = noisy, meta.depth, meta.n_1q, meta.n_2q
+    rows[:, 4], rows[:, 5], rows[:, 6] = np.arange(k), profile.depol_1q, profile.depol_2q
+    corrected = noisy + model.regressor.predict(rows)
+    if model.feature_kind != "probabilities":
+        return np.clip(corrected, -1.0, 1.0)
+    clipped = np.clip(corrected, 0.0, 1.0)
+    total = clipped.sum()
+    return np.full_like(clipped, 1.0 / len(clipped)) if total <= 0.0 else clipped / total
+
+
+@pytest.mark.parametrize("kind", qelm.FEATURE_MAP_KINDS)
+def test_qlear_correct_on_a_stack_is_bit_identical_to_one_vector_at_a_time(kind):
+    profile = bundled_profile("device-a")
+    feature_map = qelm.FeatureMapSpec(kind)
+    model = mit.qlear_train(mit.calibration_circuits(3, 20, seed=4), profile, seed=4, feature_map=feature_map)
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(-1.2, 1.2, size=(9, feature_map.n_features(3)))
+    stack[3] = -0.9  # clipped to a zero total: the uniform row
+    meta = mit.CircuitMeta(7, 9, 4)
+    batched = mit.qlear_correct(model, stack, meta, profile)
+    assert batched.shape == stack.shape
+    for row, got in zip(stack, batched):
+        want = _former_qlear_correct(model, row, meta, profile)
+        assert got.tobytes() == want.tobytes()
+        assert mit.qlear_correct(model, row, meta, profile).tobytes() == want.tobytes()
+    if kind == "probabilities":
+        assert np.array_equal(batched[3], np.full(8, 1 / 8))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_one_fit_over_the_rows_of_a_batch_is_bit_identical_to_a_fit_per_row(degree):
+    """ZNE extrapolates a batch as one fit with a column per (row, feature);
+    a column LAPACK would rescale (a subnormal peak) sends the whole batch
+    through per-column fits, with the same bits."""
+    rng = np.random.default_rng(7)
+    rows = [rng.uniform(-1.0, 1.0, size=(4, 6)) for _ in range(5)]
+    rows[3][:, 4] = 0.0
+    for tiny in (False, True):
+        if tiny:
+            rows[2][:, 1] = 1e-310 * np.arange(1, 5)
+        joint = mit.extrapolate(SCALES, np.hstack(rows), "polynomial", degree)
+        per_row = np.concatenate([mit.extrapolate(SCALES, r, "polynomial", degree) for r in rows])
+        assert joint.tobytes() == per_row.tobytes()

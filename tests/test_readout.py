@@ -9,6 +9,8 @@ from qelm_lab.errors import ValidationError
 from qelm_lab.readout import (
     BaggedTrees,
     DecisionTree,
+    _best_split,
+    _FlatTree,
     fit_linear,
     fit_logistic,
     fit_readout,
@@ -244,6 +246,85 @@ def test_array_routing_matches_the_recursive_router(problem, seed):
         assert model.predict(probe).tobytes() == labels.tobytes()
         if task == "classification":
             assert model.predict_proba(probe).tobytes() == proba.tobytes()
+
+
+class _VarEveryNodeTree(DecisionTree):
+    """Grows as DecisionTree did before the spread bound: np.var decides the
+    purity of every open node."""
+
+    def _grow_level_wise(self, features, targets, samples):
+        links = [[None] for _ in samples]
+        values = [[None] for _ in samples]
+        frontier = [
+            (t, 0, rows, rows[np.argsort(features[rows], axis=0, kind="stable")].T)
+            for t, rows in enumerate(samples)
+        ]
+        level = 0
+        while frontier:
+            open_nodes = []
+            for t, i, rows, order in frontier:
+                node_targets = targets[rows]
+                if (
+                    level >= self.max_depth
+                    or len(rows) < self.min_samples_split
+                    or np.var(node_targets) <= 1e-24
+                ):
+                    values[t][i] = self._leaf(node_targets)
+                else:
+                    open_nodes.append((t, i, rows, order))
+            frontier = []
+            splits = _best_split(features, targets, [order for *_, order in open_nodes], self.task)
+            for (t, i, rows, order), split in zip(open_nodes, splits):
+                if split is None:
+                    values[t][i] = self._leaf(targets[rows])
+                    continue
+                j, threshold = split
+                left = len(links[t])
+                links[t][i] = (j, threshold, left, left + 1)
+                links[t] += (None, None)
+                values[t] += (None, None)
+                go_left = features[rows, j] <= threshold
+                ordered_left = features[order, j] <= threshold
+                frontier += [
+                    (t, left, rows[go_left], order[ordered_left].reshape(len(order), -1)),
+                    (t, left + 1, rows[~go_left], order[~ordered_left].reshape(len(order), -1)),
+                ]
+            level += 1
+        return [_FlatTree.build(*tree) for tree in zip(links, values)]
+
+
+@st.composite
+def _purity_problems(draw):
+    """Targets whose nodes sit near the purity bound: near-constant values
+    (spreads around 1e-12, on offsets up to 1e12), large magnitudes, or 0/1
+    labels; bootstrap samples of them."""
+    n = draw(st.integers(2, 40))
+    x = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=float)[:, None]
+    style = draw(st.sampled_from(["near-constant", "large", "labels"]))
+    ints = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    if style == "near-constant":
+        offset = draw(st.sampled_from([0.0, 1e-6, 1.0, 1e6, 1e12]))
+        y = offset + ints * draw(st.sampled_from([1e-14, 1e-13, 1e-12, 1e-11, 1e-10]))
+    elif style == "large":
+        y = ints * draw(st.sampled_from([1e3, 1e150, 1e300]))
+    else:
+        y = (ints > 0).astype(float)
+    samples = [np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))) for _ in range(3)]
+    task = "classification" if style == "labels" and draw(st.booleans()) else "regression"
+    return task, x, y, samples, draw(st.integers(1, 6)), draw(st.integers(2, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_purity_problems())
+def test_the_spread_bound_grows_the_trees_of_a_var_on_every_node_oracle(problem):
+    task, x, y, samples, max_depth, min_samples_split = problem
+    tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
+    oracle = _VarEveryNodeTree(task, max_depth=max_depth, min_samples_split=min_samples_split)
+    samples.append(np.arange(len(y)))
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of squares of 1e300
+        grown = list(zip(tree.fit_samples(x, y, samples), oracle.fit_samples(x, y, samples)))
+    for got, want in grown:
+        assert got.to_dict() == want.to_dict()
 
 
 def _bagging_problem(seed, n=40, d=3):

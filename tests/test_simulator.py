@@ -351,6 +351,11 @@ def test_the_per_axis_matmul_matches_the_tensordot_loop(n):
                 assert np.array_equal(np.signbit(part(row)), np.signbit(part(want)))
 
 
+def _gate_ptm(profile, gate: circ.Gate) -> np.ndarray:
+    """One gate's noisy PTM, built as a stack of one."""
+    return sim._noisy_gate_ptms(profile, gate.targets, sim.gate_matrix(gate)[None])[0]
+
+
 def _run_noisy_alone(circuit: circ.Circuit, profile) -> np.ndarray:
     """One circuit evolved on its own, gate after gate: the oracle of the
     shared walk in run_noisy_many."""
@@ -358,7 +363,7 @@ def _run_noisy_alone(circuit: circ.Circuit, profile) -> np.ndarray:
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[(0, 3)] * n)] = 1.0
     for gate in circuit.gates:
-        tensor = sim._apply_local(tensor, sim._noisy_gate_ptm(profile, gate), gate.targets)
+        tensor = sim._apply_local(tensor, _gate_ptm(profile, gate), gate.targets)
     return sim._pauli_to_density(tensor).entries
 
 
@@ -457,9 +462,10 @@ def test_walker_states_are_bit_identical_to_gate_by_gate_runs(
 
 def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     """At 8 qubits a noisy node keeps one slab, at 4 qubits at most 256;
-    the backends hand the walker at most one batch of states per call. At 8
-    qubits the walk is fused, and each 3-qubit block's operator is built as
-    one 6-axis tensor of 4^6 entries (a 2-qubit block's as a 4-axis one)."""
+    the backends hand the walker one program (ZNE: one per scale) and every
+    row of a feature matrix, and the walker chunks them. At 8 qubits the
+    walk is fused, and each 3-qubit block's operator is built as one 6-axis
+    tensor of 4^6 entries (a 2-qubit block's as a 4-axis one)."""
     kernel, seen = sim._apply_slabs, []
 
     def recorded(slabs, op, axes):
@@ -467,13 +473,13 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
         return kernel(slabs, op, axes)
 
     monkeypatch.setattr(sim, "_apply_slabs", recorded)
-    walked = []
-    for module in (qelm, mitigation):
-        def run(circuits, profile, walk=module.noisy_probabilities):
-            walked.append((circuits[0].n_qubits, len(circuits)))
-            return walk(circuits, profile)
+    walked, walk = [], sim._walk
 
-        monkeypatch.setattr(module, "noisy_probabilities", run)
+    def counted(circuits, angles, initial, profile, finish):
+        walked.append((initial.ndim, len(circuits), None if angles is None else len(angles)))
+        return walk(circuits, angles, initial, profile, finish)
+
+    monkeypatch.setattr(sim, "_walk", counted)
     profile = noise.bundled_profile("device-a")
     rng = np.random.default_rng(4)
     for n, rows, backend in (
@@ -492,8 +498,7 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     for shape, slabs in seen:
         most[len(shape)] = max(most.get(len(shape), 0), slabs)
     assert most == {8: 1, 6: 1, 4: 256}
-    assert max(count for n, count in walked if n == 8) == 4  # one row's ZNE folds
-    assert max(count for n, count in walked if n == 4) == 256
+    assert walked == [(8, 1, 3), (8, 4, 2), (4, 1, 300), (4, 4, 80)]
     # one walk of 300 rows that differ only in angles: its node forks into chunks
     base = random_circuit(4, 12, seed=7)
     seen.clear()
@@ -776,12 +781,12 @@ def test_stacked_gate_ptms_are_bit_identical_to_one_gate_builds(name, kind, angl
     targets = options[slot % len(options)]
     params = [(a,) for a in angles + [0.0, np.pi]] if kind in ("RX", "RY", "RZ", "ZZ") else [()] * 3
     gates = [circ.Gate(kind, targets, p) for p in params]
-    stacked = sim._noisy_gate_ptms(profile, gates)
+    stacked = sim._noisy_gate_ptms(profile, targets, np.stack([sim.gate_matrix(g) for g in gates]))
     assert stacked.shape == (len(gates),) + (4 ** len(targets),) * 2
     unitaries = sim._kraus_ptms(np.stack([sim.gate_matrix(g) for g in gates])[:, None])
     for gate, ptm, unitary in zip(gates, stacked, unitaries):
         assert _same_bits(unitary, _former_unitary_ptm(gate))
-        assert _same_bits(ptm, sim._noisy_gate_ptm(profile, gate))
+        assert _same_bits(ptm, _gate_ptm(profile, gate))
         assert _same_bits(ptm, sim.noise_ptm(profile, targets) @ _former_unitary_ptm(gate))
 
 
@@ -838,7 +843,7 @@ def _former_features(vec: np.ndarray, spec, seed: int) -> np.ndarray:
 
 def _final_ptm(circuit: circ.Circuit, profile) -> np.ndarray:
     """One circuit's final PTM state, walked alone (fused as in any walk)."""
-    states = sim._walk_noisy([circuit], profile, sim.DENSITY_QUBIT_CAP, "test", lambda s: [s[0].copy()])
+    states = sim._walk_noisy([circuit], None, profile, sim.DENSITY_QUBIT_CAP, "test", lambda s: [s[0].copy()])
     return states[0]
 
 
