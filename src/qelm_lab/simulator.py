@@ -616,6 +616,8 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
     fixed blocks (``memo``) belong to the walk, so threads share none.
     """
     angles = np.zeros((1, 0)) if angles is None else np.asarray(angles, dtype=float)
+    if not len(angles):
+        return []
     count = len(circuits)
     max_slabs = max(1, BATCH_ENTRIES // initial.size)
     fuse = initial.size > initial.shape[0] ** (2 * FUSED_QUBITS)

@@ -276,6 +276,13 @@ def test_a_circuit_list_walks_as_programs_without_slots():
             assert _same_bits(sim.ideal_probabilities(batch), _former_probabilities(batch, None))
 
 
+def test_a_table_of_no_rows_walks_nothing():
+    front = _front(2, "rotation", True, "probabilities")
+    program = qelm.front_program(front)
+    assert sim.noisy_probabilities([program], bundled_profile("device-a"), np.zeros((0, 2))).size == 0
+    assert sim.ideal_probabilities([program], np.zeros((0, 2))).size == 0
+
+
 # ---------------------------------------------------------------------------
 # bad rows: the errors of the circuit path, before any work
 
@@ -357,6 +364,7 @@ def test_gate_checks_grow_with_the_program_not_with_the_rows(monkeypatch):
         seen = []  # after a warm-up, which fills the noise caches
         for rows in (4, 40):
             front = _front(4, style, True, "z_expectations", seed=100 * b + rows)  # a program of its own
+            qelm.build_reservoir.cache_clear()  # so both counts include building its reservoir
             counts.clear()
             qelm.feature_matrix(front, rng.uniform(size=(rows, 4)), backend, 0)
             seen.append(dict(counts))
