@@ -49,9 +49,9 @@ from .qelm import (
     save_model,
     train,
 )
-from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
+from .readout import HYPER_KEYS, READOUT_KINDS, check_readout_task
 from .schema import Opt, read
-from .simulator import DENSITY_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
+from .simulator import DENSITY_QUBIT_CAP, IDEAL_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +74,7 @@ RUN_CONFIG = {
         {"reservoir_style": Opt(str), "layers": Opt(int), "trotter_steps": Opt(int),
          "evolution_time": Opt(float), "j_range": Opt((float, float)), "h_range": Opt((float, float)),
          "feature_map": Opt(str), "shots": Opt(int), "readout": Opt(str), "entangle": Opt(bool),
-         "readout_hyper": Opt({k: Opt(t) for hyper in READOUT_HYPER.values() for k, t in hyper.items()})},
+         "readout_hyper": Opt(HYPER_KEYS)},
         {},
     ),
     "mitigator": Opt(str, None),
@@ -164,6 +164,20 @@ def run_inputs(
     return scenario, dataset, spec
 
 
+def _check_circuit_width(circuit, profile) -> None:
+    """A UsageError naming --circuit when the circuit is wider than its
+    backend takes: the ideal one without a profile, else the density one
+    and the profile's qubits."""
+    n = circuit.n_qubits
+    cap, backend = (IDEAL_QUBIT_CAP, "ideal") if profile is None else (DENSITY_QUBIT_CAP, "density")
+    if n > cap:
+        raise UsageError(f"--circuit: {n} qubits exceeds the {backend}-backend cap of {cap}")
+    if profile is not None and n > profile.n_qubits:
+        raise UsageError(
+            f"--circuit: profile {profile.name!r} covers {profile.n_qubits} qubits, circuit needs {n}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -176,8 +190,9 @@ def _cmd_simulate(args) -> int:
     if args.dump_circuit:
         sys.stdout.write(circ.to_text(circuit))
         return 0
-    if args.profile:
-        profile = resolve_profile(args.profile)
+    profile = resolve_profile(args.profile) if args.profile else None
+    _check_circuit_width(circuit, profile)
+    if profile is not None:
         dist = measure_distribution(run_noisy(circuit, profile), profile)
     else:
         dist = measure_distribution(run_ideal(circuit))
@@ -278,6 +293,7 @@ def _cmd_calibrate_zne(args) -> int:
     profile = resolve_profile(args.profile)
     if args.circuit:
         representative = circ.from_text(Path(args.circuit).read_text())
+        _check_circuit_width(representative, profile)
     else:
         top = min(profile.n_qubits, DENSITY_QUBIT_CAP)
         if not 1 <= args.qubits <= top:

@@ -575,7 +575,18 @@ def _build_mitigator(config: ScenarioConfig, model_spec: ModelSpec, n_qubits: in
     return QlearMitigator(model), info
 
 
-def _resolve_backends(config: ScenarioConfig, mitigator):
+def _set_up(config: ScenarioConfig, dataset: Dataset, model_spec: ModelSpec | None):
+    """What a scenario and its UQ run start from: the model spec (the
+    dataset's default if None), checked against the task; the encoder's
+    feature range; the mitigation entry of the report; and the train and
+    test backends, with the configured mitigator built once for both."""
+    model_spec = model_spec or default_model_spec(dataset)
+    check_readout_task(model_spec.readout, dataset.task)
+    feature_range = encoder_ranges(dataset.train_features)
+    mitigator, mitigation_info = (None, None)
+    if config.mitigator is not None:
+        mitigator, mitigation_info = _build_mitigator(config, model_spec, dataset.n_features)
+
     def build(kind: str):
         if kind == "ideal":
             return IdealBackend()
@@ -583,8 +594,8 @@ def _resolve_backends(config: ScenarioConfig, mitigator):
             return NoisyBackend(config.profile)
         return MitigatedBackend(config.profile, mitigator)
 
-    train_kind, test_kind = config.backend_pair
-    return build(train_kind), build(test_kind)
+    backends = tuple(map(build, config.backend_pair))
+    return model_spec, feature_range, mitigation_info, backends
 
 
 def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, test_backend, cache):
@@ -659,32 +670,18 @@ def run_uq(
     configured backends next to an all-ideal reference)."""
     if config.uq is None:
         raise ValidationError("run_uq needs a uq setting on the config")
-    model_spec = model_spec or default_model_spec(dataset)
-    check_readout_task(model_spec.readout, dataset.task)
-    feature_range = encoder_ranges(dataset.train_features)
-    mitigator = None
-    if config.mitigator is not None:
-        mitigator, _ = _build_mitigator(config, model_spec, dataset.n_features)
-    train_backend, test_backend = _resolve_backends(config, mitigator)
-    return _uq_artifacts(
-        config, dataset, model_spec, feature_range, train_backend, test_backend, FeatureCache()
-    )
+    model_spec, feature_range, _, backends = _set_up(config, dataset, model_spec)
+    return _uq_artifacts(config, dataset, model_spec, feature_range, *backends, FeatureCache())
 
 
 def run_scenario(
     config: ScenarioConfig, dataset: Dataset, model_spec: ModelSpec | None = None
 ) -> ScenarioReport:
     """Execute one scenario end to end and assemble its report."""
-    model_spec = model_spec or default_model_spec(dataset)
-    check_readout_task(model_spec.readout, dataset.task)
-    feature_range = encoder_ranges(dataset.train_features)
+    model_spec, feature_range, mitigation_info, backends = _set_up(config, dataset, model_spec)
+    train_backend, test_backend = backends
     metric_name = "mse" if dataset.task == "regression" else "accuracy"
     direction = "error" if dataset.task == "regression" else "accuracy"
-
-    mitigator, mitigation_info = (None, None)
-    if config.mitigator is not None:
-        mitigator, mitigation_info = _build_mitigator(config, model_spec, dataset.n_features)
-    train_backend, test_backend = _resolve_backends(config, mitigator)
     ideal_backend = IdealBackend()
     cache = FeatureCache()
     flags: list[str] = []

@@ -31,7 +31,6 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -41,8 +40,9 @@ from . import circuit as circ
 from .circuit import Circuit
 from .errors import DimensionMismatch, ValidationError
 from .noise import NoiseProfile
-from .readout import check_readout_task, fit_readout, readout_from_dict
+from .readout import HYPER_KEYS, check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
+from .schema import Opt, Rule, read
 from .simulator import (
     OutcomeDistribution,
     ideal_probabilities,
@@ -185,7 +185,6 @@ def encoder_angles(spec: EncoderSpec, inputs) -> np.ndarray:
     return angles
 
 
-@lru_cache(maxsize=512)
 def build_reservoir(spec: ReservoirSpec) -> Circuit:
     """Deterministic circuit for a reservoir spec. Equal specs always yield
     structurally identical circuits."""
@@ -465,33 +464,34 @@ def model_to_dict(model: QelmModel) -> dict:
     }
 
 
+# The model document (model_to_dict); readout_from_dict reads its readout.
+MODEL_KEYS = {
+    "schema": Rule(str, lambda name: name == "qelm-model/1", "not a qelm-model/1 document"),
+    "task": str,
+    "encoder": {"style": str, "feature_range": [(float, float)], "entangle": bool},
+    "reservoir": {
+        "style": str, "n_qubits": int, "seed": int, "layers": int, "j_range": (float, float),
+        "h_range": (float, float), "time": float, "trotter_steps": int,
+    },
+    "feature_map": {"kind": str, "shots": int},
+    "readout_kind": str,
+    "readout_hyper": Opt(HYPER_KEYS, {}),
+    "readout": {...: None},
+}
+
+
 def model_from_dict(raw: dict) -> QelmModel:
-    if raw.get("schema") != "qelm-model/1":
-        raise ValidationError("unrecognized model document")
-    encoder = EncoderSpec(
-        feature_range=tuple((float(lo), float(hi)) for lo, hi in raw["encoder"]["feature_range"]),
-        style=raw["encoder"]["style"],
-        entangle=bool(raw["encoder"]["entangle"]),
-    )
-    res = raw["reservoir"]
-    reservoir = ReservoirSpec(
-        style=res["style"],
-        n_qubits=int(res["n_qubits"]),
-        seed=int(res["seed"]),
-        layers=int(res["layers"]),
-        j_range=tuple(float(v) for v in res["j_range"]),
-        h_range=tuple(float(v) for v in res["h_range"]),
-        time=float(res["time"]),
-        trotter_steps=int(res["trotter_steps"]),
-    )
-    feature_map = FeatureMapSpec(
-        kind=raw["feature_map"]["kind"], shots=int(raw["feature_map"]["shots"])
-    )
+    """The model of a document from model_to_dict, checked against
+    MODEL_KEYS: a bad document raises a ValidationError naming the path."""
+    raw = read(MODEL_KEYS, raw)
+    enc, res = raw["encoder"], raw["reservoir"]
+    encoder = EncoderSpec(tuple(map(tuple, enc["feature_range"])), enc["style"], enc["entangle"])
+    reservoir = ReservoirSpec(**{**res, "j_range": tuple(res["j_range"]), "h_range": tuple(res["h_range"])})
     return QelmModel(
-        front=QelmFront(encoder, reservoir, feature_map),
-        readout=readout_from_dict(raw["readout"]),
+        front=QelmFront(encoder, reservoir, FeatureMapSpec(**raw["feature_map"])),
+        readout=readout_from_dict(raw["readout"], "readout"),
         readout_kind=raw["readout_kind"],
-        readout_hyper=dict(raw.get("readout_hyper", {})),
+        readout_hyper=raw["readout_hyper"],
         task=raw["task"],
     )
 

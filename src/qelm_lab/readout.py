@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rng import Rng, derive_seed
+from .schema import Opt, read
 
 READOUT_KINDS = ("linear", "logistic", "tree")
 # a linear readout gives no class probabilities; the others need 0/1 labels
@@ -27,6 +28,15 @@ READOUT_HYPER = {
     "linear": {"ridge": float},
     "logistic": {"learning_rate": float, "max_iter": int, "grad_tol": float},
     "tree": {"max_depth": int, "min_samples_split": int},
+}
+# a readout_hyper object of any kind, for the document reader
+HYPER_KEYS = {key: Opt(kind) for hyper in READOUT_HYPER.values() for key, kind in hyper.items()}
+# the document of each readout kind (to_dict); _FlatTree.from_dict reads a tree's nodes
+READOUT_KEYS = {
+    "linear": {"kind": str, "weights": [float], "intercept": float},
+    "logistic": {"kind": str, "weights": [float], "intercept": float,
+                 "degenerate": Opt(bool, False), "converged": Opt(bool, False)},
+    "tree": {"kind": str, "task": str, "max_depth": int, "min_samples_split": int, "root": {...: None}},
 }
 
 
@@ -515,17 +525,17 @@ def fit_readouts(
             yield fit(features[rows], targets[rows], **hyper)
 
 
-def readout_from_dict(raw: dict):
-    kind = raw.get("kind")
+def readout_from_dict(raw: dict, at: str = ""):
+    """The readout of a document from to_dict, checked against its kind's
+    READOUT_KEYS; ``at`` is the document's path in errors."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in READOUT_KINDS:
-        raise ValidationError(f"unknown readout kind {kind!r}")
+        raise ValidationError(f"{at + '.' if at else ''}kind: unknown readout kind {kind!r}")
+    raw = read(READOUT_KEYS[kind], raw, at)
     if kind == "linear":
-        return LinearReadout(np.asarray(raw["weights"], dtype=float), float(raw["intercept"]))
+        return LinearReadout(np.asarray(raw["weights"], dtype=float), raw["intercept"])
     if kind == "logistic":
         return LogisticReadout(
-            np.asarray(raw["weights"], dtype=float),
-            float(raw["intercept"]),
-            degenerate=bool(raw.get("degenerate", False)),
-            converged=bool(raw.get("converged", False)),
+            np.asarray(raw["weights"], dtype=float), raw["intercept"], raw["degenerate"], raw["converged"]
         )
     return DecisionTree.from_dict(raw)

@@ -24,10 +24,11 @@ state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
 followed by its noise is one real 4^k x 4^k matrix, the product of the
 noise's PTM (cached per profile and target qubits, since the noise does not
 depend on the gate's angle, and built from part PTMs cached per defining
-numbers) and the gate unitary's PTM. A walk builds the PTMs of its gates
-as stacks, with the bits of one-gate builds (_noisy_gate_ptms): its fixed
-gates' one stack per target set, a slot's (circuit.Slot: an RY whose angle
-each row supplies) one for every row. run_noisy_many rebuilds and
+numbers) and the gate unitary's PTM. A walk builds the matrices of its
+gates as stacks, on both backends: its fixed gates' unitaries one stack per
+target set, a slot's (circuit.Slot: an RY whose angle each row supplies)
+one for every row; under a profile each stack becomes noisy PTMs with the
+bits of one-gate builds (_noisy_gate_ptms). run_noisy_many rebuilds and
 validates each density matrix once, at the end. noisy_probabilities builds
 none: the diagonal of rho depends only on the coefficients whose Pauli
 indices all lie in {I, Z}, so it reads those 2^n coefficients, applies
@@ -63,6 +64,13 @@ An 8-qubit Ising row takes 43 contractions instead of 124. Fused states
 are within 1e-12 of gate-by-gate runs, not bit-identical to them; since
 the plan depends on the circuit alone, a state still has the same bits
 whether it is evolved alone or with others.
+
+Caches: the module-level ones are keyed on shapes or on the noise profile
+only, so their size is bounded by the qubit counts, circuit shapes and
+profiles a process meets: _axis_orders, _pauli_basis, _fusion_plan and
+_z_signs, and the noise PTMs _part_ptm and noise_ptm. Nothing keyed on a
+gate's angle outlives a walk: its gate matrices, slot stacks and fixed
+blocks live in the walk's own table, so fresh seeds leave no state behind.
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -100,8 +108,9 @@ _CX = np.array(
 )
 
 
-@lru_cache(maxsize=4096)
-def _gate_matrix_cached(kind: str, params: tuple[float, ...]) -> np.ndarray:
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """The unitary matrix of a gate (2x2 or 4x4)."""
+    kind, params = gate.kind, gate.params
     if kind == "H":
         return _H
     if kind == "X":
@@ -130,11 +139,6 @@ def _ry_matrices(thetas) -> np.ndarray:
     halves = [theta / 2.0 for theta in thetas]
     rows = [[[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]] for t in halves]
     return np.array(rows, dtype=complex)
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """The unitary matrix of a gate (2x2 or 4x4)."""
-    return _gate_matrix_cached(gate.kind, gate.params)
 
 
 @dataclass
@@ -557,13 +561,13 @@ def _ops(profile: NoiseProfile | None, steps: list, angles, rows, memo) -> np.nd
 
 
 def _step_ops(profile: NoiseProfile | None, step, angles, rows, memo) -> np.ndarray:
-    """The matrix of one walk step: a gate's noisy PTM under a profile (the
-    walk builds them first), its unitary without one; a fixed block's
+    """The matrix of one walk step: a gate's noisy PTM under a profile, its
+    unitary without one (the walk builds them first); a fixed block's
     product of those (_block_ops), built once per walk. A slot's and a
     slotted block's are one per row of ``rows``; a slot's come from a stack
     built once per walk for every row of ``angles``."""
     if isinstance(step, Gate):
-        return gate_matrix(step) if profile is None else memo[id(step)]
+        return memo[id(step)]
     op = memo.get(step)
     if isinstance(step, Slot):
         if op is None:
@@ -612,8 +616,9 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
     in one _apply_slabs call. Rows never split a node, so a step's Python
     work does not grow with the rows. A node forks where its groups' step
     shapes differ, and into chunks of at most max_slabs slabs. Every state
-    is bit-identical to its circuit's run on its own. The slot stacks and
-    fixed blocks (``memo``) belong to the walk, so threads share none.
+    is bit-identical to its circuit's run on its own. The gate matrices,
+    slot stacks and fixed blocks (``memo``) belong to the walk, so threads
+    share none.
     """
     angles = np.zeros((1, 0)) if angles is None else np.asarray(angles, dtype=float)
     if not len(angles):
@@ -623,13 +628,12 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
     fuse = initial.size > initial.shape[0] ** (2 * FUSED_QUBITS)
     lists = [_program(c.gates, fuse) for c in circuits]
     memo: dict = {}  # by a fixed gate's id (the circuits keep it alive), a slot, a block
-    if profile is not None:  # every fixed gate's noisy PTM, one stack per target set
-        fixed: dict = {}
-        for gate in (g for c in circuits for g in c.gates if isinstance(g, Gate)):
-            fixed.setdefault(gate.targets, {})[id(gate)] = gate
-        for targets, gates in fixed.items():
-            unitaries = np.stack([gate_matrix(gate) for gate in gates.values()])
-            memo.update(zip(gates, _noisy_gate_ptms(profile, targets, unitaries)))
+    fixed: dict = {}  # every fixed gate's matrix (_step_ops), one stack per target set
+    for gate in (g for c in circuits for g in c.gates if isinstance(g, Gate)):
+        fixed.setdefault(gate.targets, {})[id(gate)] = gate
+    for targets, gates in fixed.items():
+        unitaries = np.stack([gate_matrix(gate) for gate in gates.values()])
+        memo.update(zip(gates, unitaries if profile is None else _noisy_gate_ptms(profile, targets, unitaries)))
     results: list = [None] * (len(angles) * count)
     # (slabs, depth, groups, rows, index): slab g * len(rows) + i of the node
     # is slabs[index[g * len(rows) + i]], the state of row rows[i] after the

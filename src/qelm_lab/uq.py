@@ -132,19 +132,15 @@ def ensemble_distribution(
     test_seed: int = 0,
     cache: FeatureCache | None = None,
     readout_hyper: dict | None = None,
-    member_seeds: list[int] | None = None,
 ) -> PredictionDistribution:
     """Train M fully independent models whose reservoir seeds derive from
     (seed, member index); every member shares the same backends."""
     if m < 2:
         raise InsufficientMembers(f"ensemble needs M >= 2, got {m}")
-    if member_seeds is not None and len(member_seeds) != m:
-        raise ValidationError("member_seeds must supply one seed per member")
     cache = cache if cache is not None else FeatureCache()
     per_input = []
     for i in range(m):
-        res_seed = member_seeds[i] if member_seeds is not None else derive_seed(seed, "member", i)
-        member_front = with_reservoir_seed(front, res_seed)
+        member_front = with_reservoir_seed(front, derive_seed(seed, "member", i))
         member = train(
             train_inputs,
             train_targets,

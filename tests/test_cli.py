@@ -552,6 +552,44 @@ def test_calibrate_zne_rejects_a_bad_flag_with_exit_one(capsys, tmp_path, flags,
     assert not (tmp_path / "zne_config.json").exists()
 
 
+def _profile_of_two_qubits(tmp_path):
+    raw = json.loads(resources.files("qelm_lab").joinpath("profiles/device-a.json").read_text())
+    raw.update({key: raw[key][:2] for key in ("t1_us", "t2_us", "readout")})
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, qubits, profile, problem",
+    [
+        ("simulate", 21, None, "21 qubits exceeds the ideal-backend cap of 20"),
+        ("simulate", 13, "device-a", "13 qubits exceeds the density-backend cap of 12"),
+        ("calibrate-zne", 13, "device-a", "13 qubits exceeds the density-backend cap of 12"),
+        ("simulate", 3, "two", "profile 'device-a' covers 2 qubits, circuit needs 3"),
+        ("calibrate-zne", 3, "two", "profile 'device-a' covers 2 qubits, circuit needs 3"),
+    ],
+)
+def test_a_circuit_too_wide_for_its_backend_exits_one_naming_the_flag(
+    capsys, tmp_path, command, qubits, profile, problem
+):
+    circuit = tmp_path / "wide.txt"
+    circuit.write_text(f"qubits {qubits}\n" + "".join(f"H {q}\n" for q in range(qubits)))
+    if profile == "two":
+        profile = _profile_of_two_qubits(tmp_path)
+    argv = [command, "--circuit", str(circuit), "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, *(["--profile", profile] if profile else []))
+    assert (code, out, err) == (1, "", f"error: --circuit: {problem}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_circuit_as_wide_as_its_profile_runs(capsys, tmp_path):
+    circuit = tmp_path / "c2.txt"
+    circuit.write_text("qubits 2\nH 0\nCX 0 1\n")
+    code, out, _ = run_cli(capsys, "simulate", "--circuit", str(circuit), "--profile", _profile_of_two_qubits(tmp_path))
+    assert code == 0 and set(json.loads(out)) == {"00", "01", "10", "11"}
+
+
 # ---------------------------------------------------------------------------
 # results files
 

@@ -364,7 +364,6 @@ def test_gate_checks_grow_with_the_program_not_with_the_rows(monkeypatch):
         seen = []  # after a warm-up, which fills the noise caches
         for rows in (4, 40):
             front = _front(4, style, True, "z_expectations", seed=100 * b + rows)  # a program of its own
-            qelm.build_reservoir.cache_clear()  # so both counts include building its reservoir
             counts.clear()
             qelm.feature_matrix(front, rng.uniform(size=(rows, 4)), backend, 0)
             seen.append(dict(counts))

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 
@@ -310,6 +311,37 @@ def test_saved_models_load_and_predict_identically(tmp_path):
             assert np.array_equal(got, want)
         else:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (lambda doc: {"schema": doc["schema"]}, "task: required; the document has no task"),
+        (lambda doc: doc["reservoir"].update(n_qubits="one"), "reservoir.n_qubits: expected an integer, got 'one'"),
+        (lambda doc: doc["encoder"]["feature_range"].append([0.0]), r"encoder.feature_range\[3\]: expected a list of 2"),
+        (lambda doc: doc["readout"].update(weights=[True]), r"readout.weights\[0\]: expected a number, got True"),
+        (lambda doc: doc["readout"].update(kind="svm"), "readout.kind: unknown readout kind 'svm'"),
+        (lambda doc: doc.update(schema="qelm-model/0"), "schema: not a qelm-model/1 document"),
+    ],
+)
+def test_a_bad_model_document_raises_a_validation_error_naming_the_key(mutate, problem):
+    x_train, y_train, _, _ = _linear_fixture(20)
+    model = qelm.train(x_train, y_train, "regression", _front(3), "linear", qelm.IdealBackend(), seed=2)
+    document = json.loads(json.dumps(qelm.model_to_dict(model)))
+    document = mutate(document) or document
+    with pytest.raises(ValidationError, match=f"^{problem}"):
+        qelm.model_from_dict(document)
+
+
+def test_a_tree_model_document_has_its_keys_checked():
+    x_train, y_train, _, _ = _linear_fixture(20)
+    y_cls = (y_train > y_train.mean()).astype(float)
+    model = qelm.train(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
+    document = json.loads(json.dumps(qelm.model_to_dict(model)))
+    assert qelm.model_to_dict(qelm.model_from_dict(document)) == document
+    document["readout"]["max_depth"] = 2.5
+    with pytest.raises(ValidationError, match="^readout.max_depth: expected an integer, got 2.5"):
+        qelm.model_from_dict(document)
 
 
 def test_single_prediction_shapes():

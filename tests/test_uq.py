@@ -15,6 +15,7 @@ from qelm_lab.errors import (
     ValidationError,
 )
 from qelm_lab.qelm import FeatureCache, IdealBackend
+from qelm_lab.rng import derive_seed
 
 
 def crps_by_integration(samples, y):
@@ -272,22 +273,19 @@ def test_ensemble_rejects_single_member():
         )
 
 
-def test_ensemble_forced_identical_seeds_collapse():
+def test_ensemble_member_i_is_the_model_of_reservoir_seed_member_i():
     x_train, y_train, x_test, _, front = _tiny_setup()
     backend = IdealBackend()
     dist = uq.ensemble_distribution(
-        front,
-        "linear",
-        "regression",
-        x_train,
-        y_train,
-        x_test,
-        backend,
-        backend,
-        m=2,
-        member_seeds=[77, 77],
+        front, "linear", "regression", x_train, y_train, x_test, backend, backend,
+        m=3, seed=11, train_seed=2, test_seed=3,
     )
-    assert np.array_equal(dist.samples[:, 0], dist.samples[:, 1])
+    for i in range(3):
+        member_front = qelm.with_reservoir_seed(front, derive_seed(11, "member", i))
+        model = qelm.train(x_train, y_train, "regression", member_front, "linear", backend, seed=2)
+        want = qelm.predict_batch(model, x_test, backend, 3)
+        assert dist.samples[:, i].tobytes() == want.tobytes()
+    assert not np.array_equal(dist.samples[:, 0], dist.samples[:, 1])
 
 
 def test_ensemble_mean_beats_median_member():
