@@ -43,11 +43,11 @@ from .noise import resolve_profile
 from .qelm import (
     FEATURE_MAP_KINDS,
     RESERVOIR_STYLES,
-    FeatureCache,
     IdealBackend,
     NoisyBackend,
+    feature_matrices,
+    fit_model,
     save_model,
-    train,
 )
 from .readout import HYPER_KEYS, READOUT_KINDS, check_readout_task
 from .schema import Opt, read
@@ -218,6 +218,7 @@ def _cmd_train(args) -> int:
     else:
         dataset = generate_dataset(d["kind"], d["size"], d["seed"], d["noise_level"])
     spec = replace(default_model_spec(dataset), **config["model"])
+    check_readout_task(spec.readout, dataset.task)  # before any walk
     if args.backend == "noisy":
         if not config["profile"]:
             raise UsageError("profile: required for the noisy backend")
@@ -225,21 +226,12 @@ def _cmd_train(args) -> int:
     else:
         backend = IdealBackend()
     front = spec.front(encoder_ranges(dataset.train_features), seed)
-    cache = FeatureCache()
-    model = train(
-        dataset.train_features,
-        dataset.train_targets,
-        dataset.task,
-        front,
-        spec.readout,
-        backend,
-        seed=seed,
-        cache=cache,
-        readout_hyper=spec.hyper_dict(),
+    # train and test rows in one backend call, both parts with base seed ``seed``
+    train_x, test_x = feature_matrices(
+        front, backend, [(dataset.train_features, seed), (dataset.test_features, seed)]
     )
-    metric = evaluate_model(
-        model, dataset.test_features, dataset.test_targets, backend, seed, cache
-    )
+    model = fit_model(train_x, dataset.train_targets, dataset.task, front, spec.readout, spec.hyper_dict())
+    metric = evaluate_model(model, test_x, dataset.test_targets)
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.json")

@@ -46,9 +46,10 @@ from .qelm import (
     NoisyBackend,
     QelmFront,
     ReservoirSpec,
+    apply_readout,
     exact_feature_front,
-    predict_batch,
-    train,
+    fit_model,
+    grouped_feature_matrices,
 )
 from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
@@ -542,11 +543,11 @@ def report_json_bytes(report: "ScenarioReport | dict") -> bytes:
 # ---------------------------------------------------------------------------
 # scenario execution
 
-def evaluate_model(model, inputs, targets, backend, seed, cache) -> float:
+def evaluate_model(model, features, targets) -> float:
+    """The metric of ``model`` on the test rows' ``features``: mse or accuracy."""
     if model.task == "regression":
-        preds = predict_batch(model, inputs, backend, seed, cache)
-        return mse(targets, preds)
-    labels, _ = predict_batch(model, inputs, backend, seed, cache)
+        return mse(targets, apply_readout(model, features))
+    labels, _ = apply_readout(model, features)
     return accuracy(targets, labels)
 
 
@@ -598,7 +599,8 @@ def _set_up(config: ScenarioConfig, dataset: Dataset, model_spec: ModelSpec | No
     return model_spec, feature_range, mitigation_info, backends
 
 
-def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, test_backend, cache):
+def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, test_backend):
+    cache = FeatureCache()  # shared by the configured and the ideal variant
     uq_seed = derive_seed(config.seed, "uq")
     front = model_spec.front(feature_range, derive_seed(uq_seed, "reservoir"))
     train_seed = derive_seed(uq_seed, "train-features")
@@ -609,16 +611,18 @@ def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, tes
     def run(backends, run_front) -> dict:
         tr_backend, te_backend = backends
         if spec.method == "bootstrap":
-            model = train(
-                dataset.train_features,
-                dataset.train_targets,
-                dataset.task,
-                run_front,
-                model_spec.readout,
-                tr_backend,
-                seed=train_seed,
-                cache=cache,
-                readout_hyper=model_spec.hyper_dict(),
+            # one walk when both backends share a key; bootstrap_distribution
+            # then finds both matrices in the cache
+            train_features, _ = grouped_feature_matrices(
+                [
+                    (run_front, tr_backend, dataset.train_features, train_seed),
+                    (run_front, te_backend, dataset.test_features, test_seed),
+                ],
+                cache,
+            )
+            model = fit_model(
+                train_features, dataset.train_targets, dataset.task, run_front,
+                model_spec.readout, model_spec.hyper_dict(),
             )
             dist = bootstrap_distribution(
                 model,
@@ -671,7 +675,7 @@ def run_uq(
     if config.uq is None:
         raise ValidationError("run_uq needs a uq setting on the config")
     model_spec, feature_range, _, backends = _set_up(config, dataset, model_spec)
-    return _uq_artifacts(config, dataset, model_spec, feature_range, *backends, FeatureCache())
+    return _uq_artifacts(config, dataset, model_spec, feature_range, *backends)
 
 
 def run_scenario(
@@ -683,8 +687,12 @@ def run_scenario(
     metric_name = "mse" if dataset.task == "regression" else "accuracy"
     direction = "error" if dataset.task == "regression" else "accuracy"
     ideal_backend = IdealBackend()
-    cache = FeatureCache()
     flags: list[str] = []
+
+    def fit(features, front):
+        return fit_model(
+            features, dataset.train_targets, dataset.task, front, model_spec.readout, model_spec.hyper_dict()
+        )
 
     def one_repeat(i: int) -> dict:
         repeat_seed = derive_seed(config.seed, "repeat", i)
@@ -693,43 +701,22 @@ def run_scenario(
         train_seed = derive_seed(repeat_seed, "train-features")
         test_seed = derive_seed(repeat_seed, "test-features")
         record = {"repeat": i, "seed": repeat_seed}
+        # the ideal model is the trained one when training is ideal and exact
+        reuse = train_backend.key == ideal_backend.key and baseline_front is front
+        requests = [
+            (front, train_backend, dataset.train_features, train_seed),
+            (front, test_backend, dataset.test_features, test_seed),
+            (baseline_front, ideal_backend, dataset.test_features, test_seed),
+        ]
+        if not reuse:
+            requests.append((baseline_front, ideal_backend, dataset.train_features, train_seed))
         try:
-            model = train(
-                dataset.train_features,
-                dataset.train_targets,
-                dataset.task,
-                front,
-                model_spec.readout,
-                train_backend,
-                seed=train_seed,
-                cache=cache,
-                readout_hyper=model_spec.hyper_dict(),
-            )
-            metric = evaluate_model(
-                model, dataset.test_features, dataset.test_targets, test_backend, test_seed, cache
-            )
-            if train_backend.key == ideal_backend.key and baseline_front is front:
-                ideal_model = model
-            else:
-                ideal_model = train(
-                    dataset.train_features,
-                    dataset.train_targets,
-                    dataset.task,
-                    baseline_front,
-                    model_spec.readout,
-                    ideal_backend,
-                    seed=train_seed,
-                    cache=cache,
-                    readout_hyper=model_spec.hyper_dict(),
-                )
-            ideal_metric = evaluate_model(
-                ideal_model,
-                dataset.test_features,
-                dataset.test_targets,
-                ideal_backend,
-                test_seed,
-                cache,
-            )
+            # one backend call per distinct (front, backend) covers every row
+            train_x, test_x, ideal_test_x, *ideal_train_x = grouped_feature_matrices(requests)
+            model = fit(train_x, front)
+            metric = evaluate_model(model, test_x, dataset.test_targets)
+            ideal_model = model if reuse else fit(ideal_train_x[0], baseline_front)
+            ideal_metric = evaluate_model(ideal_model, ideal_test_x, dataset.test_targets)
             record.update(
                 metric=metric,
                 ideal_metric=ideal_metric,
@@ -772,7 +759,7 @@ def run_scenario(
     uq_payload = None
     if config.uq is not None:
         uq_payload = _uq_artifacts(
-            config, dataset, model_spec, feature_range, train_backend, test_backend, cache
+            config, dataset, model_spec, feature_range, train_backend, test_backend
         )
 
     return ScenarioReport(

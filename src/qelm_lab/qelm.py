@@ -17,13 +17,16 @@ one row) together (``circuit_features(circuit, spec, seed)``: one circuit):
                               measured without rebuilding the density matrix
 
 (the mitigation module adds MitigatedBackend). Every row of a front runs
-one program (front_program: the encoder's RY gates as slots); feature_matrix
-computes the angles of all its rows (FeatureCache: of the rows it has not
-seen) in one step and hands them to the backend in one call, as
-extract_features does for one input. A backend maps all rows' distributions
-to feature rows in one step (probabilities_features). Feature extraction
-per row is pure given (front, x, backend, seed), which makes results
-cacheable and runs replayable.
+one program (front_program: the encoder's RY gates as slots).
+feature_matrices computes the angles of the rows of several parts (inputs,
+base seed) in one step and hands them to the backend in one call (with a
+FeatureCache: the rows it lacks); feature_matrix is its one-part case, and
+grouped_feature_matrices makes one such call per distinct (front,
+backend.key), so a repeat walks its train and test rows together. train is
+feature_matrix then fit_model, which fits the readout to given features. A
+backend maps all rows' distributions to feature rows in one step
+(probabilities_features). Feature extraction per row is pure given (front,
+x, backend, seed), which makes results cacheable and runs replayable.
 """
 
 from __future__ import annotations
@@ -283,13 +286,13 @@ def extract_features(front: QelmFront, x: np.ndarray, backend, seed: int = 0) ->
     return backend.programs_features([front_program(front)], angles, front.feature_map, [seed])[0]
 
 
-def _rows_features(front: QelmFront, inputs, indices, backend, base_seed: int) -> list[np.ndarray]:
-    """Features of the rows ``inputs``, numbered ``indices``, from one
-    backend call. Row i samples with derive_seed(base_seed, "row", i)."""
-    angles = encoder_angles(front.encoder, inputs)
+def _rows_features(front: QelmFront, backend, rows) -> list[np.ndarray]:
+    """Features of the numbered rows ``(base_seed, i, x)`` from one backend
+    call. Row (base_seed, i) samples with derive_seed(base_seed, "row", i)."""
+    angles = encoder_angles(front.encoder, [x for _, _, x in rows])
     if not len(angles):
         return []
-    seeds = [derive_seed(base_seed, "row", i) for i in indices] if front.feature_map.shots else None
+    seeds = [derive_seed(s, "row", i) for s, i, _ in rows] if front.feature_map.shots else None
     return list(backend.programs_features([front_program(front)], angles, front.feature_map, seeds))
 
 
@@ -297,8 +300,8 @@ class FeatureCache:
     """Memoizes per-row feature extraction.
 
     Keys combine the front, the backend identity, the base seed, and the row
-    (index and bytes), so bootstrap refits and matched baseline runs reuse
-    work instead of re-simulating. The store and the hit/miss counters sit
+    (index and bytes), so a bootstrap distribution and an ideal UQ run reuse
+    rows computed before instead of re-simulating them. The store and the hit/miss counters sit
     behind one lock, so repeats on several threads can share a cache; two
     threads that miss the same row both compute it, and both return the
     value stored first.
@@ -310,26 +313,40 @@ class FeatureCache:
         self.hits = 0
         self.misses = 0
 
-    def rows(self, front, backend, base_seed, indices, inputs) -> list[np.ndarray]:
-        """Features of the rows ``inputs``, numbered ``indices``; the misses
+    def rows(self, front, backend, rows) -> list[np.ndarray]:
+        """Features of the numbered rows ``(base_seed, i, x)``; the misses
         are computed together in one backend call."""
-        keys = [(front, backend.key, base_seed, i, x.tobytes()) for i, x in zip(indices, inputs)]
+        keys = [(front, backend.key, s, i, x.tobytes()) for s, i, x in rows]
         with self._lock:
-            rows = [self._store.get(key) for key in keys]
-            missing = [j for j, row in enumerate(rows) if row is None]
-            self.hits += len(rows) - len(missing)
+            found = [self._store.get(key) for key in keys]
+            missing = [j for j, row in enumerate(found) if row is None]
+            self.hits += len(found) - len(missing)
             self.misses += len(missing)
-        computed = _rows_features(
-            front, [inputs[j] for j in missing], [indices[j] for j in missing], backend, base_seed
-        )
+        computed = _rows_features(front, backend, [rows[j] for j in missing])
         with self._lock:
             for j, row in zip(missing, computed):
-                rows[j] = self._store.setdefault(keys[j], row)
-        return rows
+                found[j] = self._store.setdefault(keys[j], row)
+        return found
 
     def row_features(self, front, backend, base_seed, index, x) -> np.ndarray:
         """Features of row ``index``: ``rows`` of one row."""
-        return self.rows(front, backend, base_seed, [index], [x])[0]
+        return self.rows(front, backend, [(base_seed, index, x)])[0]
+
+
+def feature_matrices(front: QelmFront, backend, parts, cache: FeatureCache | None = None) -> list[np.ndarray]:
+    """One feature matrix per part ``(inputs, base_seed)``, the rows of all
+    parts evolved together in one backend call (with a cache: the rows it
+    lacks). Row i of a part samples with derive_seed(base_seed, "row", i),
+    so a row's features do not depend on the other rows or parts, and
+    matched runs on different backends stay comparable."""
+    parts = [(np.asarray(inputs, dtype=float), s) for inputs, s in parts]
+    rows = [(s, i, x) for inputs, s in parts for i, x in enumerate(inputs)]
+    features = (cache.rows if cache is not None else _rows_features)(front, backend, rows)
+    bounds = np.cumsum([0] + [len(inputs) for inputs, _ in parts])
+    return [
+        np.array(features[a:b], dtype=float).reshape(b - a, front.n_features)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def feature_matrix(
@@ -339,16 +356,24 @@ def feature_matrix(
     base_seed: int,
     cache: FeatureCache | None = None,
 ) -> np.ndarray:
-    """Features for every row of ``inputs``, evolved together. Row i's
-    sampling seed depends only on (base_seed, i), so matched runs on
-    different backends stay comparable."""
-    inputs = np.asarray(inputs, dtype=float)
-    indices = range(len(inputs))
-    if cache is not None:
-        rows = cache.rows(front, backend, base_seed, indices, inputs)
-    else:
-        rows = _rows_features(front, inputs, indices, backend, base_seed)
-    return np.array(rows, dtype=float).reshape(len(rows), front.n_features)
+    """Features for every row of ``inputs``: feature_matrices of one part."""
+    return feature_matrices(front, backend, [(inputs, base_seed)], cache)[0]
+
+
+def grouped_feature_matrices(requests, cache: FeatureCache | None = None) -> list[np.ndarray]:
+    """The feature matrix of each request ``(front, backend, inputs,
+    base_seed)``, with one feature_matrices call per distinct (front,
+    backend.key)."""
+    groups: dict = {}
+    for j, (front, backend, _, _) in enumerate(requests):
+        groups.setdefault((front, backend.key), []).append(j)
+    matrices = [None] * len(requests)
+    for members in groups.values():
+        front, backend = requests[members[0]][:2]
+        parts = [requests[j][2:] for j in members]
+        for j, matrix in zip(members, feature_matrices(front, backend, parts, cache)):
+            matrices[j] = matrix
+    return matrices
 
 
 @dataclass
@@ -376,11 +401,19 @@ def train(
     readout_hyper: dict | None = None,
 ) -> QelmModel:
     """Extract features for every training row on ``backend`` and fit the
-    readout. The reservoir is a frozen value and is never altered."""
+    readout: feature_matrix, then fit_model."""
+    features = feature_matrix(front, inputs, backend, seed, cache)
+    return fit_model(features, targets, task, front, readout_kind, readout_hyper)
+
+
+def fit_model(
+    features, targets, task: str, front: QelmFront, readout_kind: str, readout_hyper: dict | None = None
+) -> QelmModel:
+    """The model of ``front`` whose readout is fitted to the training rows'
+    ``features``. The reservoir is a frozen value and is never altered."""
     if task not in ("regression", "classification"):
         raise ValidationError(f"unknown task {task!r}")
     check_readout_task(readout_kind, task)
-    features = feature_matrix(front, inputs, backend, seed, cache)
     readout = fit_readout(features, targets, readout_kind, readout_hyper)
     return QelmModel(
         front=front,
@@ -391,7 +424,9 @@ def train(
     )
 
 
-def _apply_readout(model: QelmModel, features: np.ndarray):
+def apply_readout(model: QelmModel, features: np.ndarray):
+    """The predictions of ``model`` on a feature matrix; same shape
+    conventions as predict_batch."""
     if model.task == "regression":
         return model.readout.predict(features)
     probs = model.readout.predict_proba(features)
@@ -404,7 +439,7 @@ def predict(model: QelmModel, x: np.ndarray, backend, seed: int = 0):
     features = extract_features(model.front, x, backend, seed).reshape(1, -1)
     if model.task == "regression":
         return float(model.readout.predict(features)[0])
-    labels, probs = _apply_readout(model, features)
+    labels, probs = apply_readout(model, features)
     return int(labels[0]), probs[0]
 
 
@@ -417,7 +452,7 @@ def predict_batch(
 ):
     """Predictions for every row; same shape conventions as predict."""
     features = feature_matrix(model.front, inputs, backend, base_seed, cache)
-    return _apply_readout(model, features)
+    return apply_readout(model, features)
 
 
 def with_reservoir_seed(front: QelmFront, seed: int) -> QelmFront:
@@ -487,9 +522,10 @@ def model_from_dict(raw: dict) -> QelmModel:
     enc, res = raw["encoder"], raw["reservoir"]
     encoder = EncoderSpec(tuple(map(tuple, enc["feature_range"])), enc["style"], enc["entangle"])
     reservoir = ReservoirSpec(**{**res, "j_range": tuple(res["j_range"]), "h_range": tuple(res["h_range"])})
+    front = QelmFront(encoder, reservoir, FeatureMapSpec(**raw["feature_map"]))
     return QelmModel(
-        front=QelmFront(encoder, reservoir, FeatureMapSpec(**raw["feature_map"])),
-        readout=readout_from_dict(raw["readout"], "readout"),
+        front=front,
+        readout=readout_from_dict(raw["readout"], "readout", front.n_features),
         readout_kind=raw["readout_kind"],
         readout_hyper=raw["readout_hyper"],
         task=raw["task"],

@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .rng import Rng, derive_seed
-from .schema import Opt, read
+from .rng import derive_seed, integers_per_seed
+from .schema import Opt, Rule, read
 
 READOUT_KINDS = ("linear", "logistic", "tree")
 # a linear readout gives no class probabilities; the others need 0/1 labels
@@ -31,6 +31,8 @@ READOUT_HYPER = {
 }
 # a readout_hyper object of any kind, for the document reader
 HYPER_KEYS = {key: Opt(kind) for hyper in READOUT_HYPER.values() for key, kind in hyper.items()}
+# a tree's split node document (_FlatTree.to_dict); a leaf is {"value": v}
+SPLIT_KEYS = {"feature": int, "threshold": float, "left": {...: None}, "right": {...: None}}
 # the document of each readout kind (to_dict); _FlatTree.from_dict reads a tree's nodes
 READOUT_KEYS = {
     "linear": {"kind": str, "weights": [float], "intercept": float},
@@ -216,18 +218,27 @@ class _FlatTree(NamedTuple):
         return _FlatTree(feature, threshold.astype(float), left, right, value, max(levels))
 
     @staticmethod
-    def from_dict(root: dict) -> "_FlatTree":
-        """The tree of a nested node document, read breadth-first."""
-        nodes, links, values = [root], [], []
-        for node in nodes:  # appends children while it walks
-            if "value" in node:
+    def from_dict(root: dict, task: str, at: str = "root", n_features: int | None = None) -> "_FlatTree":
+        """The tree of a nested node document, read breadth-first. Each node
+        is checked as a leaf of ``task`` (a number, or a class probability
+        pair) or against SPLIT_KEYS, and a split's feature must index one of
+        ``n_features`` columns (None: any), so a bad node raises a
+        ValidationError naming its path from ``at``."""
+        limit = math.inf if n_features is None else n_features
+        problem = f"must index one of the {n_features} features" if n_features else "must not be negative"
+        split = dict(SPLIT_KEYS, feature=Rule(int, lambda f: 0 <= f < limit, problem))
+        leaf = {"value": float if task == "regression" else (float, float)}
+        nodes, links, values = [(root, at)], [], []
+        for node, where in nodes:  # appends children while it walks
+            if isinstance(node, dict) and "value" in node:
                 links.append(None)
-                values.append(node["value"])
+                values.append(read(leaf, node, where)["value"])
             else:
+                node = read(split, node, where)
                 child = len(nodes)
-                links.append((int(node["feature"]), float(node["threshold"]), child, child + 1))
+                links.append((node["feature"], node["threshold"], child, child + 1))
                 values.append(None)
-                nodes += (node["left"], node["right"])
+                nodes += ((node["left"], f"{where}.left"), (node["right"], f"{where}.right"))
         return _FlatTree.build(links, values)
 
     def to_dict(self, node: int = 0) -> dict:
@@ -378,13 +389,13 @@ class DecisionTree:
         }
 
     @staticmethod
-    def from_dict(raw: dict) -> "DecisionTree":
+    def from_dict(raw: dict, at: str = "", n_features: int | None = None) -> "DecisionTree":
         tree = DecisionTree(
             task=raw["task"],
             max_depth=int(raw["max_depth"]),
             min_samples_split=int(raw["min_samples_split"]),
         )
-        tree._flat = _FlatTree.from_dict(raw["root"])
+        tree._flat = _FlatTree.from_dict(raw["root"], tree.task, f"{at}.root" if at else "root", n_features)
         return tree
 
 
@@ -402,9 +413,7 @@ class BaggedTrees:
         features = np.asarray(features, dtype=float)
         targets = np.asarray(targets, dtype=float)
         n = len(targets)
-        samples = [
-            Rng(derive_seed(self.seed, "bag", i)).integers(n, 0, n) for i in range(self.n_trees)
-        ]
+        samples = integers_per_seed([derive_seed(self.seed, "bag", i) for i in range(self.n_trees)], n, 0, n)
         tree = DecisionTree("regression", max_depth=self.max_depth)
         self.trees = list(tree.fit_samples(features, targets, samples))
         self._forest = _stack_trees([tree._flat for tree in self.trees])
@@ -432,7 +441,7 @@ class BaggedTrees:
         model = BaggedTrees(
             n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]), seed=int(raw["seed"])
         )
-        model.trees = [DecisionTree.from_dict(t) for t in raw["trees"]]
+        model.trees = [DecisionTree.from_dict(t, f"trees[{i}]") for i, t in enumerate(raw["trees"])]
         model._forest = _stack_trees([tree._flat for tree in model.trees])
         return model
 
@@ -525,9 +534,10 @@ def fit_readouts(
             yield fit(features[rows], targets[rows], **hyper)
 
 
-def readout_from_dict(raw: dict, at: str = ""):
+def readout_from_dict(raw: dict, at: str = "", n_features: int | None = None):
     """The readout of a document from to_dict, checked against its kind's
-    READOUT_KEYS; ``at`` is the document's path in errors."""
+    READOUT_KEYS; ``at`` is the document's path in errors. A tree's splits
+    must index one of ``n_features`` columns (None: any)."""
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in READOUT_KINDS:
         raise ValidationError(f"{at + '.' if at else ''}kind: unknown readout kind {kind!r}")
@@ -538,4 +548,4 @@ def readout_from_dict(raw: dict, at: str = ""):
         return LogisticReadout(
             np.asarray(raw["weights"], dtype=float), raw["intercept"], raw["degenerate"], raw["converged"]
         )
-    return DecisionTree.from_dict(raw)
+    return DecisionTree.from_dict(raw, at, n_features)

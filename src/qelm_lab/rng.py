@@ -69,6 +69,37 @@ def derive_seed(seed: int, *labels: int | str) -> int:
     return h
 
 
+def _words(states: np.ndarray, n: int) -> np.ndarray:
+    """The next n output words of the streams at ``states``, one row each."""
+    with np.errstate(over="ignore"):
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        return _mix_array(states[:, None] + steps)
+
+
+def _span(low: int, high: int) -> int:
+    if high <= low:
+        raise ValueError("empty integer range")
+    return high - low
+
+
+def _unit(words: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of output words."""
+    return ((words >> np.uint64(11)).astype(np.float64)) * _INV_2_53
+
+
+def _scaled(words: np.ndarray, low: int, span: int) -> np.ndarray:
+    """Integers uniform on [low, low + span) from output words."""
+    return low + np.floor(_unit(words) * span).astype(np.int64)
+
+
+def integers_per_seed(seeds, n: int, low: int, high: int) -> np.ndarray:
+    """Rng(seeds[k]).integers(n, low, high) as row k, every stream drawn in
+    one step: shape (len(seeds), n)."""
+    span = _span(low, high)
+    states = np.array([seed & _MASK for seed in seeds], dtype=np.uint64).reshape(-1)
+    return _scaled(_words(states, n), low, span)
+
+
 class Rng:
     """A seedable SplitMix64 stream with vectorised draws."""
 
@@ -76,9 +107,7 @@ class Rng:
         self._state = seed & _MASK
 
     def _next_words(self, n: int) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-            words = _mix_array(np.uint64(self._state) + steps)
+        words = _words(np.array([self._state], dtype=np.uint64), n)[0]
         self._state = (self._state + n * _GAMMA) & _MASK
         return words
 
@@ -92,7 +121,7 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1); identical to n calls of uniform()."""
-        return ((self._next_words(n) >> np.uint64(11)).astype(np.float64)) * _INV_2_53
+        return _unit(self._next_words(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard-normal deviates via Box-Muller on uniform pairs."""
@@ -107,10 +136,8 @@ class Rng:
 
     def integers(self, n: int, low: int, high: int) -> np.ndarray:
         """n integers uniform on [low, high). Range must fit comfortably in 53 bits."""
-        span = high - low
-        if span <= 0:
-            raise ValueError("empty integer range")
-        return low + np.floor(self.uniforms(n) * span).astype(np.int64)
+        span = _span(low, high)
+        return _scaled(self._next_words(n), low, span)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n)."""

@@ -33,12 +33,12 @@ from .qelm import (
     FeatureCache,
     QelmFront,
     QelmModel,
-    feature_matrix,
-    train,
+    fit_model,
+    grouped_feature_matrices,
     with_reservoir_seed,
 )
 from .readout import fit_readouts
-from .rng import Rng, derive_seed
+from .rng import derive_seed, integers_per_seed
 
 
 @dataclass
@@ -94,17 +94,22 @@ def bootstrap_distribution(
 ) -> PredictionDistribution:
     """Resample training rows with replacement and refit only the readout.
 
-    Quantum features are extracted once per row and reused across all B
+    Quantum features are extracted once per row (train and test rows in one
+    backend call when the backends share a key) and reused across all B
     refits, so the reservoir and encoder are untouched by construction.
     """
     if b < 2:
         raise InsufficientMembers(f"bootstrap needs B >= 2, got {b}")
-    cache = cache if cache is not None else FeatureCache()
-    train_features = feature_matrix(model.front, train_inputs, train_backend, train_seed, cache)
-    test_features = feature_matrix(model.front, test_inputs, test_backend, test_seed, cache)
+    train_features, test_features = grouped_feature_matrices(
+        [
+            (model.front, train_backend, train_inputs, train_seed),
+            (model.front, test_backend, test_inputs, test_seed),
+        ],
+        cache,
+    )
     targets = np.asarray(train_targets, dtype=float)
     n = len(targets)
-    samples = [Rng(derive_seed(seed, "bootstrap", k)).integers(n, 0, n) for k in range(b)]
+    samples = integers_per_seed([derive_seed(seed, "bootstrap", k) for k in range(b)], n, 0, n)
     per_input = []
     for readout in fit_readouts(
         train_features, targets, model.readout_kind, model.readout_hyper, samples
@@ -134,25 +139,21 @@ def ensemble_distribution(
     readout_hyper: dict | None = None,
 ) -> PredictionDistribution:
     """Train M fully independent models whose reservoir seeds derive from
-    (seed, member index); every member shares the same backends."""
+    (seed, member index); every member shares the same backends, and its
+    train and test rows take one backend call when their keys agree."""
     if m < 2:
         raise InsufficientMembers(f"ensemble needs M >= 2, got {m}")
-    cache = cache if cache is not None else FeatureCache()
     per_input = []
     for i in range(m):
         member_front = with_reservoir_seed(front, derive_seed(seed, "member", i))
-        member = train(
-            train_inputs,
-            train_targets,
-            task,
-            member_front,
-            readout_kind,
-            train_backend,
-            seed=train_seed,
-            cache=cache,
-            readout_hyper=readout_hyper,
+        train_features, test_features = grouped_feature_matrices(
+            [
+                (member_front, train_backend, train_inputs, train_seed),
+                (member_front, test_backend, test_inputs, test_seed),
+            ],
+            cache,
         )
-        test_features = feature_matrix(member_front, test_inputs, test_backend, test_seed, cache)
+        member = fit_model(train_features, train_targets, task, member_front, readout_kind, readout_hyper)
         if task == "regression":
             per_input.append(member.readout.predict(test_features))
         else:
@@ -181,19 +182,26 @@ def _intervals(samples: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def crps(samples, y: float) -> float:
-    """Continuous ranked probability score of the empirical distribution.
+    """Continuous ranked probability score of the empirical distribution:
+    crps_rows of one row."""
+    samples = np.asarray(samples, dtype=float).reshape(1, -1)
+    return float(crps_rows(samples, np.array([y], dtype=float))[0])
+
+
+def crps_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The CRPS of every row of ``samples`` against its entry of ``y``.
 
     Uses the pair identity mean|x_i - y| - mean|x_i - x_j| / 2, which equals
     the integral of (F(z) - 1{y <= z})^2 for the empirical CDF F.
     """
-    samples = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    n = len(samples)
+    samples = np.sort(samples, axis=1)
+    n = samples.shape[1]
     if n == 0:
         raise EmptyInput("crps needs at least one sample")
-    term1 = float(np.abs(samples - y).mean())
+    term1 = np.abs(samples - y[:, None]).mean(axis=1)
     # sum over ordered pairs |x_i - x_j| via sorted prefix weights
     weights = 2.0 * np.arange(n) - (n - 1)
-    pair_sum = 2.0 * float(np.sum(weights * samples))
+    pair_sum = 2.0 * np.sum(weights * samples, axis=1)
     return term1 - pair_sum / (2.0 * n * n)
 
 
@@ -332,13 +340,13 @@ def regression_uq_metrics(
         raise ValidationError(f"tau_grid values must lie in (0, 1), got {tau_grid}")
     bounds = _intervals(dist.samples, alpha).tolist()
     quantiles = np.quantile(dist.samples, tau_grid, axis=1, method="linear").T.tolist()
+    crps_vals = crps_rows(dist.samples, y_true)
     rows = []
-    crps_vals, cs_vals, is_vals, widths, covered = [], [], [], [], []
+    cs_vals, is_vals, widths, covered = [], [], [], []
     for i, (y, lo, hi) in enumerate(zip(y_true, *bounds)):
         samples = dist.samples[i]
         width = hi - lo
         inside = lo <= y <= hi
-        crps_i = crps(samples, y)
         cs_i = float(np.mean([check_score(y, q, t) for q, t in zip(quantiles[i], tau_grid)]))
         is_i = interval_score(y, lo, hi, alpha)
         rows.append(
@@ -352,7 +360,6 @@ def regression_uq_metrics(
                 "covered": bool(inside),
             }
         )
-        crps_vals.append(crps_i)
         cs_vals.append(cs_i)
         is_vals.append(is_i)
         widths.append(width)

@@ -395,3 +395,62 @@ def test_scenario_is_schedule_independent():
     assert report_json_bytes(run_scenario(serial, dataset)) == report_json_bytes(
         run_scenario(threaded, dataset)
     )
+
+
+# ---------------------------------------------------------------------------
+# one walk per distinct (front, backend): a repeat, a UQ variant, an
+# ensemble member and a train command line evolve their rows together
+
+
+def _counted_walks(monkeypatch) -> list:
+    walks, walk = [], sim._walk
+
+    def counted(*args):
+        walks.append(args[3] is not None)  # a noisy walk
+        return walk(*args)
+
+    monkeypatch.setattr(sim, "_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "scenario, mitigator, shots, per_repeat",
+    [
+        ("C1_1", None, 0, 2),  # ideal train rows with the baseline's test rows; noisy test rows
+        ("C1_1", None, 64, 3),  # the sampled front's ideal train rows apart from the exact baseline
+        ("C1_2", None, 0, 2),  # noisy train and test rows; the baseline's
+        ("C2_2", "zne", 0, 2),  # every fold of train and test rows; the baseline's
+    ],
+)
+def test_a_repeat_walks_once_per_front_and_backend(monkeypatch, scenario, mitigator, shots, per_repeat):
+    dataset = generate_dataset("regression3", 24, seed=2)
+    config = ScenarioConfig(
+        scenario, noise.bundled_profile("device-a"), repeats=2, seed=1, mitigator=mitigator, jobs=1
+    )
+    walks = _counted_walks(monkeypatch)
+    report = run_scenario(config, dataset, harness.default_model_spec(dataset, shots))
+    assert all(r["error"] is None for r in report.runs)
+    assert len(walks) == 2 * per_repeat
+
+
+@pytest.mark.parametrize("method, walks", [("bootstrap", 2), ("ensemble", 2 * 3)])
+def test_a_uq_variant_walks_once_per_member_and_backend(monkeypatch, method, walks):
+    """C3_2's configured (noisy) and ideal variants: one walk each for
+    bootstrap, one per member for an ensemble of 3, where train and test
+    rows took one walk each."""
+    dataset = generate_dataset("regression3", 24, seed=2)
+    config = ScenarioConfig(
+        "C3_2", noise.bundled_profile("device-a"), repeats=1, seed=1, uq=UqSpec(method, 3), jobs=1
+    )
+    counted = _counted_walks(monkeypatch)
+    run_uq(config, dataset)
+    assert len(counted) == walks and counted.count(True) == walks // 2
+
+
+def test_train_walks_its_train_and_test_rows_once(monkeypatch, tmp_path):
+    from qelm_lab.cli import main
+
+    walks = _counted_walks(monkeypatch)
+    argv = ["train", "--dataset", "regression3", "--dataset-size", "24", "--seed", "3"]
+    assert main(argv + ["--backend", "noisy", "--profile", "device-a", "--out", str(tmp_path)]) == 0
+    assert walks == [True]

@@ -6,6 +6,7 @@ is kept here as the oracle."""
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -391,3 +392,83 @@ def test_each_distinct_fixed_block_of_an_eight_qubit_zne_walk_is_built_once(monk
     assert len(fixed) > 48 and set(fixed) == {1}
     assert all(any(isinstance(g, circ.Slot) for g in block.gates) for block in slotted)
     assert not any(isinstance(g, circ.Slot) for (block, is_fixed) in built if is_fixed for g in block.gates)
+
+
+# ---------------------------------------------------------------------------
+# several parts of rows in one backend call
+
+
+@lru_cache(maxsize=None)
+def _qlear_backend(n, kind):
+    profile = bundled_profile("device-a")
+    corrector = mit.qlear_train(
+        mit.calibration_circuits(n, 20, seed=n), profile, seed=1, n_trees=3, max_depth=3,
+        feature_map=qelm.FeatureMapSpec(kind, 0),
+    )
+    return mit.MitigatedBackend(profile, mit.QlearMitigator(corrector))
+
+
+def _feature_backends(n, kind):
+    profile = bundled_profile("device-a")
+    return (
+        qelm.IdealBackend(),
+        qelm.NoisyBackend(profile),
+        mit.MitigatedBackend(profile, mit.ZneMitigator()),
+        _qlear_backend(n, kind),
+    )
+
+
+class _CountedBackend:
+    """A backend that counts its programs_features calls."""
+
+    def __init__(self, backend):
+        self.backend, self.key, self.calls = backend, backend.key, 0
+
+    def programs_features(self, *args):
+        self.calls += 1
+        return self.backend.programs_features(*args)
+
+
+def _check_parts(front, parts, backends):
+    for backend in backends:
+        want = [qelm.feature_matrix(front, inputs, backend, seed) for inputs, seed in parts]
+        for cache in (None, qelm.FeatureCache()):
+            counted = _CountedBackend(backend)
+            got = qelm.feature_matrices(front, counted, parts, cache)
+            assert [m.shape for m in got] == [w.shape for w in want], backend.key
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), backend.key
+            assert counted.calls == (1 if any(len(inputs) for inputs, _ in parts) else 0)
+        again = qelm.feature_matrices(front, counted, parts, cache)  # every row a hit
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(again, want)), backend.key
+        assert counted.calls <= 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2**31 - 1),
+    kind=st.sampled_from(qelm.FEATURE_MAP_KINDS),
+    shots=st.sampled_from([0, 64]),
+    sizes=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    seeds=st.lists(st.sampled_from([0, 7, 2**64 - 1]), min_size=3, max_size=3),
+    repeat=st.booleans(),
+)
+def test_feature_matrices_equal_one_feature_matrix_per_part(n, seed, kind, shots, sizes, seeds, repeat):
+    """Every part's matrix from one backend call has the bits of its own
+    feature_matrix, on the ideal, noisy, ZNE and QLEAR backends, with and
+    without a cache: parts may be empty, share a base seed, and repeat rows
+    of another part."""
+    front = _front(n, "ising", True, kind, shots, seed)
+    rng = np.random.default_rng(seed)
+    parts = [(rng.uniform(-2.0, 5.0, size=(size, n)), s) for size, s in zip(sizes, seeds)]
+    if repeat and len(parts) > 1 and len(parts[0][0]) and len(parts[1][0]):
+        parts[1][0][-1] = parts[0][0][0]  # a row of another part, at another index
+        parts[1] = (parts[1][0], parts[0][1])  # under the same base seed
+    _check_parts(front, parts, _feature_backends(n, kind))
+
+
+def test_eight_qubit_feature_matrices_equal_one_feature_matrix_per_part():
+    front = _front(8, "rotation", True, "z_expectations", 64)
+    inputs = np.random.default_rng(8).uniform(-2.0, 5.0, size=(3, 8))
+    profile = bundled_profile("device-a")
+    _check_parts(front, [(inputs[:2], 5), (inputs[2:], 5)], (qelm.IdealBackend(), qelm.NoisyBackend(profile)))

@@ -344,6 +344,33 @@ def test_a_tree_model_document_has_its_keys_checked():
         qelm.model_from_dict(document)
 
 
+@pytest.mark.parametrize(
+    "mutate, problem",
+    [
+        (lambda root: root.update(feature="a"), "readout.root.feature: expected an integer, got 'a'"),
+        (lambda root: root.pop("right"), "readout.root.right: required; readout.root has no right"),
+        (lambda root: root.update(feature=8), "readout.root.feature: must index one of the 8 features"),
+        (lambda root: root.update(feature=-1), "readout.root.feature: must index one of the 8 features"),
+        (lambda root: root.update(left={"value": 0.5}), r"readout.root.left.value: expected a list of 2, got 0.5"),
+        (lambda root: root.update(right={"value": [1.0, 0.0], "feature": 0}), "readout.root.right.feature: unknown key"),
+        (lambda root: root.update(left=[]), r"readout.root.left: expected an object, got \[\]"),
+    ],
+)
+def test_a_bad_tree_node_raises_a_validation_error_naming_its_path(mutate, problem):
+    """A tree readout's node documents are read checked, and a split must
+    index one of the front's features: no raw ValueError, KeyError or (at
+    predict time) IndexError."""
+    x_train, y_train, _, _ = _linear_fixture(20)
+    y_cls = (y_train > y_train.mean()).astype(float)
+    model = qelm.train(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
+    document = json.loads(json.dumps(qelm.model_to_dict(model)))
+    root = document["readout"]["root"]
+    assert "feature" in root and model.front.n_features == 8
+    mutate(root)
+    with pytest.raises(ValidationError, match=f"^{problem}"):
+        qelm.model_from_dict(document)
+
+
 def test_single_prediction_shapes():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()

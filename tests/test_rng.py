@@ -1,6 +1,11 @@
-import numpy as np
+import math
 
-from qelm_lab.rng import Rng, derive_seed
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qelm_lab.rng import Rng, derive_seed, integers_per_seed
 
 
 def test_streams_are_deterministic():
@@ -57,3 +62,31 @@ def test_integers_within_range():
     vals = Rng(13).integers(1000, 3, 9)
     assert vals.min() >= 3
     assert vals.max() < 9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds=st.lists(
+        st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+        min_size=0,
+        max_size=8,
+    ),
+    n=st.integers(1, 500),
+    low=st.integers(-(2**31), 2**31),
+    span=st.one_of(st.sampled_from([1, 2, 2**31]), st.integers(1, 2**31)),
+)
+def test_integers_per_seed_draws_each_stream_as_rng_does(seeds, n, low, span):
+    """Row k of the one-step draw is Rng(seeds[k]).integers, bit for bit, and
+    the first row is also the scalar stream's draws."""
+    got = integers_per_seed(seeds, n, low, low + span)
+    assert got.shape == (len(seeds), n) and got.dtype == np.int64
+    for row, seed in zip(got, seeds):
+        assert row.tobytes() == Rng(seed).integers(n, low, low + span).tobytes()
+    if seeds:
+        rng = Rng(seeds[0])
+        assert got[0].tolist() == [low + math.floor(rng.uniform() * span) for _ in range(n)]
+
+
+def test_integers_per_seed_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="empty integer range"):
+        integers_per_seed([1, 2], 3, 5, 5)

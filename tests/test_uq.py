@@ -79,6 +79,38 @@ def test_crps_two_point_case_matches_integration():
     assert crps_by_integration([0.0, 2.0], 1.0) == pytest.approx(0.5)
 
 
+def _former_crps(samples, y):
+    """crps of one row as it was computed before the stacked form."""
+    samples = np.sort(np.asarray(samples, dtype=float).reshape(-1))
+    n = len(samples)
+    term1 = float(np.abs(samples - y).mean())
+    weights = 2.0 * np.arange(n) - (n - 1)
+    pair_sum = 2.0 * float(np.sum(weights * samples))
+    return term1 - pair_sum / (2.0 * n * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 30),
+    n=st.integers(1, 300),
+    decade=st.integers(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_crps_rows_equals_crps_row_by_row(rows, n, decade, seed, ties):
+    """The stacked CRPS of a batch has the bits of the one-row formula on
+    each row alone, and crps is its one-row case."""
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(rows, n)) * 10.0**decade
+    if ties:
+        samples = np.round(samples / 10.0**decade) * 10.0**decade
+    y = rng.normal(size=rows) * 10.0**decade
+    got = uq.crps_rows(samples, y)
+    want = np.array([_former_crps(row, target) for row, target in zip(samples, y)])
+    assert got.tobytes() == want.tobytes()
+    assert uq.crps(samples[0], y[0]) == want[0]
+
+
 def test_crps_pair_formula_equals_integration_oracle():
     rng = np.random.default_rng(12)
     for _ in range(200):
