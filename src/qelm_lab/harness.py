@@ -611,21 +611,10 @@ def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, tes
     def run(backends, run_front) -> dict:
         tr_backend, te_backend = backends
         if spec.method == "bootstrap":
-            # one walk when both backends share a key; bootstrap_distribution
-            # then finds both matrices in the cache
-            train_features, _ = grouped_feature_matrices(
-                [
-                    (run_front, tr_backend, dataset.train_features, train_seed),
-                    (run_front, te_backend, dataset.test_features, test_seed),
-                ],
-                cache,
-            )
-            model = fit_model(
-                train_features, dataset.train_targets, dataset.task, run_front,
-                model_spec.readout, model_spec.hyper_dict(),
-            )
             dist = bootstrap_distribution(
-                model,
+                run_front,
+                model_spec.readout,
+                dataset.task,
                 dataset.train_features,
                 dataset.train_targets,
                 dataset.test_features,
@@ -636,6 +625,7 @@ def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, tes
                 train_seed=train_seed,
                 test_seed=test_seed,
                 cache=cache,
+                readout_hyper=model_spec.hyper_dict(),
             )
         else:
             dist = ensemble_distribution(

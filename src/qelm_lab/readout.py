@@ -6,12 +6,21 @@ correction. All fits are deterministic given their inputs and seeds.
 A fitted tree has one form, flat node arrays numbered breadth-first
 (_FlatTree): trees grow into them, route rows through them, and write and
 read their nested JSON node documents from and into them.
+
+Trees of many samples (bagging, bootstrap refits) grow together, one depth
+at a time, and a depth is held as pooled arrays: each node's rows are one
+segment of a shared index array. So a depth costs a fixed number of numpy
+calls, however many nodes it holds: a purity test, one split search
+(_best_split), the leaf values and one stable partition (_partition). Trees
+keep the bits of growing each one alone. Linear refits of one sample length
+are solved as one stacked normal-equation system, with the bits of one
+fit_linear each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -91,13 +100,14 @@ class LogisticReadout:
         }
 
 
-def _best_split(features: np.ndarray, targets: np.ndarray, segments: list, task: str) -> list:
-    """Best (feature, threshold) of each segment of rows, or None where no
-    column has two distinct values.
+def _best_split(features: np.ndarray, targets: np.ndarray, orders: np.ndarray, sizes: np.ndarray,
+                task: str, labels: bool):
+    """Best (feature, threshold) of every segment of a level, in one search.
 
-    A segment is a (d, n) array of row indices into ``features`` and
-    ``targets``: its row j holds the segment's rows ordered by feature j,
-    ties in the segment's row order.
+    ``orders`` holds the segments end to end, ``sizes[k]`` entries each: its
+    row j holds each segment's rows ordered by feature j, ties in the
+    segment's row order. Returns which segments have a column with two
+    distinct values, and for those their feature and threshold.
 
     Score is the size-weighted child impurity: the sum of squared errors
     (SSE) for regression and the Gini impurity for classification, which on
@@ -107,85 +117,185 @@ def _best_split(features: np.ndarray, targets: np.ndarray, segments: list, task:
     Zero-gain splits are allowed; they let deeper levels resolve parity
     patterns a single cut cannot.
 
-    Segments are searched together, each padded after its last row:
-    cumulative sums over a segment's own rows, and so its scores, keep the
-    bits a search of the segment alone gives. A search pads at most to about
-    twice its segments' rows, and holds at most about _SEARCH_CELLS entries
-    per array unless one segment alone needs more.
+    Every step works on all segments at once, unpadded, and each score keeps
+    the bits a search of its segment alone gives: the running sums restart
+    at each segment (_prefix_sums), and the rest is elementwise or a
+    segmented minimum.
     """
-    found = [None] * len(segments)
-    group, rows = [], 0
-    for s in sorted(range(len(segments)), key=lambda s: -segments[s].shape[1]):
-        padded_rows = (len(group) + 1) * segments[group[0]].shape[1] if group else 0
-        if group and (
-            padded_rows > 2 * rows + _PAD_SLACK or padded_rows * features.shape[1] > _SEARCH_CELLS
-        ):
-            _search(features, targets, segments, group, task, found)
-            group, rows = [], 0
-        group.append(s)
-        rows += segments[s].shape[1]
-    if group:
-        _search(features, targets, segments, group, task, found)
-    return found
+    d, total = orders.shape
+    starts = np.cumsum(sizes) - sizes
+    ends = starts + sizes - 1
+    # no threshold between equal values, nor from a segment's last row on
+    xs = features.T.ravel().take(orders + (np.arange(d) * len(features))[:, None])
+    blocked = np.empty((d, total), dtype=bool)
+    np.equal(xs[:, :-1], xs[:, 1:], out=blocked[:, :-1])
+    blocked[:, ends] = True
+    del xs
+    csum, csq = _prefix_sums(targets.take(orders), starts, sizes, labels)
+    local = np.arange(total) - np.repeat(starts, sizes)
+    n_l = local + 1
+    # the scores (csq_l - sum_l**2 / n_l) + (csq_r - sum_r**2 / n_r), built
+    # in place; at a segment's last entry n_r is a placeholder
+    right = np.repeat(csum[:, ends], sizes, axis=1)
+    right -= csum
+    np.multiply(right, right, out=right)
+    right /= np.maximum(np.repeat(sizes, sizes) - n_l, 1)
+    csq_r = np.repeat(csq[:, ends], sizes, axis=1)
+    csq_r -= csq
+    np.subtract(csq_r, right, out=right)
+    del csq_r
+    scores = np.multiply(csum, csum)
+    scores /= n_l
+    np.subtract(csq, scores, out=scores)
+    del csum, csq
+    scores += right
+    del right
+    tol = 1e-12
+    if task == "classification":
+        scores *= np.repeat(2.0 / sizes, sizes)
+        tol = 1e-15
+    np.putmask(scores, blocked, np.inf)
+    lowest = np.minimum.reduceat(scores, starts, axis=1)
+    near = scores <= np.repeat(lowest + tol, sizes, axis=1)
+    # the first entry within the tolerance, or the segment's first (as an
+    # argmax over no hit gives) when the minimum is NaN
+    first = np.minimum.reduceat(np.where(near, local, total), starts, axis=1)
+    first[first == total] = 0
+    pick = starts + first
+    column_scores = scores[np.arange(d)[:, None], pick]
+    # a running comparison, not "within 1e-15 of the minimum": column scores
+    # of the same partition can differ by rounding in steps below 1e-15
+    best = np.full(len(sizes), np.inf)
+    feature = np.zeros(len(sizes), dtype=np.intp)
+    for j, column in enumerate(column_scores):
+        better = column < best - 1e-15
+        best[better] = column[better]
+        feature[better] = j
+    found = best < np.inf
+    feature = feature[found]
+    at = pick[feature, np.flatnonzero(found)]
+    low, high = features[orders[feature, at], feature], features[orders[feature, at + 1], feature]
+    return found, feature, (low + high) / 2.0
 
 
-# a search's padding rows beyond twice its segments' own rows, and its
-# entries per array; the row entries of the trees grown together, whose
-# orders take 8 bytes each. Enough to batch the searches of many small
-# trees, few enough to keep peak memory near that of one tree at a time.
-_PAD_SLACK = 256
-_SEARCH_CELLS = 2048
+def _prefix_sums(ys: np.ndarray, starts, sizes, labels: bool):
+    """The running sums of ``ys`` and of its squares along each segment, as
+    np.cumsum over the segment alone gives them.
+
+    On 0/1 labels every partial sum is an integer below 2**53, so one cumsum
+    over all segments minus each segment's base is exact, and y * y == y.
+    Other targets are summed in a padded layout, segments grouped by the
+    power of two their length rounds up to (padding under twice their rows),
+    and gathered back.
+    """
+    if labels:
+        base = ys[:, starts]
+        csum = np.cumsum(ys, axis=1, out=ys)
+        base -= csum[:, starts]
+        csum += np.repeat(base, sizes, axis=1)
+        return csum, csum
+    total = ys.shape[1]
+    csum, csq = np.empty_like(ys), np.empty_like(ys)
+    bucket = np.frexp(sizes - 1)[1]
+    for b in set(bucket.tolist()):
+        group = np.flatnonzero(bucket == b)
+        lanes = np.arange(sizes[group].max())
+        inside = lanes < sizes[group][:, None]
+        # padding repeats the level's last entry: sums run forward, so it
+        # only reaches places past a segment's end
+        at = np.minimum(starts[group][:, None] + lanes, total - 1)
+        padded = ys[:, at]
+        csum[:, at[inside]] = padded.cumsum(axis=2)[:, inside]
+        np.multiply(padded, padded, out=padded)
+        csq[:, at[inside]] = padded.cumsum(axis=2)[:, inside]
+    return csum, csq
+
+
+# the row entries fitted together: of the trees grown in one batch, whose
+# levels hold (features + 1) index entries per row entry, or of the linear
+# designs solved in one stack. Enough to batch many small fits, few enough
+# to keep peak memory near that of one fit at a time.
 _GROW_CELLS = 8192
 
 
-def _search(features, targets, segments, group, task, found) -> None:
-    """Fill in ``found`` for the segments in ``group``, longest first."""
-    lengths = np.array([segments[s].shape[1] for s in group])
-    m, d, width = len(group), features.shape[1], int(lengths[0])
-    padded = np.zeros((m, d, width), dtype=np.intp)  # padding reads row 0
-    in_segment = np.arange(width) < lengths[:, None]
-    padded[np.broadcast_to(in_segment[:, None], padded.shape)] = np.concatenate(
-        [segments[s].ravel() for s in group]
-    )
-    xs = features[padded, np.arange(d)[:, None]]
-    ys = targets[padded]
-    del padded
-    csum = np.cumsum(ys, axis=2)
-    csq = np.cumsum(np.multiply(ys, ys, out=ys), axis=2)
-    del ys
-    n = lengths[:, None, None]
-    n_l = np.arange(1, width)
-    last = (np.arange(m), slice(None), lengths - 1)
-    # the scores (csq_l - sum_l**2 / n_l) + (csq_r - sum_r**2 / n_r),
-    # computed in place; past a segment's last row n_r is a placeholder
-    sum_r = np.subtract(csum[last][..., None], csum[..., :-1])
-    scores = np.multiply(csum[..., :-1], csum[..., :-1], out=csum[..., :-1])
-    scores /= n_l
-    np.subtract(csq[..., :-1], scores, out=scores)
-    right = np.multiply(sum_r, sum_r, out=sum_r)
-    right /= np.maximum(n - n_l, 1)
-    np.subtract(csq[last][..., None] - csq[..., :-1], right, out=right)
-    scores += right
-    del csq, right
-    tol = 1e-12
+def _root_level(features: np.ndarray, samples) -> np.ndarray:
+    """Each sample's rows in each feature's order (ties in sample order), and
+    below them its rows as given: shape (features + 1, all samples' rows),
+    samples end to end.
+
+    Samples of one length are ordered by one sort of integer keys: a row's
+    rank in a feature (equal values, NaN included, share a rank, and NaN
+    ranks last, as numpy sorts floats), then its place in the sample. Keys
+    are unique within a (feature, sample) pair, so any sort orders them as a
+    stable sort of the values does."""
+    d = features.shape[1]
+    if len({len(rows) for rows in samples}) != 1:
+        return np.hstack([
+            np.vstack([rows[np.argsort(features[rows], axis=0, kind="stable")].T, rows])
+            for rows in map(np.asarray, samples)
+        ])
+    stacked = np.asarray(samples, dtype=np.intp)
+    b, n = stacked.shape
+    order, columns = features.argsort(axis=0, kind="stable"), np.arange(d)
+    ordered = features[order, columns]
+    rises = np.zeros(features.shape, dtype=np.intp)
+    rises[1:] = (ordered[1:] > ordered[:-1]) | (np.isnan(ordered[1:]) & ~np.isnan(ordered[:-1]))
+    rank = np.empty_like(rises)
+    rank[order, columns] = rises.cumsum(axis=0)
+    shift = (n - 1).bit_length()  # a place takes the low bits
+    keys = rank.T[:, stacked] << shift
+    keys |= np.arange(n)
+    keys.sort(axis=2)
+    keys &= (1 << shift) - 1
+    keys += (np.arange(b) * n)[:, None]
+    level = np.empty((d + 1, b * n), dtype=np.intp)
+    stacked.ravel().take(keys.reshape(d, b * n), out=level[:d], mode="clip")
+    level[d] = stacked.ravel()
+    return level
+
+
+def _partition(features: np.ndarray, level: np.ndarray, sizes: np.ndarray, feature, threshold):
+    """Split each segment of ``level`` (rows of a split node) into its left
+    (``feature`` value <= ``threshold``) and right children, each keeping
+    its entries' order: one stable count-based scatter, an entry's place in
+    its child being the count of its side's entries before it in its
+    segment. Returns the children's level and sizes, left then right per
+    segment."""
+    d, total = features.shape[1], level.shape[1]
+    starts = sizes.cumsum() - sizes
+    go_left = features.ravel().take(level * d + feature.repeat(sizes)) <= threshold.repeat(sizes)
+    left_rank = go_left.cumsum(axis=1)
+    left_rank -= go_left
+    left_rank -= left_rank[:, starts].repeat(sizes, axis=1)  # left entries before each, in its segment
+    n_left = left_rank[-1, starts + sizes - 1] + go_left[-1, starts + sizes - 1]
+    child_sizes = np.stack([n_left, sizes - n_left], axis=1).ravel()
+    child_starts = child_sizes.cumsum() - child_sizes
+    # a right entry's place: the right child's start, then its own place in
+    # the segment less the left entries before it
+    to = (child_starts[1::2] - starts).repeat(sizes) + np.arange(total) - left_rank
+    left_rank += child_starts[0::2].repeat(sizes)
+    to = np.where(go_left, left_rank, to)
+    del left_rank, go_left
+    to += (np.arange(d + 1) * total)[:, None]
+    children = np.empty_like(level)
+    children.put(to, level, mode="clip")
+    return children, child_sizes
+
+
+def _leaf_values(task: str, level_targets: np.ndarray, starts, sizes, leaf) -> np.ndarray:
+    """The values of the segments flagged in ``leaf``: the class 0/1
+    fractions, or the targets' np.mean."""
     if task == "classification":
-        scores *= 2.0 / n
-        tol = 1e-15
-    # no threshold between equal values, nor from a segment's last row on
-    scores[(xs[..., :-1] == xs[..., 1:]) | ~in_segment[:, None, 1:]] = np.inf
-    first = np.argmax(scores <= scores.min(axis=2, keepdims=True) + tol, axis=2)
-    column_scores = np.take_along_axis(scores, first[..., None], axis=2)[..., 0]
-    for k, row in enumerate(column_scores.tolist()):
-        best = None
-        # a running comparison, not "within 1e-15 of the minimum": column
-        # scores of the same partition can differ by rounding in steps below
-        # 1e-15
-        for j, score in enumerate(row):
-            if score < math.inf and (best is None or score < best[1] - 1e-15):
-                best = (j, score)
-        if best is not None:
-            j, i = best[0], first[k, best[0]]
-            found[group[k]] = (j, (xs[k, j, i] + xs[k, j, i + 1]) / 2.0)
+        counts = np.zeros((len(sizes), 2))
+        nonempty = sizes > 0
+        for label in (0, 1):
+            counts[nonempty, label] = np.add.reduceat(level_targets == label, starts[nonempty], dtype=np.intp)
+        counts = counts[leaf]
+        return counts / counts.sum(axis=1, keepdims=True)
+    return np.array([
+        level_targets[start : start + size].mean()
+        for start, size in zip(starts[leaf].tolist(), sizes[leaf].tolist())
+    ])
 
 
 class _FlatTree(NamedTuple):
@@ -297,72 +407,98 @@ class DecisionTree:
         batch = max(1, _GROW_CELLS // max(widest, 1))
         for start in range(0, len(samples), batch):
             for flat in self._grow_level_wise(features, targets, samples[start : start + batch]):
-                tree = replace(self)
+                tree = type(self)(self.task, self.max_depth, self.min_samples_split)
                 tree._flat = flat
                 yield tree
 
-    def _leaf(self, targets: np.ndarray):
-        if self.task == "classification":
-            counts = np.array([(targets == 0).sum(), (targets == 1).sum()], dtype=float)
-            return counts / counts.sum()
-        return float(targets.mean())
-
     def _grow_level_wise(self, features, targets, samples) -> list[_FlatTree]:
-        """One tree per sample of row indices (repeats allowed); the nodes of
-        one depth are searched by one _best_split call. A tree's nodes are
-        numbered as they are reached, so breadth-first."""
-        # per tree, per node: an internal node's link, a leaf's value
-        links = [[None] for _ in samples]
-        values = [[None] for _ in samples]
-        # each node's tree, number and rows, and per feature its rows in that
-        # feature's order
-        frontier = [
-            (t, 0, rows, rows[np.argsort(features[rows], axis=0, kind="stable")].T)
-            for t, rows in enumerate(samples)
+        """One tree per sample of row indices (repeats allowed), grown
+        together one depth at a time.
+
+        A level is pooled arrays: ``level`` holds every node's rows end to
+        end (one segment of ``sizes[k]`` entries per node), per feature in
+        that feature's order and in a last row as the node's rows; ``tree``
+        and ``node`` give each segment's tree and node number. Each level
+        takes the same numpy steps however many nodes it holds: a purity
+        test, one _best_split call, the leaf values and one _partition. A
+        tree's nodes are numbered as they are reached, so breadth-first."""
+        d, n_trees = features.shape[1], len(samples)
+        labels = bool(np.all((targets == 0) | (targets == 1)))
+        level = _root_level(features, samples)
+        sizes = np.array([len(rows) for rows in samples])
+        tree, node = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
+        count, depth = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
+        splits, leaves = [], []  # per depth: (tree, node, feature, threshold, left), (tree, node, value)
+        at_depth = 0
+        while True:
+            depth[tree] = at_depth
+            starts = sizes.cumsum() - sizes
+            level_targets = targets.take(level[d])
+            closed = np.zeros(len(sizes), dtype=bool)  # every node at max_depth is a leaf
+            is_open = self._impure(level_targets, starts, sizes) if at_depth < self.max_depth else closed
+            found = np.zeros(len(sizes), dtype=bool)
+            if is_open.any():
+                orders = level[:d] if is_open.all() else level[:d].compress(is_open.repeat(sizes), axis=1)
+                found[is_open], feature, threshold = _best_split(
+                    features, targets, orders, sizes[is_open], self.task, labels
+                )
+                del orders  # the open nodes' copy, if any
+            if not found.all():
+                leaf = ~found
+                leaves.append((tree[leaf], node[leaf], _leaf_values(self.task, level_targets, starts, sizes, leaf)))
+                if not found.any():
+                    break
+            split_tree = tree[found]
+            # the trees' nodes come in tree order, so a split's rank within its
+            # tree numbers its children after those of the splits before it
+            rank = np.arange(len(split_tree)) - split_tree.searchsorted(split_tree)
+            left = count[split_tree] + 2 * rank
+            count += 2 * np.bincount(split_tree, minlength=n_trees)
+            splits.append((split_tree, node[found], feature, threshold, left))
+            if not found.all():
+                level = level.compress(found.repeat(sizes), axis=1)
+            level, sizes = _partition(features, level, sizes[found], feature, threshold)
+            tree, node = split_tree.repeat(2), np.stack([left, left + 1], axis=1).ravel()
+            at_depth += 1
+        return self._assemble(count, depth, splits, leaves)
+
+    def _impure(self, level_targets, starts, sizes) -> np.ndarray:
+        """Which nodes of a level below max_depth stay open: at least
+        min_samples_split rows whose variance exceeds 1e-24."""
+        spread, low = np.full(len(sizes), np.nan), np.full(len(sizes), np.nan)
+        nonempty = sizes > 0
+        # a variance is at least (max - min)^2 / 2n, so a node whose spread
+        # puts that above 1e-20 is impure without np.var
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan decide as np.var does
+            if nonempty.any():
+                low[nonempty] = np.minimum.reduceat(level_targets, starts[nonempty])
+                spread[nonempty] = np.maximum.reduceat(level_targets, starts[nonempty]) - low[nonempty]
+            wide = spread * spread / (2 * sizes) > 1e-20
+        undecided = (sizes >= self.min_samples_split) & ~wide
+        # n copies of 0.0 or of 1.0 sum exactly, so their np.var is exactly 0
+        pure = undecided & (spread == 0) & ((low == 0) | (low == 1))
+        for k in np.flatnonzero(undecided & ~pure):
+            pure[k] = np.var(level_targets[starts[k] : starts[k] + sizes[k]]) <= 1e-24
+        return (sizes >= self.min_samples_split) & ~pure
+
+    def _assemble(self, count, depth, splits, leaves) -> list[_FlatTree]:
+        """Each tree's flat arrays from the per-depth split and leaf records;
+        a leaf links to itself, with feature 0 and threshold 0.0."""
+        offsets = np.cumsum(count) - count
+        total = int(count.sum())
+        own = np.arange(total) - np.repeat(offsets, count)  # each node's number in its tree
+        feature, threshold, left, right = np.zeros(total, dtype=np.intp), np.zeros(total), own, own.copy()
+        value = np.full((total,) + ((2,) if self.task == "classification" else ()), np.nan)
+        for tree, node, j, cut, child in splits:
+            at = offsets[tree] + node
+            feature[at], threshold[at], left[at], right[at] = j, cut, child, child + 1
+        for tree, node, leaf_value in leaves:
+            value[offsets[tree] + node] = leaf_value
+        bounds = offsets.tolist() + [total]
+        return [
+            _FlatTree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b], int(levels))
+            for a, b, levels in zip(bounds, bounds[1:], depth.tolist())
         ]
-        level = 0
-        while frontier:
-            # a variance is at least (max - min)^2 / 2n, so a node whose
-            # spread puts that above 1e-20 is impure without np.var
-            sizes = np.array([len(rows) for _, _, rows, _ in frontier])
-            wide = np.zeros(len(frontier), dtype=bool)
-            if level < self.max_depth and sizes.any():
-                pooled = targets[np.concatenate([rows for _, _, rows, _ in frontier])]
-                starts = (np.cumsum(sizes) - sizes)[sizes > 0]
-                with np.errstate(over="ignore", invalid="ignore"):  # inf and nan decide as np.var does
-                    spread = np.maximum.reduceat(pooled, starts) - np.minimum.reduceat(pooled, starts)
-                    wide[sizes > 0] = spread * spread / (2 * sizes[sizes > 0]) > 1e-20
-            open_nodes = []
-            for (t, i, rows, order), impure in zip(frontier, wide):
-                node_targets = targets[rows]
-                if (
-                    level >= self.max_depth
-                    or len(rows) < self.min_samples_split
-                    or not impure and np.var(node_targets) <= 1e-24
-                ):
-                    values[t][i] = self._leaf(node_targets)
-                else:
-                    open_nodes.append((t, i, rows, order))
-            frontier = []
-            splits = _best_split(features, targets, [order for *_, order in open_nodes], self.task)
-            for k, split in enumerate(splits):
-                (t, i, rows, order), open_nodes[k] = open_nodes[k], None  # free as we go
-                if split is None:
-                    values[t][i] = self._leaf(targets[rows])
-                    continue
-                j, threshold = split
-                left = len(links[t])
-                links[t][i] = (j, threshold, left, left + 1)
-                links[t] += (None, None)
-                values[t] += (None, None)
-                go_left = features[rows, j] <= threshold
-                ordered_left = features[order, j] <= threshold  # kept in order
-                frontier += [
-                    (t, left, rows[go_left], order[ordered_left].reshape(len(order), -1)),
-                    (t, left + 1, rows[~go_left], order[~ordered_left].reshape(len(order), -1)),
-                ]
-            level += 1
-        return [_FlatTree.build(*tree) for tree in zip(links, values)]
 
     def _leaf_values(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -449,15 +585,30 @@ class BaggedTrees:
 def fit_linear(features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> LinearReadout:
     """Ridge least squares via the normal equations; the intercept column is
     not penalized."""
-    features = np.asarray(features, dtype=float)
-    targets = np.asarray(targets, dtype=float)
+    return next(_fit_linears(np.asarray(features, dtype=float), np.asarray(targets, dtype=float), None, ridge))
+
+
+def _fit_linears(features: np.ndarray, targets: np.ndarray, samples, ridge: float = 1e-8):
+    """fit_linear of ``features[rows]``, ``targets[rows]`` for each sample of
+    rows, all of one length (None: one fit on every row, as given), by
+    stacked normal equations: about _GROW_CELLS design entries per stack,
+    each stack solved in one call."""
     n, d = features.shape
     design = np.hstack([features, np.ones((n, 1))])
-    gram = design.T @ design
     penalty = ridge * np.eye(d + 1)
     penalty[d, d] = 0.0
-    coeffs = np.linalg.solve(gram + penalty, design.T @ targets)
-    return LinearReadout(weights=coeffs[:d], intercept=float(coeffs[d]))
+    if samples is None:
+        stacks = [(design[None], targets[None])]
+    else:
+        samples = np.asarray(samples)
+        batch = max(1, _GROW_CELLS // max(samples.shape[1] * (d + 1), 1))
+        stacks = (
+            (design[rows], targets[rows]) for rows in (samples[k : k + batch] for k in range(0, len(samples), batch))
+        )
+    for stacked, stacked_targets in stacks:
+        stacked_t = stacked.transpose(0, 2, 1)
+        coeffs = np.linalg.solve(stacked_t @ stacked + penalty, stacked_t @ stacked_targets[..., None])[..., 0]
+        yield from (LinearReadout(weights=c[:d], intercept=float(c[d])) for c in coeffs)
 
 
 def fit_logistic(
@@ -510,7 +661,8 @@ def fit_readouts(
 ):
     """One readout per sample of row indices (None: every row, as given),
     each as ``fit_readout(features[rows], targets[rows], kind, hyper)`` fits
-    it, handed out one by one; the trees of all samples are grown together."""
+    it, handed out one by one. The trees of all samples are grown together,
+    and linear readouts of samples of one length are solved together."""
     if kind not in READOUT_KINDS:
         raise ValidationError(f"unknown readout kind {kind!r}")
     features = np.asarray(features, dtype=float)
@@ -526,6 +678,9 @@ def fit_readouts(
     if kind == "tree":
         yield from DecisionTree("classification", **hyper).fit_samples(features, targets, row_sets)
         return
+    if kind == "linear" and all(rows is not None for rows in samples) and len(set(map(len, row_sets))) == 1:
+        yield from _fit_linears(features, targets, row_sets, **hyper)
+        return
     fit = fit_linear if kind == "linear" else fit_logistic
     for rows in samples:
         if rows is None:
@@ -536,12 +691,17 @@ def fit_readouts(
 
 def readout_from_dict(raw: dict, at: str = "", n_features: int | None = None):
     """The readout of a document from to_dict, checked against its kind's
-    READOUT_KEYS; ``at`` is the document's path in errors. A tree's splits
+    READOUT_KEYS; ``at`` is the document's path in errors. A linear or
+    logistic readout must hold one weight per feature and a tree's splits
     must index one of ``n_features`` columns (None: any)."""
     kind = raw.get("kind") if isinstance(raw, dict) else None
     if kind not in READOUT_KINDS:
         raise ValidationError(f"{at + '.' if at else ''}kind: unknown readout kind {kind!r}")
     raw = read(READOUT_KEYS[kind], raw, at)
+    if kind != "tree" and n_features is not None and len(raw["weights"]) != n_features:
+        raise ValidationError(
+            f"{at + '.' if at else ''}weights: expected one per feature, {n_features}, got {len(raw['weights'])}"
+        )
     if kind == "linear":
         return LinearReadout(np.asarray(raw["weights"], dtype=float), raw["intercept"])
     if kind == "logistic":

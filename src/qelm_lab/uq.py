@@ -32,12 +32,11 @@ from .errors import (
 from .qelm import (
     FeatureCache,
     QelmFront,
-    QelmModel,
     fit_model,
     grouped_feature_matrices,
     with_reservoir_seed,
 )
-from .readout import fit_readouts
+from .readout import _stack_trees, fit_readouts
 from .rng import derive_seed, integers_per_seed
 
 
@@ -80,7 +79,9 @@ class PredictionDistribution:
 
 
 def bootstrap_distribution(
-    model: QelmModel,
+    front: QelmFront,
+    readout_kind: str,
+    task: str,
     train_inputs: np.ndarray,
     train_targets: np.ndarray,
     test_inputs: np.ndarray,
@@ -91,35 +92,38 @@ def bootstrap_distribution(
     train_seed: int = 0,
     test_seed: int = 0,
     cache: FeatureCache | None = None,
+    readout_hyper: dict | None = None,
 ) -> PredictionDistribution:
     """Resample training rows with replacement and refit only the readout.
 
     Quantum features are extracted once per row (train and test rows in one
     backend call when the backends share a key) and reused across all B
-    refits, so the reservoir and encoder are untouched by construction.
+    refits, so the reservoir and encoder are untouched by construction. The
+    B refit trees of a tree readout route the test rows together, as one
+    forest.
     """
     if b < 2:
         raise InsufficientMembers(f"bootstrap needs B >= 2, got {b}")
     train_features, test_features = grouped_feature_matrices(
         [
-            (model.front, train_backend, train_inputs, train_seed),
-            (model.front, test_backend, test_inputs, test_seed),
+            (front, train_backend, train_inputs, train_seed),
+            (front, test_backend, test_inputs, test_seed),
         ],
         cache,
     )
     targets = np.asarray(train_targets, dtype=float)
     n = len(targets)
     samples = integers_per_seed([derive_seed(seed, "bootstrap", k) for k in range(b)], n, 0, n)
-    per_input = []
-    for readout in fit_readouts(
-        train_features, targets, model.readout_kind, model.readout_hyper, samples
-    ):
-        if model.task == "regression":
-            per_input.append(readout.predict(test_features))
-        else:
-            per_input.append(readout.predict_proba(test_features))
-    stacked = np.stack(per_input, axis=1)
-    return PredictionDistribution(model.task, stacked, ("bootstrap", b))
+    refits = fit_readouts(train_features, targets, readout_kind, readout_hyper, samples)
+    if readout_kind == "tree" and task == "classification":
+        forest, roots = _stack_trees([tree._flat for tree in refits])
+        per_refit = forest.value[forest.leaves(test_features, roots)]
+    elif task == "regression":
+        per_refit = [readout.predict(test_features) for readout in refits]
+    else:
+        per_refit = [readout.predict_proba(test_features) for readout in refits]
+    stacked = np.stack(per_refit, axis=1)
+    return PredictionDistribution(task, stacked, ("bootstrap", b))
 
 
 def ensemble_distribution(

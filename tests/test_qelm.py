@@ -371,6 +371,23 @@ def test_a_bad_tree_node_raises_a_validation_error_naming_its_path(mutate, probl
         qelm.model_from_dict(document)
 
 
+@pytest.mark.parametrize("task, readout", [("regression", "linear"), ("classification", "logistic")])
+def test_a_readout_without_one_weight_per_feature_does_not_load(tmp_path, task, readout):
+    """A linear or logistic readout's weights must match the front's
+    feature count when the model loads, not fail in numpy's matmul at
+    predict time."""
+    x_train, y_train, _, _ = _linear_fixture(20)
+    targets = y_train if task == "regression" else (y_train > y_train.mean()).astype(float)
+    model = qelm.train(x_train, targets, task, _front(3), readout, qelm.IdealBackend(), seed=2)
+    document = qelm.model_to_dict(model)
+    assert len(document["readout"]["weights"]) == model.front.n_features == 8
+    document["readout"]["weights"] = document["readout"]["weights"][:2]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValidationError, match=r"^readout\.weights: expected one per feature, 8, got 2"):
+        qelm.load_model(path)
+
+
 def test_single_prediction_shapes():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()

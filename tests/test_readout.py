@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qelm_lab import readout
 from qelm_lab.errors import ValidationError
 from qelm_lab.readout import (
     BaggedTrees,
     DecisionTree,
-    _best_split,
     _FlatTree,
     fit_linear,
     fit_logistic,
@@ -18,6 +18,8 @@ from qelm_lab.readout import (
     readout_from_dict,
 )
 from qelm_lab.rng import Rng, derive_seed
+
+from grower_oracle import OracleGrowerTree, best_split
 
 
 def test_linear_identity_data():
@@ -138,7 +140,7 @@ def _oracle_column_split(x_col, y, task):
     return best
 
 
-class _OracleTree(DecisionTree):
+class _OracleTree(OracleGrowerTree):
     """The tree grown by a per-task, per-column search; the reference for
     the single vectorized split search. It keeps its tree as a nested node
     document."""
@@ -248,7 +250,7 @@ def test_array_routing_matches_the_recursive_router(problem, seed):
             assert model.predict_proba(probe).tobytes() == proba.tobytes()
 
 
-class _VarEveryNodeTree(DecisionTree):
+class _VarEveryNodeTree(OracleGrowerTree):
     """Grows as DecisionTree did before the spread bound: np.var decides the
     purity of every open node."""
 
@@ -273,7 +275,7 @@ class _VarEveryNodeTree(DecisionTree):
                 else:
                     open_nodes.append((t, i, rows, order))
             frontier = []
-            splits = _best_split(features, targets, [order for *_, order in open_nodes], self.task)
+            splits = best_split(features, targets, [order for *_, order in open_nodes], self.task)
             for (t, i, rows, order), split in zip(open_nodes, splits):
                 if split is None:
                     values[t][i] = self._leaf(targets[rows])
@@ -457,3 +459,105 @@ def test_readout_serialization_round_trip():
             assert np.allclose(model.predict(x), clone.predict(x))
         else:
             assert np.allclose(model.predict_proba(x), clone.predict_proba(x))
+
+
+def _same_bits(got: _FlatTree, want: _FlatTree) -> bool:
+    """Equal depth, and equal dtype, shape and bytes in all five arrays."""
+    return got.depth == want.depth and all(
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got[:5], want[:5])
+    )
+
+
+@st.composite
+def _grow_batches(draw):
+    """Samples to grow together: B from 1 to 30, of one length or ragged.
+    Features sit on a coarse grid, so they tie (a column may be constant).
+    Targets are 0/1 labels, where pure nodes are common, or regression
+    targets: near-constant on offsets up to 1e12, magnitudes up to 1e300,
+    or a grid. min_samples_split may exceed every sample's size."""
+    task = draw(st.sampled_from(["classification", "regression"]))
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)) / 4.0
+    ints = rng.integers(-3, 4, size=n).astype(float)
+    style = draw(st.sampled_from(["labels"] if task == "classification" else ["labels", "near", "large", "grid"]))
+    if style == "labels":
+        y = (ints > draw(st.integers(-3, 3))).astype(float)
+    elif style == "near":
+        y = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12])) + ints * draw(st.sampled_from([1e-14, 1e-12, 1e-10, 1.0]))
+    elif style == "large":
+        y = ints * draw(st.sampled_from([1e150, 1e300]))
+    else:
+        y = ints / 4.0
+    b = draw(st.integers(1, 30))
+    lengths = [n] * b if draw(st.booleans()) else rng.integers(1, 2 * n + 1, size=b)
+    samples = [rng.integers(0, n, size=length) for length in lengths]
+    return task, x, y, samples, draw(st.integers(0, 8)), draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grow_batches())
+def test_the_pooled_grower_grows_the_bits_of_the_per_node_grower(batch):
+    task, x, y, samples, max_depth, min_samples_split = batch
+    hyper = dict(task=task, max_depth=max_depth, min_samples_split=min_samples_split)
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of squares of 1e300
+        got = DecisionTree(**hyper)._grow_level_wise(x, y, samples)
+        want = OracleGrowerTree(**hyper)._grow_level_wise(x, y, samples)
+    assert len(got) == len(want) == len(samples)
+    for tree, oracle in zip(got, want):
+        assert _same_bits(tree, oracle)
+
+
+def test_a_grow_batch_makes_one_split_search_per_level(monkeypatch):
+    searches = []
+    search = readout._best_split
+
+    def counted(features, targets, orders, sizes, *rest):
+        searches.append(len(sizes))
+        return search(features, targets, orders, sizes, *rest)
+
+    monkeypatch.setattr(readout, "_best_split", counted)
+    monkeypatch.setattr(readout, "_GROW_CELLS", 4 * 16)  # 4 trees of 16 rows per batch
+    x = np.arange(16.0).reshape(-1, 1)
+    y = np.arange(16) % 2.0  # a parity pattern: some node of each depth stays impure
+    trees = list(DecisionTree("classification", max_depth=3).fit_samples(x, y, [np.arange(16)] * 10))
+    assert [tree.depth() for tree in trees] == [3] * 10
+    # batches of 4, 4 and 2 trees, 3 levels with open nodes each; a batch's
+    # first search holds every tree's root
+    assert len(searches) == 3 * 3
+    assert searches[0::3] == [4, 4, 2]
+
+
+def _one_linear_fit(x, y, ridge):
+    """fit_linear as one 2-D normal-equation solve: the reference for the
+    stacked solve."""
+    design = np.hstack([x, np.ones((len(x), 1))])
+    penalty = ridge * np.eye(x.shape[1] + 1)
+    penalty[-1, -1] = 0.0
+    coeffs = np.linalg.solve(design.T @ design + penalty, design.T @ y)
+    return coeffs[:-1], float(coeffs[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 130), st.integers(1, 16), st.integers(1, 100),
+    st.sampled_from([1e-8, 1e-3]),
+)
+def test_linear_refits_solved_as_one_stack_keep_the_bits_of_one_fit_each(seed, n, d, b, ridge):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, d)) * 10.0 ** rng.uniform(-3, 3)
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    samples = rng.integers(0, n, size=(b, n))
+    fits = list(fit_readouts(x, y, "linear", {"ridge": ridge}, samples))
+    assert len(fits) == b
+    for fit, rows in zip(fits, samples):
+        alone = fit_linear(x[rows], y[rows], ridge)
+        weights, intercept = _one_linear_fit(x[rows], y[rows], ridge)
+        assert fit.weights.tobytes() == alone.weights.tobytes() == weights.tobytes()
+        assert fit.intercept == alone.intercept == intercept
+    # one fit on every row, as given, in either memory order
+    for x_in in (x, np.asfortranarray(x)):
+        alone = fit_linear(x_in, y, ridge)
+        weights, intercept = _one_linear_fit(x_in, y, ridge)
+        assert alone.weights.tobytes() == weights.tobytes() and alone.intercept == intercept

@@ -15,7 +15,8 @@ from qelm_lab.errors import (
     ValidationError,
 )
 from qelm_lab.qelm import FeatureCache, IdealBackend
-from qelm_lab.rng import derive_seed
+from qelm_lab.readout import fit_readout
+from qelm_lab.rng import Rng, derive_seed
 
 
 def crps_by_integration(samples, y):
@@ -269,7 +270,7 @@ def test_bootstrap_degenerate_training_set_collapses():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     dist = uq.bootstrap_distribution(
-        model, x_train, y_train, np.array([[0.2, 0.9]]), backend, backend, b=16, seed=4
+        model.front, model.readout_kind, model.task, x_train, y_train, np.array([[0.2, 0.9]]), backend, backend, b=16, seed=4
     )
     assert dist.samples.std() == pytest.approx(0.0)
 
@@ -279,12 +280,12 @@ def test_bootstrap_is_seeded_and_spreads():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     kwargs = dict(train_backend=backend, test_backend=backend, b=100, train_seed=1, test_seed=2)
-    d1 = uq.bootstrap_distribution(model, x_train, y_train, x_test, seed=9, **kwargs)
-    d2 = uq.bootstrap_distribution(model, x_train, y_train, x_test, seed=9, **kwargs)
+    d1 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=9, **kwargs)
+    d2 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=9, **kwargs)
     assert np.array_equal(d1.samples, d2.samples)
     assert d1.source == ("bootstrap", 100)
     assert d1.samples.std(axis=1).min() > 0.0
-    d3 = uq.bootstrap_distribution(model, x_train, y_train, x_test, seed=10, **kwargs)
+    d3 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=10, **kwargs)
     assert not np.array_equal(d1.samples, d3.samples)
 
 
@@ -293,7 +294,7 @@ def test_bootstrap_requires_two_resamples():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     with pytest.raises(InsufficientMembers):
-        uq.bootstrap_distribution(model, x_train, y_train, x_test, backend, backend, b=1)
+        uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=1)
 
 
 def test_ensemble_rejects_single_member():
@@ -361,7 +362,7 @@ def test_classification_distribution_and_metrics():
     split = 28
     model = qelm.train(x[:split], y[:split], "classification", front, "logistic", backend, seed=1)
     dist = uq.bootstrap_distribution(
-        model, x[:split], y[:split], x[split:], backend, backend, b=25, seed=3
+        model.front, model.readout_kind, model.task, x[:split], y[:split], x[split:], backend, backend, b=25, seed=3
     )
     assert dist.samples.shape == (n - split, 25, 2)
     metrics = uq.classification_uq_metrics(dist, y[split:])
@@ -370,12 +371,32 @@ def test_classification_distribution_and_metrics():
     assert sum(metrics["reliability"]["counts"]) == n - split
 
 
+@pytest.mark.parametrize("task, readout", [("regression", "linear"), ("classification", "tree")])
+def test_bootstrap_refits_keep_the_bits_of_one_readout_per_resample(task, readout):
+    """Linear refits solved as one stack, and tree refits routed as one
+    forest, give each refit's own predictions."""
+    x_train, y_train, x_test, _, front = _tiny_setup(n=50)
+    if task == "classification":
+        y_train = (y_train > np.median(y_train)).astype(float)
+    backend = IdealBackend()
+    dist = uq.bootstrap_distribution(
+        front, readout, task, x_train, y_train, x_test, backend, backend, b=30, seed=7, train_seed=1, test_seed=2
+    )
+    train_x, test_x = (qelm.feature_matrix(front, x, backend, s) for x, s in ((x_train, 1), (x_test, 2)))
+    want = []
+    for k in range(30):
+        rows = Rng(derive_seed(7, "bootstrap", k)).integers(len(y_train), 0, len(y_train))
+        refit = fit_readout(train_x[rows], y_train[rows], readout)
+        want.append(refit.predict(test_x) if task == "regression" else refit.predict_proba(test_x))
+    assert dist.samples.tobytes() == np.stack(want, axis=1).tobytes()
+
+
 def test_regression_metrics_summary_fields():
     x_train, y_train, x_test, y_test, front = _tiny_setup()
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     dist = uq.bootstrap_distribution(
-        model, x_train, y_train, x_test, backend, backend, b=50, seed=3
+        model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=50, seed=3
     )
     summary = uq.regression_uq_metrics(dist, y_test)
     assert set(summary) >= {
