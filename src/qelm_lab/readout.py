@@ -276,15 +276,16 @@ def _partition(features: np.ndarray, level: np.ndarray, sizes: np.ndarray, featu
     left_rank += child_starts[0::2].repeat(sizes)
     to = np.where(go_left, left_rank, to)
     del left_rank, go_left
-    to += (np.arange(d + 1) * total)[:, None]
+    to += (np.arange(len(level)) * total)[:, None]
     children = np.empty_like(level)
     children.put(to, level, mode="clip")
     return children, child_sizes
 
 
-def _leaf_values(task: str, level_targets: np.ndarray, starts, sizes, leaf) -> np.ndarray:
+def _leaf_values(task: str, level_targets: np.ndarray, sizes, leaf) -> np.ndarray:
     """The values of the segments flagged in ``leaf``: the class 0/1
     fractions, or the targets' np.mean."""
+    starts = sizes.cumsum() - sizes
     if task == "classification":
         counts = np.zeros((len(sizes), 2))
         nonempty = sizes > 0
@@ -415,37 +416,36 @@ class DecisionTree:
         """One tree per sample of row indices (repeats allowed), grown
         together one depth at a time.
 
-        A level is pooled arrays: ``level`` holds every node's rows end to
-        end (one segment of ``sizes[k]`` entries per node), per feature in
-        that feature's order and in a last row as the node's rows; ``tree``
-        and ``node`` give each segment's tree and node number. Each level
-        takes the same numpy steps however many nodes it holds: a purity
-        test, one _best_split call, the leaf values and one _partition. A
-        tree's nodes are numbered as they are reached, so breadth-first."""
+        A level is pooled arrays: ``rows`` holds every node's rows end to end,
+        one segment of ``sizes[k]`` entries per node, and ``orders`` holds the
+        open nodes' rows per feature, in that feature's order; ``tree`` and
+        ``node`` give each segment's tree and node number. Each level takes
+        the same numpy steps however many nodes it holds: one _best_split
+        call, the leaf values, a _partition of the split nodes' rows, the
+        purity test of their children, and a _partition of the orders of the
+        split nodes with a child left open. A tree's nodes are numbered as
+        they are reached, so breadth-first."""
         d, n_trees = features.shape[1], len(samples)
         labels = bool(np.all((targets == 0) | (targets == 1)))
         level = _root_level(features, samples)
-        sizes = np.array([len(rows) for rows in samples])
+        rows, sizes = level[d], np.array([len(rows) for rows in samples])
         tree, node = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
         count, depth = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
         splits, leaves = [], []  # per depth: (tree, node, feature, threshold, left), (tree, node, value)
+        level_targets = targets.take(rows)
+        is_open = self._open(level_targets, sizes, 0)
+        orders = level[:d] if is_open.all() else level[:d].compress(is_open.repeat(sizes), axis=1)
         at_depth = 0
         while True:
             depth[tree] = at_depth
-            starts = sizes.cumsum() - sizes
-            level_targets = targets.take(level[d])
-            closed = np.zeros(len(sizes), dtype=bool)  # every node at max_depth is a leaf
-            is_open = self._impure(level_targets, starts, sizes) if at_depth < self.max_depth else closed
             found = np.zeros(len(sizes), dtype=bool)
             if is_open.any():
-                orders = level[:d] if is_open.all() else level[:d].compress(is_open.repeat(sizes), axis=1)
                 found[is_open], feature, threshold = _best_split(
                     features, targets, orders, sizes[is_open], self.task, labels
                 )
-                del orders  # the open nodes' copy, if any
             if not found.all():
                 leaf = ~found
-                leaves.append((tree[leaf], node[leaf], _leaf_values(self.task, level_targets, starts, sizes, leaf)))
+                leaves.append((tree[leaf], node[leaf], _leaf_values(self.task, level_targets, sizes, leaf)))
                 if not found.any():
                     break
             split_tree = tree[found]
@@ -455,16 +455,31 @@ class DecisionTree:
             left = count[split_tree] + 2 * rank
             count += 2 * np.bincount(split_tree, minlength=n_trees)
             splits.append((split_tree, node[found], feature, threshold, left))
-            if not found.all():
-                level = level.compress(found.repeat(sizes), axis=1)
-            level, sizes = _partition(features, level, sizes[found], feature, threshold)
             tree, node = split_tree.repeat(2), np.stack([left, left + 1], axis=1).ravel()
             at_depth += 1
+            open_sizes, split_sizes, passing = sizes[is_open], sizes[found], found[is_open]
+            (rows,), sizes = _partition(features, rows.compress(found.repeat(sizes))[None], split_sizes, feature, threshold)
+            level_targets = targets.take(rows)
+            is_open = self._open(level_targets, sizes, at_depth)
+            # only the split nodes with a child left open pass their orders on
+            pairs = is_open.reshape(-1, 2)
+            parent = pairs.any(axis=1)
+            if parent.any():
+                passing[passing] = parent
+                orders, order_sizes = _partition(
+                    features, orders.compress(passing.repeat(open_sizes), axis=1),
+                    split_sizes[parent], feature[parent], threshold[parent],
+                )
+                if not pairs[parent].all():
+                    orders = orders.compress(pairs[parent].ravel().repeat(order_sizes), axis=1)
         return self._assemble(count, depth, splits, leaves)
 
-    def _impure(self, level_targets, starts, sizes) -> np.ndarray:
-        """Which nodes of a level below max_depth stay open: at least
+    def _open(self, level_targets, sizes, at_depth) -> np.ndarray:
+        """Which nodes of a level stay open: above max_depth, with at least
         min_samples_split rows whose variance exceeds 1e-24."""
+        if at_depth >= self.max_depth:
+            return np.zeros(len(sizes), dtype=bool)
+        starts = sizes.cumsum() - sizes
         spread, low = np.full(len(sizes), np.nan), np.full(len(sizes), np.nan)
         nonempty = sizes > 0
         # a variance is at least (max - min)^2 / 2n, so a node whose spread
