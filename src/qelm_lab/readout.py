@@ -223,11 +223,10 @@ def _root_level(features: np.ndarray, samples) -> np.ndarray:
     below them its rows as given: shape (features + 1, all samples' rows),
     samples end to end.
 
-    Samples of one length are ordered by one sort of integer keys: a row's
-    rank in a feature (equal values, NaN included, share a rank, and NaN
-    ranks last, as numpy sorts floats), then its place in the sample. Keys
-    are unique within a (feature, sample) pair, so any sort orders them as a
-    stable sort of the values does."""
+    Samples of one length are ordered by one stable sort of integer keys: a
+    row's rank in a feature (equal values, NaN included, share a rank, and
+    NaN ranks last, as numpy sorts floats) plus an offset per (feature,
+    sample) pair. Keys of 16 bits sort by radix."""
     d = features.shape[1]
     if len({len(rows) for rows in samples}) != 1:
         return np.hstack([
@@ -240,16 +239,15 @@ def _root_level(features: np.ndarray, samples) -> np.ndarray:
     ordered = features[order, columns]
     rises = np.zeros(features.shape, dtype=np.intp)
     rises[1:] = (ordered[1:] > ordered[:-1]) | (np.isnan(ordered[1:]) & ~np.isnan(ordered[:-1]))
-    rank = np.empty_like(rises)
+    key_type = np.uint16 if d * b * len(features) <= 1 << 16 else np.intp
+    rank = np.empty(features.shape, dtype=key_type)
     rank[order, columns] = rises.cumsum(axis=0)
-    shift = (n - 1).bit_length()  # a place takes the low bits
-    keys = rank.T[:, stacked] << shift
-    keys |= np.arange(n)
-    keys.sort(axis=2)
-    keys &= (1 << shift) - 1
-    keys += (np.arange(b) * n)[:, None]
+    keys = rank.T[:, stacked]
+    keys += (np.arange(d * b) * len(features)).astype(key_type).reshape(d, b, 1)
+    place = keys.ravel().argsort(kind="stable").reshape(d, b * n)
+    place -= (np.arange(d) * (b * n))[:, None]
     level = np.empty((d + 1, b * n), dtype=np.intp)
-    stacked.ravel().take(keys.reshape(d, b * n), out=level[:d], mode="clip")
+    stacked.ravel().take(place, out=level[:d], mode="clip")
     level[d] = stacked.ravel()
     return level
 
