@@ -253,12 +253,12 @@ def _root_level(features: np.ndarray, samples) -> np.ndarray:
 
 
 def _partition(features: np.ndarray, level: np.ndarray, sizes: np.ndarray, feature, threshold):
-    """Split each segment of ``level`` (rows of a split node) into its left
-    (``feature`` value <= ``threshold``) and right children, each keeping
-    its entries' order: one stable count-based scatter, an entry's place in
-    its child being the count of its side's entries before it in its
-    segment. Returns the children's level and sizes, left then right per
-    segment."""
+    """Split each segment of ``level`` (a split node's rows, as given or in
+    one feature's order in each row of ``level``) into its left (``feature``
+    value <= ``threshold``) and right children, each keeping its entries'
+    order: one stable count-based scatter, an entry's place in its child
+    being the count of its side's entries before it in its segment. Returns
+    the children's level and sizes, left then right per segment."""
     d, total = features.shape[1], level.shape[1]
     starts = sizes.cumsum() - sizes
     go_left = features.ravel().take(level * d + feature.repeat(sizes)) <= threshold.repeat(sizes)
@@ -456,7 +456,8 @@ class DecisionTree:
             tree, node = split_tree.repeat(2), np.stack([left, left + 1], axis=1).ravel()
             at_depth += 1
             open_sizes, split_sizes, passing = sizes[is_open], sizes[found], found[is_open]
-            (rows,), sizes = _partition(features, rows.compress(found.repeat(sizes))[None], split_sizes, feature, threshold)
+            split_rows = rows.compress(found.repeat(sizes))[None]
+            (rows,), sizes = _partition(features, split_rows, split_sizes, feature, threshold)
             level_targets = targets.take(rows)
             is_open = self._open(level_targets, sizes, at_depth)
             # only the split nodes with a child left open pass their orders on
@@ -615,9 +616,8 @@ def _fit_linears(features: np.ndarray, targets: np.ndarray, samples, ridge: floa
     else:
         samples = np.asarray(samples)
         batch = max(1, _GROW_CELLS // max(samples.shape[1] * (d + 1), 1))
-        stacks = (
-            (design[rows], targets[rows]) for rows in (samples[k : k + batch] for k in range(0, len(samples), batch))
-        )
+        batches = (samples[k : k + batch] for k in range(0, len(samples), batch))
+        stacks = ((design[rows], targets[rows]) for rows in batches)
     for stacked, stacked_targets in stacks:
         stacked_t = stacked.transpose(0, 2, 1)
         coeffs = np.linalg.solve(stacked_t @ stacked + penalty, stacked_t @ stacked_targets[..., None])[..., 0]

@@ -270,7 +270,8 @@ def test_bootstrap_degenerate_training_set_collapses():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     dist = uq.bootstrap_distribution(
-        model.front, model.readout_kind, model.task, x_train, y_train, np.array([[0.2, 0.9]]), backend, backend, b=16, seed=4
+        model.front, model.readout_kind, model.task, x_train, y_train, np.array([[0.2, 0.9]]), backend, backend,
+        b=16, seed=4,
     )
     assert dist.samples.std() == pytest.approx(0.0)
 
@@ -280,12 +281,13 @@ def test_bootstrap_is_seeded_and_spreads():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     kwargs = dict(train_backend=backend, test_backend=backend, b=100, train_seed=1, test_seed=2)
-    d1 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=9, **kwargs)
-    d2 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=9, **kwargs)
+    parts = (model.front, model.readout_kind, model.task)
+    d1 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=9, **kwargs)
+    d2 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=9, **kwargs)
     assert np.array_equal(d1.samples, d2.samples)
     assert d1.source == ("bootstrap", 100)
     assert d1.samples.std(axis=1).min() > 0.0
-    d3 = uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, seed=10, **kwargs)
+    d3 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=10, **kwargs)
     assert not np.array_equal(d1.samples, d3.samples)
 
 
@@ -294,7 +296,9 @@ def test_bootstrap_requires_two_resamples():
     backend = IdealBackend()
     model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
     with pytest.raises(InsufficientMembers):
-        uq.bootstrap_distribution(model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=1)
+        uq.bootstrap_distribution(
+            model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=1
+        )
 
 
 def test_ensemble_rejects_single_member():
