@@ -223,32 +223,27 @@ def _root_level(features: np.ndarray, samples) -> np.ndarray:
     below them its rows as given: shape (features + 1, all samples' rows),
     samples end to end.
 
-    Samples of one length are ordered by one stable sort of integer keys: a
-    row's rank in a feature (equal values, NaN included, share a rank, and
-    NaN ranks last, as numpy sorts floats) plus an offset per (feature,
-    sample) pair. Keys of 16 bits sort by radix."""
-    d = features.shape[1]
-    if len({len(rows) for rows in samples}) != 1:
-        return np.hstack([
-            np.vstack([rows[np.argsort(features[rows], axis=0, kind="stable")].T, rows])
-            for rows in map(np.asarray, samples)
-        ])
-    stacked = np.asarray(samples, dtype=np.intp)
-    b, n = stacked.shape
+    One stable sort of integer keys orders them all: a row's rank in a
+    feature (equal values, NaN included, share a rank, and NaN ranks last,
+    as numpy sorts floats) plus an offset per (feature, sample) pair. Keys of
+    16 bits sort by radix."""
+    (n, d), b = features.shape, len(samples)
+    rows = np.concatenate([np.asarray(sample, dtype=np.intp) for sample in samples])
     order, columns = features.argsort(axis=0, kind="stable"), np.arange(d)
     ordered = features[order, columns]
     rises = np.zeros(features.shape, dtype=np.intp)
     rises[1:] = (ordered[1:] > ordered[:-1]) | (np.isnan(ordered[1:]) & ~np.isnan(ordered[:-1]))
-    key_type = np.uint16 if d * b * len(features) <= 1 << 16 else np.intp
+    key_type = np.uint16 if d * b * n <= 1 << 16 else np.intp
     rank = np.empty(features.shape, dtype=key_type)
     rank[order, columns] = rises.cumsum(axis=0)
-    keys = rank.T[:, stacked]
-    keys += (np.arange(d * b) * len(features)).astype(key_type).reshape(d, b, 1)
-    place = keys.ravel().argsort(kind="stable").reshape(d, b * n)
-    place -= (np.arange(d) * (b * n))[:, None]
-    level = np.empty((d + 1, b * n), dtype=np.intp)
-    stacked.ravel().take(place, out=level[:d], mode="clip")
-    level[d] = stacked.ravel()
+    keys = rank.T[:, rows]
+    keys += np.repeat(np.arange(b) * n, [len(sample) for sample in samples]).astype(key_type)
+    keys += (np.arange(d) * (b * n)).astype(key_type)[:, None]
+    place = keys.ravel().argsort(kind="stable").reshape(d, -1)
+    place -= (np.arange(d) * len(rows))[:, None]
+    level = np.empty((d + 1, len(rows)), dtype=np.intp)
+    rows.take(place, out=level[:d], mode="clip")
+    level[d] = rows
     return level
 
 
@@ -280,7 +275,7 @@ def _partition(features: np.ndarray, level: np.ndarray, sizes: np.ndarray, featu
     return children, child_sizes
 
 
-def _leaf_values(task: str, level_targets: np.ndarray, sizes, leaf) -> np.ndarray:
+def _node_values(task: str, level_targets: np.ndarray, sizes, leaf) -> np.ndarray:
     """The values of the segments flagged in ``leaf``: the class 0/1
     fractions, or the targets' np.mean."""
     starts = sizes.cumsum() - sizes
@@ -426,7 +421,7 @@ class DecisionTree:
         d, n_trees = features.shape[1], len(samples)
         labels = bool(np.all((targets == 0) | (targets == 1)))
         level = _root_level(features, samples)
-        rows, sizes = level[d], np.array([len(rows) for rows in samples])
+        rows, sizes = level[d], np.array([len(sample) for sample in samples])
         tree, node = np.arange(n_trees), np.zeros(n_trees, dtype=np.intp)
         count, depth = np.ones(n_trees, dtype=np.intp), np.zeros(n_trees, dtype=np.intp)
         splits, leaves = [], []  # per depth: (tree, node, feature, threshold, left), (tree, node, value)
@@ -443,7 +438,7 @@ class DecisionTree:
                 )
             if not found.all():
                 leaf = ~found
-                leaves.append((tree[leaf], node[leaf], _leaf_values(self.task, level_targets, sizes, leaf)))
+                leaves.append((tree[leaf], node[leaf], _node_values(self.task, level_targets, sizes, leaf)))
                 if not found.any():
                     break
             split_tree = tree[found]
@@ -474,8 +469,8 @@ class DecisionTree:
         return self._assemble(count, depth, splits, leaves)
 
     def _open(self, level_targets, sizes, at_depth) -> np.ndarray:
-        """Which nodes of a level stay open: above max_depth, with at least
-        min_samples_split rows whose variance exceeds 1e-24."""
+        """Which nodes of a level stay open: those shallower than max_depth
+        with at least min_samples_split rows whose variance exceeds 1e-24."""
         if at_depth >= self.max_depth:
             return np.zeros(len(sizes), dtype=bool)
         starts = sizes.cumsum() - sizes

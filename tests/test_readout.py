@@ -512,15 +512,18 @@ def test_the_pooled_grower_grows_the_bits_of_the_per_node_grower(batch):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 5), st.integers(1, 30), st.booleans())
 def test_the_root_level_orders_each_sample_as_a_stable_argsort(seed, n, d, b, special):
-    """Samples of one length are ordered through integer ranks; a stable
-    argsort of each sample's values (NaN, infinities and -0.0 among them) is
-    the reference."""
+    """Samples are ordered through integer ranks; a stable argsort of each
+    sample's values (NaN, infinities and -0.0 among them) is the
+    reference. Samples may be of one length or ragged."""
     rng = np.random.default_rng(seed)
     if special:
         x = rng.choice([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.25, 1.0], size=(n, d))
     else:
         x = rng.normal(size=(n, d)).round(int(rng.integers(0, 3)))
-    samples = rng.integers(0, n, size=(b, n))
+    if rng.random() < 0.5:
+        samples = rng.integers(0, n, size=(b, n))
+    else:
+        samples = [rng.integers(0, n, size=rng.integers(0, 2 * n)) for _ in range(b)]
     want = np.hstack([np.vstack([rows[np.argsort(x[rows], axis=0, kind="stable")].T, rows]) for rows in samples])
     got = readout._root_level(x, samples)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
