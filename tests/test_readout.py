@@ -474,22 +474,26 @@ def _grow_batches(draw):
     """Samples to grow together: B from 1 to 30, of one length or ragged.
     Features sit on a coarse grid, so they tie (a column may be constant).
     Targets are 0/1 labels, where pure nodes are common, or regression
-    targets: near-constant on offsets up to 1e12, magnitudes up to 1e300,
-    or a grid. min_samples_split may exceed every sample's size."""
+    targets: near-constant on offsets up to 1e12, magnitudes up to 1e300, a
+    grid, or normal draws, whose equal partitions score apart by rounding.
+    min_samples_split may exceed every sample's size."""
     task = draw(st.sampled_from(["classification", "regression"]))
     n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)) / 4.0
     ints = rng.integers(-3, 4, size=n).astype(float)
-    style = draw(st.sampled_from(["labels"] if task == "classification" else ["labels", "near", "large", "grid"]))
+    styles = ["labels", "near", "large", "grid", "normal"]
+    style = draw(st.sampled_from(["labels"] if task == "classification" else styles))
     if style == "labels":
         y = (ints > draw(st.integers(-3, 3))).astype(float)
     elif style == "near":
         y = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12])) + ints * draw(st.sampled_from([1e-14, 1e-12, 1e-10, 1.0]))
     elif style == "large":
         y = ints * draw(st.sampled_from([1e150, 1e300]))
-    else:
+    elif style == "grid":
         y = ints / 4.0
+    else:
+        y = rng.normal(size=n)
     b = draw(st.integers(1, 30))
     lengths = [n] * b if draw(st.booleans()) else rng.integers(1, 2 * n + 1, size=b)
     samples = [rng.integers(0, n, size=length) for length in lengths]
