@@ -10,10 +10,11 @@ read their nested JSON node documents from and into them.
 Trees of many samples (bagging, bootstrap refits) grow together, one depth
 at a time, and a depth is held as pooled arrays: each node's rows are one
 segment of a shared index array. So a depth costs a fixed number of numpy
-calls, however many nodes it holds: a purity test, one split search
-(_best_split), the leaf values and one stable partition (_partition). Trees
-keep the bits of growing each one alone. Linear refits of one sample length
-are solved as one stacked normal-equation system, with the bits of one
+calls, however many nodes it holds: one split search (_best_split), the
+leaf values, a purity test, and stable partitions (_partition) of the split
+nodes' rows and of the orders their open children need. Trees keep the
+bits of growing each one alone. Linear refits of one sample length are
+solved as one stacked normal-equation system, with the bits of one
 fit_linear each.
 """
 
