@@ -50,7 +50,7 @@ from .qelm import (
     save_model,
 )
 from .readout import HYPER_KEYS, READOUT_KINDS, check_readout_task
-from .schema import Opt, read
+from .schema import Opt, file_text, read
 from .simulator import DENSITY_QUBIT_CAP, IDEAL_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
 
 
@@ -90,12 +90,13 @@ RUN_CONFIG = {
 
 def _read_json_object(key: str, name: str) -> dict:
     """The JSON object in file ``name``; a UsageError naming ``key`` if the
-    file is missing, is not JSON, or holds something else."""
+    file is missing, is not JSON, or holds something else, and file_text's
+    ParseError naming the file if it is a directory or not UTF-8."""
     path = Path(name)
     if not path.exists():
         raise UsageError(f"{key}: file {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(file_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{key}: {path} is not valid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -183,7 +184,7 @@ def _check_circuit_width(circuit, profile) -> None:
 
 def _cmd_simulate(args) -> int:
     if args.circuit:
-        text = Path(args.circuit).read_text()
+        text = file_text(args.circuit)
     else:
         text = resources.files(__package__).joinpath("circuits/bell.txt").read_text("utf-8")
     circuit = circ.from_text(text)
@@ -284,7 +285,7 @@ def _cmd_uq(args) -> int:
 def _cmd_calibrate_zne(args) -> int:
     profile = resolve_profile(args.profile)
     if args.circuit:
-        representative = circ.from_text(Path(args.circuit).read_text())
+        representative = circ.from_text(file_text(args.circuit))
         _check_circuit_width(representative, profile)
     else:
         top = min(profile.n_qubits, DENSITY_QUBIT_CAP)

@@ -53,7 +53,7 @@ from .qelm import (
 )
 from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
-from .schema import Either, Opt, Rule
+from .schema import Either, Opt, Rule, file_text
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
     bootstrap_distribution,
@@ -188,7 +188,7 @@ def generate_dataset(kind: str, n_samples: int, seed: int, noise_level: float = 
 
 def load_csv_dataset(path: str | Path, task: str, split_seed: int = 0) -> Dataset:
     """CSV with a header row; the final column is the target."""
-    with open(path, newline="") as handle:
+    with io.StringIO(file_text(path, newline=""), newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or len(header) < 2:
@@ -609,41 +609,23 @@ def _uq_artifacts(config, dataset, model_spec, feature_range, train_backend, tes
     n = spec.resolved_samples
 
     def run(backends, run_front) -> dict:
-        tr_backend, te_backend = backends
-        if spec.method == "bootstrap":
-            dist = bootstrap_distribution(
-                run_front,
-                model_spec.readout,
-                dataset.task,
-                dataset.train_features,
-                dataset.train_targets,
-                dataset.test_features,
-                tr_backend,
-                te_backend,
-                b=n,
-                seed=uq_seed,
-                train_seed=train_seed,
-                test_seed=test_seed,
-                cache=cache,
-                readout_hyper=model_spec.hyper_dict(),
-            )
-        else:
-            dist = ensemble_distribution(
-                run_front,
-                model_spec.readout,
-                dataset.task,
-                dataset.train_features,
-                dataset.train_targets,
-                dataset.test_features,
-                tr_backend,
-                te_backend,
-                m=n,
-                seed=uq_seed,
-                train_seed=train_seed,
-                test_seed=test_seed,
-                cache=cache,
-                readout_hyper=model_spec.hyper_dict(),
-            )
+        # looked up at call time, so a wrapper set on this module's name is used
+        distribution = bootstrap_distribution if spec.method == "bootstrap" else ensemble_distribution
+        dist = distribution(
+            run_front,
+            model_spec.readout,
+            dataset.task,
+            dataset.train_features,
+            dataset.train_targets,
+            dataset.test_features,
+            *backends,
+            n,  # B resamples or M members
+            seed=uq_seed,
+            train_seed=train_seed,
+            test_seed=test_seed,
+            cache=cache,
+            readout_hyper=model_spec.hyper_dict(),
+        )
         if dataset.task == "regression":
             return regression_uq_metrics(dist, dataset.test_targets)
         return classification_uq_metrics(dist, dataset.test_targets)

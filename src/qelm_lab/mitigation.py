@@ -261,6 +261,13 @@ def circuit_meta(circuit: Circuit) -> CircuitMeta:
     return CircuitMeta(depth(circuit), ones, twos)
 
 
+# a trained corrector's document (QlearModel.to_dict); BaggedTrees reads its regressor
+QLEAR_MODEL_KEYS = {
+    "schema": str, "feature_kind": str, "n_qubits": int, "seed": int, "corpus_size": int,
+    "held_out_mae": float, "trained": bool, "regressor": {...: None},
+}
+
+
 @dataclass
 class QlearModel:
     regressor: BaggedTrees
@@ -285,16 +292,19 @@ class QlearModel:
 
     @staticmethod
     def from_dict(raw: dict) -> "QlearModel":
-        if raw.get("schema") != "qlear-model/1":
+        """The corrector of a document from to_dict, checked against
+        QLEAR_MODEL_KEYS: a bad one raises a ValidationError naming the path."""
+        if not isinstance(raw, dict) or raw.get("schema") != "qlear-model/1":
             raise ValidationError("unrecognized corrector document")
+        raw = read(QLEAR_MODEL_KEYS, raw)
         return QlearModel(
-            regressor=BaggedTrees.from_dict(raw["regressor"]),
+            regressor=BaggedTrees.from_dict(raw["regressor"], "regressor"),
             feature_kind=raw["feature_kind"],
-            n_qubits=int(raw["n_qubits"]),
-            seed=int(raw["seed"]),
-            corpus_size=int(raw["corpus_size"]),
+            n_qubits=raw["n_qubits"],
+            seed=raw["seed"],
+            corpus_size=raw["corpus_size"],
             held_out_mae=float(raw["held_out_mae"]),
-            trained=bool(raw["trained"]),
+            trained=raw["trained"],
         )
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .circuit import Gate
 from .errors import ParseError, ValidationError
-from .schema import Either, read
+from .schema import Either, file_text, read
 
 BUNDLED_PROFILES = ("device-a", "device-b", "device-c")
 
@@ -307,7 +307,7 @@ def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
 
 def load_profile(path: str | Path) -> NoiseProfile:
     """Load and validate a profile JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = file_text(path)
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -45,7 +45,7 @@ from .errors import DimensionMismatch, ValidationError
 from .noise import NoiseProfile
 from .readout import HYPER_KEYS, check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
-from .schema import Opt, Rule, read
+from .schema import Opt, Rule, file_text, read
 from .simulator import (
     OutcomeDistribution,
     ideal_probabilities,
@@ -537,4 +537,4 @@ def save_model(model: QelmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> QelmModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(json.loads(file_text(path)))

@@ -50,6 +50,14 @@ READOUT_KEYS = {
                  "degenerate": Opt(bool, False), "converged": Opt(bool, False)},
     "tree": {"kind": str, "task": str, "max_depth": int, "min_samples_split": int, "root": {...: None}},
 }
+# a bagged regressor's document (BaggedTrees.to_dict): its trees are regression tree readouts
+BAGGED_KEYS = {
+    "kind": str, "n_trees": int, "max_depth": int, "seed": int,
+    "trees": Rule(
+        [dict(READOUT_KEYS["tree"], task=Rule(str, lambda task: task == "regression", "must be 'regression'"))],
+        bool, "needs at least one tree",
+    ),
+}
 
 
 def check_readout_task(kind: str, task: str) -> None:
@@ -583,11 +591,13 @@ class BaggedTrees:
         }
 
     @staticmethod
-    def from_dict(raw: dict) -> "BaggedTrees":
-        model = BaggedTrees(
-            n_trees=int(raw["n_trees"]), max_depth=int(raw["max_depth"]), seed=int(raw["seed"])
-        )
-        model.trees = [DecisionTree.from_dict(t, f"trees[{i}]") for i, t in enumerate(raw["trees"])]
+    def from_dict(raw: dict, at: str = "") -> "BaggedTrees":
+        """The regressor of a document from to_dict, checked against
+        BAGGED_KEYS; ``at`` is the document's path in errors."""
+        raw = read(BAGGED_KEYS, raw, at)
+        model = BaggedTrees(n_trees=raw["n_trees"], max_depth=raw["max_depth"], seed=raw["seed"])
+        trees = f"{at}.trees" if at else "trees"
+        model.trees = [DecisionTree.from_dict(t, f"{trees}[{i}]") for i, t in enumerate(raw["trees"])]
         model._forest = _stack_trees([tree._flat for tree in model.trees])
         return model
 

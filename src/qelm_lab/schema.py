@@ -14,13 +14,17 @@ value's JSON kind) or ``Rule(d, test, problem)`` (d, and test(value)).
 An object's key is required unless described as ``Opt(d)``, which may be
 missing, or ``Opt(d, default)``, which then takes the default; a default
 of None also takes null.
+
+``file_text(path)`` reads every input file the command line takes, of any
+format (JSON documents, circuit text, CSV data): a directory or a file that
+is not UTF-8 text raises a ParseError naming the file.
 """
 
 from __future__ import annotations
 
 import sys
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 
 _MISSING = object()
 _KINDS = {int: int, float: (int, float), str: str, bool: bool, None: type(None)}
@@ -40,6 +44,19 @@ class Rule:
 class Either:
     def __init__(self, *slots):
         self.slots = slots
+
+
+def file_text(path, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at ``path``, read with ``newline`` as open
+    takes it; a ParseError naming the file if it is a directory or not
+    UTF-8. A missing file raises FileNotFoundError, as open does."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            return handle.read()
+    except IsADirectoryError:
+        raise ParseError(f"{path} is a directory, not a file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _fits(slot, value) -> bool:

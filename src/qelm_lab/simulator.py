@@ -39,18 +39,20 @@ apply_channel_density go through the same kernel.
 
 The walker (_walk) evolves programs, circuits whose slots take their
 angles from the rows of an angle table, for every row at once; a list of
-circuits is programs without slots, for one row. It walks their gate lists
-as a trie: a node holds one slab per (row, distinct exact gate prefix), so
-the rows of a feature matrix take one matmul per gate for all of them, and
-a leading run of gates that several programs share is evolved once per
-row: zero-noise extrapolation's folds share a prefix (the scale-3 fold C
-C^dagger C extends the scale-1 program C). Where programs end, the walker
-calls its ``finish`` once per node with the stack of their states; the
-measurement paths measure that stack in one pass, running every check of
-the one-state path on each row and raising, for the first row that fails
-one, that row's error (_raise_first). No stack of slabs holds more than
-BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM state, so an
-8-qubit noisy node keeps one slab and is measured alone.
+circuits is programs without slots, for one row. It walks their step lists
+as a trie of exact step prefixes: a node is one set of circuits that share
+their steps so far and holds one slab per row, so the rows of a feature
+matrix take one matmul per gate for all of them, and a leading run of
+gates that several programs share is evolved once per row: zero-noise
+extrapolation's folds share a prefix (the scale-3 fold C C^dagger C
+extends the scale-1 program C). A node forks into one node per distinct
+next step. Where programs end, the walker calls its ``finish`` once per
+node with the stack of their states; the measurement paths measure that
+stack in one pass, running every check of the one-state path on each row
+and raising, for the first row that fails one, that row's error
+(_raise_first). The rows are chunked once, at the root: no stack of slabs
+holds more than BATCH_ENTRIES = 2^16 entries, the size of one 8-qubit PTM
+state, so an 8-qubit noisy row is walked and measured alone.
 
 Gate fusion: a state with more entries than a 3-qubit block's operator
 (d^n > d^6, from 7 qubits on both backends) is evolved block by block. Each
@@ -549,17 +551,6 @@ def _program(gates: tuple[Gate, ...], fuse: bool) -> tuple:
     return tuple(steps)
 
 
-def _ops(profile: NoiseProfile | None, steps: list, angles, rows, memo) -> np.ndarray:
-    """The matrices a walk step applies to a node, for ``steps``, one per
-    group of the node, all of one shape: one matrix for every slab, or one
-    per slab (len(rows) per group), stacked."""
-    ops = [_step_ops(profile, step, angles, rows, memo) for step in steps]
-    if len(ops) == 1 or all(op is ops[0] and op.ndim == 2 for op in ops):
-        return ops[0]
-    # contiguous, as matmul takes a strided stack down another path with other bits
-    return np.concatenate([op if op.ndim == 3 else np.repeat(op[None], len(rows), axis=0) for op in ops])
-
-
 def _step_ops(profile: NoiseProfile | None, step, angles, rows, memo) -> np.ndarray:
     """The matrix of one walk step: a gate's noisy PTM under a profile, its
     unitary without one (the walk builds them first); a fixed block's
@@ -605,26 +596,28 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
     """Evolve ``initial`` through the gate list of every circuit for every
     row of ``angles`` (None: one row, for circuits without slots), and
     return one result per (row, circuit), row by row. Where circuits end,
-    ``finish`` takes the stack of their final states (uncopied when the
-    whole node ends) and returns one result per state. With a profile the
-    states are PTM tensors, without one state vectors (_step_ops).
+    ``finish`` takes the stack of their final states, one per row
+    (uncopied), and returns one result per state; circuits that end at one
+    node share its results. With a profile the states are PTM tensors,
+    without one state vectors (_step_ops).
 
     From 7 qubits (d^n > d^(2 * FUSED_QUBITS)) a circuit steps through its
     fusion plan (_program), else gate by gate. The step lists are walked as
-    a trie: a node holds groups of circuits that share their exact steps so
-    far, one slab per (group, row), and applies each step to all its slabs
-    in one _apply_slabs call. Rows never split a node, so a step's Python
-    work does not grow with the rows. A node forks where its groups' step
-    shapes differ, and into chunks of at most max_slabs slabs. Every state
-    is bit-identical to its circuit's run on its own. The gate matrices,
-    slot stacks and fixed blocks (``memo``) belong to the walk, so threads
-    share none.
+    a trie of exact step prefixes: a node is the set of circuits that share
+    their steps so far, holding one slab per row. It applies their shared
+    run of steps to all its slabs, one _apply_slabs call per step, so a
+    step's Python work does not grow with the rows; it finishes the
+    circuits that end there and forks into one node per distinct next
+    step. The rows are chunked once, at the root, into chunks of at most
+    BATCH_ENTRIES entries, each built when it is popped. Every state is
+    bit-identical to its circuit's run on its own. The gate matrices, slot
+    stacks and fixed blocks (``memo``) belong to the walk, so threads share
+    none.
     """
     angles = np.zeros((1, 0)) if angles is None else np.asarray(angles, dtype=float)
     if not len(angles):
         return []
     count = len(circuits)
-    max_slabs = max(1, BATCH_ENTRIES // initial.size)
     fuse = initial.size > initial.shape[0] ** (2 * FUSED_QUBITS)
     lists = [_program(c.gates, fuse) for c in circuits]
     memo: dict = {}  # by a fixed gate's id (the circuits keep it alive), a slot, a block
@@ -635,89 +628,43 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
         unitaries = np.stack([gate_matrix(gate) for gate in gates.values()])
         memo.update(zip(gates, unitaries if profile is None else _noisy_gate_ptms(profile, targets, unitaries)))
     results: list = [None] * (len(angles) * count)
-    # (slabs, depth, groups, rows, index): slab g * len(rows) + i of the node
-    # is slabs[index[g * len(rows) + i]], the state of row rows[i] after the
-    # first `depth` steps of every circuit in groups[g]
-    pending = [(initial[None], 0, [list(range(count))], np.arange(len(angles)), np.zeros(len(angles), int))]
+    # (slabs, depth, members, rows): slab i is the state of row rows[i] after
+    # the first `depth` steps, which every circuit of members shares; a root
+    # chunk's slabs are None until it is popped
+    chunk = max(1, BATCH_ENTRIES // initial.size)
+    pending = [
+        (None, 0, list(range(count)), np.arange(r, min(r + chunk, len(angles))))
+        for r in range(0, len(angles), chunk)
+    ]
     while pending:
-        slabs, depth, groups, rows, index = pending.pop()
-        width = len(rows)
-        if len(groups) * width > max_slabs:  # chunks, each taking its slabs when popped
-            grid = index.reshape(len(groups), width)
-            per = max(1, max_slabs // width)
-            for g in range(0, len(groups), per):
-                part = max(1, max_slabs // len(groups[g : g + per]))
-                for r in range(0, width, part):
-                    pending.append((slabs, depth, groups[g : g + per], rows[r : r + part],
-                                    grid[g : g + per, r : r + part].ravel()))
-            continue
-        slabs = _take(slabs, index)
+        slabs, depth, members, rows = pending.pop()
+        if slabs is None:
+            slabs = np.repeat(initial[None], len(rows), axis=0)
         while True:
-            # the node's next groups (kept), each continuing group parents[k] and
-            # all sharing their steps up to `stop`; circuits that end here finish
-            kept: list[list[int]] = []
-            parents: list[int] = []
-            ending: list[tuple[int, int]] = []  # (group, circuit) of each circuit that ends here
-            stop = math.inf
-            for g, group in enumerate(groups):
-                live = [i for i in group if depth < len(lists[i])]
-                if len(live) < len(group):
-                    ending += [(g, i) for i in group if depth == len(lists[i])]
-                if not live:
-                    continue
-                lead = lists[live[0]]
-                shared = min(len(lists[i]) for i in live)
-                for i in live[1:]:
-                    steps = lists[i]
-                    if steps[depth:shared] != lead[depth:shared]:
-                        shared = next(j for j in range(depth, shared) if steps[j] != lead[j])
-                split: dict = {}  # by the next step, if the circuits differ there
-                for i in live:
-                    split.setdefault(lists[i][depth] if shared == depth else None, []).append(i)
-                kept += split.values()
-                parents += [g] * len(split)
-                stop = min(stop, max(shared, depth + 1))
+            live = [i for i in members if depth < len(lists[i])]
+            ending = [i for i in members if depth == len(lists[i])]
             if ending:
-                at = np.concatenate([g * width + np.arange(width) for g, _ in ending])
-                finished = finish(_take(slabs, at))
-                for k, (_, i) in enumerate(ending):
-                    for row, result in zip(rows.tolist(), finished[k * width : (k + 1) * width]):
+                for row, result in zip(rows.tolist(), finish(slabs)):
+                    for i in ending:
                         results[row * count + i] = result
-            if not kept:
+            if not live:
                 break
-            groups, leads = kept, [lists[group[0]] for group in kept]
-            index = (np.array(parents)[:, None] * width + np.arange(width)).ravel()
-            first = leads[0]
-            for lead in leads[1:]:  # apply the steps up to `stop` whose shape every group shares
-                for j in range(depth, stop):
-                    step, other = lead[j], first[j]
-                    if step is not other and (step.kind, step.targets) != (other.kind, other.targets):
-                        stop = j
-                        break
-            if stop > depth and len(index) <= max_slabs:
-                slabs = _take(slabs, index)
-                for j in range(depth, stop):
-                    if len(leads) == 1:
-                        ops = _step_ops(profile, first[j], angles, rows, memo)
-                    else:
-                        ops = _ops(profile, [lead[j] for lead in leads], angles, rows, memo)
-                    slabs = _apply_slabs(slabs, ops, first[j].targets)
-                depth = stop
-                continue
-            # fork by the next step's shape; a child over max_slabs chunks when popped
-            forks: dict[tuple, list[int]] = {}
-            for g, lead in enumerate(leads):
-                forks.setdefault((lead[depth].kind, lead[depth].targets), []).append(g)
-            grid = index.reshape(len(groups), width)
-            for fork in forks.values():
-                pending.append((slabs, depth, [groups[g] for g in fork], rows, grid[fork].ravel()))
-            break
+            lead = lists[live[0]]
+            stop = min(len(lists[i]) for i in live)
+            for i in live[1:]:
+                steps = lists[i]
+                if steps[depth:stop] != lead[depth:stop]:
+                    stop = next(j for j in range(depth, stop) if steps[j] != lead[j])
+            if stop == depth:
+                forks: dict = {}
+                for i in live:
+                    forks.setdefault(lists[i][depth], []).append(i)
+                pending += [(slabs, depth, fork, rows) for fork in forks.values()]
+                break
+            for step in lead[depth:stop]:
+                slabs = _apply_slabs(slabs, _step_ops(profile, step, angles, rows, memo), step.targets)
+            members, depth = live, stop
     return results
-
-
-def _take(slabs: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The slabs at ``index``, without a copy when that is all of them."""
-    return slabs if len(index) == len(slabs) and (index == np.arange(len(slabs))).all() else slabs[index]
 
 
 def _qubit_count(circuits: list[Circuit], cap: int, runner: str, backend: str) -> int:

@@ -683,3 +683,32 @@ def test_report_charts_integers_beyond_the_float_precision(capsys, tmp_path):
     code, _, err = run_cli(capsys, "report", "--results", str(results), "--out", str(tmp_path / "out"))
     assert code == 0, err
     assert (tmp_path / "out" / "uq_intervals_configured.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--circuit", "{path}"],
+        ["calibrate-zne", "--profile", "device-a", "--circuit", "{path}"],
+        ["simulate", "--profile", "{path}"],
+        ["scenario", "--config", "{path}"],
+        ["uq", "--config", "{path}"],
+        ["report", "--results", "{path}"],
+        ["train", "--data", "{path}", "--task", "regression"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+@pytest.mark.parametrize("kind, problem", [("binary", "is not UTF-8 text"), ("directory", "is a directory")])
+def test_an_input_that_is_not_utf8_text_or_is_a_directory_exits_one_naming_it(
+    capsys, tmp_path, argv, kind, problem
+):
+    path = tmp_path / "input"
+    if kind == "binary":
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe\x00\x81")
+    else:
+        path.mkdir()
+    argv = [arg.replace("{path}", str(path)) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} {problem}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

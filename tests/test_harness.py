@@ -447,6 +447,32 @@ def test_a_uq_variant_walks_once_per_member_and_backend(monkeypatch, method, wal
     assert len(counted) == walks and counted.count(True) == walks // 2
 
 
+@pytest.mark.parametrize("method", ["bootstrap", "ensemble"])
+def test_run_uq_calls_the_distribution_function_this_module_names_at_call_time(monkeypatch, method):
+    """A wrapper set on harness.bootstrap_distribution (or
+    ensemble_distribution) after import takes both variants' calls, with
+    the sample count as B or M."""
+    calls = []
+
+    def wrapped(name):
+        function = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, args[8]))
+            return function(*args, **kwargs)
+
+        return counted
+
+    for name in ("bootstrap_distribution", "ensemble_distribution"):
+        monkeypatch.setattr(harness, name, wrapped(name))
+    dataset = generate_dataset("regression3", 24, seed=2)
+    config = ScenarioConfig(
+        "C3_2", noise.bundled_profile("device-a"), repeats=1, seed=1, uq=UqSpec(method, 3), jobs=1
+    )
+    run_uq(config, dataset)
+    assert calls == [(f"{method}_distribution", 3)] * 2
+
+
 def test_train_walks_its_train_and_test_rows_once(monkeypatch, tmp_path):
     from qelm_lab.cli import main
 

@@ -230,9 +230,9 @@ def test_the_program_path_is_bit_identical_to_the_circuit_path(
 
 
 def test_a_step_mixing_shared_and_per_row_matrices_keeps_the_bits():
-    """A ZNE walk where a fold's fixed gate and another fold's slot meet at
-    one step: their matrices are stacked contiguously, since np.matmul takes
-    a strided stack down another path, with other bits."""
+    """A ZNE walk where a fold's fixed gate and another fold's slot fall at
+    one step: the folds fork there, each applying its own matrices (one for
+    every row, or one per row), with the bits of the circuit path."""
     _check_the_program_path(1, 2, "rotation", False, "probabilities", 0, "device-a", 2, mit.ZneConfig())
 
 

@@ -388,6 +388,28 @@ def test_bagged_tree_documents_survive_json(seed, n_trees, max_depth):
     _assert_survives_json(model, BaggedTrees.from_dict, np.vstack([x, x + 0.125]))
 
 
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda doc: doc["trees"][1].pop("task"), "trees[1].task: required; trees[1] has no task"),
+        (lambda doc: doc["trees"][0].update(task="classification"), "trees[0].task: must be 'regression'"),
+        (lambda doc: doc.pop("seed"), "seed: required; the document has no seed"),
+        (lambda doc: doc.update(n_trees=2.0), "n_trees: expected an integer, got 2.0"),
+        (lambda doc: doc.update(trees={}), "trees: expected a list, got {}"),
+        (lambda doc: doc.update(trees=[]), "trees: needs at least one tree"),
+        (lambda doc: doc["trees"][0]["root"].update(feature=-1), "trees[0].root.feature: must not be negative"),
+    ],
+    ids=["tree-task", "classification-tree", "seed", "n-trees", "trees", "no-trees", "feature"],
+)
+def test_a_bad_bagged_tree_document_raises_a_validation_error_naming_the_path(change, problem):
+    x, y = _bagging_problem(3)
+    document = BaggedTrees(n_trees=3, max_depth=2, seed=3).fit(x, y).to_dict()
+    change(document)
+    with pytest.raises(ValidationError) as caught:
+        BaggedTrees.from_dict(document)
+    assert str(caught.value).startswith(problem)
+
+
 def test_trees_grown_together_keep_their_own_depth():
     x = np.arange(8.0).reshape(-1, 1)
     y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0])

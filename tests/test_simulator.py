@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from contextlib import nullcontext
 from functools import reduce
 from itertools import combinations, permutations
@@ -499,14 +500,72 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
         most[len(shape)] = max(most.get(len(shape), 0), slabs)
     assert most == {8: 1, 6: 1, 4: 256}
     assert walked == [(8, 1, 3), (8, 4, 2), (4, 1, 300), (4, 4, 80)]
-    # one walk of 300 rows that differ only in angles: its node forks into chunks
+    # one walk of 300 circuits that differ only in angles: a node is one set
+    # of circuits with one slab per row, so each circuit forks into its own
     base = random_circuit(4, 12, seed=7)
     seen.clear()
     sim.run_noisy_many([_shifted_angles(base, 0.01 * k) for k in range(300)], profile)
-    # the leading gates without an angle are shared by all 300 rows
+    # the leading gates without an angle are shared by all 300 circuits
     shared = next(j for j, gate in enumerate(base.gates) if gate.params)
-    assert max(slabs for _, slabs in seen) == 256
+    assert max(slabs for _, slabs in seen) == 1
     assert sum(slabs for _, slabs in seen) == shared + 300 * (len(base.gates) - shared)
+
+
+def test_identical_circuits_ending_at_one_node_take_one_finish_call():
+    """Equal circuits (one rebuilt from equal gates) and a program listed
+    twice end at one trie node: it measures its stack once, and every
+    circuit gets the bits of a run on its own."""
+    profile = noise.bundled_profile("device-a")
+    base = random_circuit(3, 10, seed=2)
+    twin = circ.Circuit(3, tuple(circ.Gate(g.kind, g.targets, g.params) for g in base.gates))
+    calls = []
+
+    def finish(stack):
+        calls.append(len(stack))
+        return [state.copy() for state in stack]
+
+    states = sim._walk_noisy([base, twin, base], None, profile, sim.DENSITY_QUBIT_CAP, "test", finish)
+    assert calls == [1]
+    want = _run_noisy_alone(base, profile)
+    for state in states:
+        assert np.array_equal(sim._pauli_to_density(state).entries, want)
+    program = qelm.front_program(qelm.QelmFront(
+        qelm.EncoderSpec(((0.0, 1.0),) * 3),
+        qelm.ReservoirSpec("ising", n_qubits=3, seed=3, layers=1),
+        qelm.FeatureMapSpec("probabilities"),
+    ))
+    angles = np.random.default_rng(5).uniform(0.0, np.pi, size=(4, 3))
+    calls.clear()
+    states = sim._walk_ideal([program, program], angles, sim.IDEAL_QUBIT_CAP, "test", finish)
+    assert calls == [4]
+    alone = sim._walk_ideal([program], angles, sim.IDEAL_QUBIT_CAP, "test", finish)
+    for first, second, want in zip(states[::2], states[1::2], alone):
+        assert np.array_equal(first, want) and np.array_equal(second, want)
+
+
+def test_an_eight_qubit_noisy_walk_builds_each_row_chunk_when_popped():
+    """At 8 qubits a root chunk is one row; 16 rows peak within one state
+    of 1 row, so no chunk's initial state is built before it is walked."""
+    profile = noise.bundled_profile("device-a")
+    program = qelm.front_program(qelm.QelmFront(
+        qelm.EncoderSpec(((0.0, 1.0),) * 8),
+        qelm.ReservoirSpec("rotation", n_qubits=8, seed=3, layers=1),
+        qelm.FeatureMapSpec("probabilities"),
+    ))
+    angles = np.random.default_rng(1).uniform(0.0, np.pi, size=(16, 8))
+    sim.noisy_probabilities([program], profile, angles[:1])  # warm the noise caches
+    peaks = []
+    tracemalloc.start()
+    try:
+        for rows in (1, 16):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            sim.noisy_probabilities([program], profile, angles[:rows])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] > 4**8 * 8  # one state is 512 KB
+    assert peaks[1] < peaks[0] + 4**8 * 8
 
 
 def test_noise_part_ptms_are_built_once_per_defining_numbers():
