@@ -16,6 +16,8 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from . import circuit as circ
 from .errors import ParseError, QelmLabError, UsageError, ValidationError
 from .harness import (
@@ -253,12 +255,12 @@ def _cmd_scenario(args) -> int:
         return 0
     report = run_scenario(scenario, dataset, spec)
     written = emit_report(report, config["out"])
-    summary = report.statistics or {}
-    print(f"scenario {report.scenario_id} on {report.dataset_info['kind']}: wrote {len(written)} files to {config['out']}")
+    summary = report["statistics"]
+    print(f"scenario {report['scenario']} on {report['dataset']['kind']}: wrote {len(written)} files to {config['out']}")
     if summary:
         print(
             f"  p={summary['p_value']:.4g}  A12={summary['a12_observed_vs_ideal']:.3f}  "
-            f"baseline {report.metric_name}={report.ideal_baseline:.6g}"
+            f"baseline {report['metric']}={report['ideal_baseline']:.6g}"
         )
     return 0
 
@@ -418,7 +420,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValidationError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QelmLabError, OSError) as exc:
+    except (QelmLabError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # a numeric failure, such as a singular readout fit, is a runtime failure too
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

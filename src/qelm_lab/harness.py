@@ -22,7 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ from .qelm import (
 )
 from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
 from .rng import Rng, derive_seed
-from .schema import Either, Opt, Rule, file_text
+from .schema import Either, Opt, Rule, file_text, read
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
     bootstrap_distribution,
@@ -380,30 +380,24 @@ class ModelSpec:
         object.__setattr__(self, "j_range", tuple(self.j_range))
         object.__setattr__(self, "h_range", tuple(self.h_range))
         object.__setattr__(self, "readout_hyper", tuple(sorted(dict(self.readout_hyper).items())))
-        # checked here so that a bad setting fails the run, not every repeat:
-        # the specs are built once, and front() fills in each repeat's parts
+        # checked here so that a bad setting fails the run, not every repeat
         if self.readout not in READOUT_KINDS:
             raise ValidationError(f"unknown readout kind {self.readout!r}")
-        known = READOUT_HYPER[self.readout]
-        for key, _ in self.readout_hyper:
-            if key not in known:
-                raise ValidationError(f"readout_hyper.{key}: not one of {', '.join(known)}")
-        object.__setattr__(self, "_encoder", EncoderSpec(feature_range=(), entangle=self.entangle))
-        reservoir = ReservoirSpec(  # one qubit and seed 0 until front() sets a repeat's
-            self.reservoir_style, 1, 0, self.layers, self.j_range, self.h_range,
-            self.evolution_time, self.trotter_steps,
-        )
-        object.__setattr__(self, "_reservoir", reservoir)
-        object.__setattr__(self, "_feature_map", FeatureMapSpec(self.feature_map, self.shots))
+        read(READOUT_HYPER[self.readout], self.hyper_dict(), "readout_hyper")
+        self.front(((0.0, 1.0),), 0)
 
     def hyper_dict(self) -> dict:
         return dict(self.readout_hyper)
 
     def front(self, feature_range: tuple, reservoir_seed: int) -> QelmFront:
+        """The front of one repeat: one qubit per feature range."""
         return QelmFront(
-            replace(self._encoder, feature_range=feature_range),
-            replace(self._reservoir, n_qubits=len(feature_range), seed=reservoir_seed),
-            self._feature_map,
+            EncoderSpec(feature_range=feature_range, entangle=self.entangle),
+            ReservoirSpec(
+                self.reservoir_style, len(feature_range), reservoir_seed, self.layers, self.j_range,
+                self.h_range, self.evolution_time, self.trotter_steps,
+            ),
+            FeatureMapSpec(self.feature_map, self.shots),
         )
 
     def to_dict(self) -> dict:
@@ -480,43 +474,6 @@ class ScenarioConfig:
         return SCENARIO_BACKENDS[self.scenario_id]
 
 
-@dataclass
-class ScenarioReport:
-    scenario_id: str
-    profile_name: str
-    metric_name: str
-    seed: int
-    repeats: int
-    dataset_info: dict
-    model_info: dict
-    runs: list
-    ideal_baseline: float | None
-    statistics: dict | None
-    uq: dict | None
-    mitigation: dict | None
-    flags: list = field(default_factory=list)
-    package_version: str = _package_version
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "scenario-report/1",
-            "scenario": self.scenario_id,
-            "profile": self.profile_name,
-            "metric": self.metric_name,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "dataset": self.dataset_info,
-            "model": self.model_info,
-            "runs": self.runs,
-            "ideal_baseline": self.ideal_baseline,
-            "statistics": self.statistics,
-            "uq": self.uq,
-            "mitigation": self.mitigation,
-            "flags": self.flags,
-            "package_version": self.package_version,
-        }
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -534,8 +491,7 @@ def _jsonable(value):
     return value
 
 
-def report_json_bytes(report: "ScenarioReport | dict") -> bytes:
-    payload = report.to_dict() if isinstance(report, ScenarioReport) else report
+def report_json_bytes(payload: dict) -> bytes:
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
     return (text + "\n").encode("utf-8")
 
@@ -652,11 +608,11 @@ def run_uq(
 
 def run_scenario(
     config: ScenarioConfig, dataset: Dataset, model_spec: ModelSpec | None = None
-) -> ScenarioReport:
-    """Execute one scenario end to end and assemble its report."""
+) -> dict:
+    """Execute one scenario end to end; returns its ``scenario-report/1``
+    document, the dict emit_report writes as results.json."""
     model_spec, feature_range, mitigation_info, backends = _set_up(config, dataset, model_spec)
     train_backend, test_backend = backends
-    metric_name = "mse" if dataset.task == "regression" else "accuracy"
     direction = "error" if dataset.task == "regression" else "accuracy"
     ideal_backend = IdealBackend()
     flags: list[str] = []
@@ -734,13 +690,14 @@ def run_scenario(
             config, dataset, model_spec, feature_range, train_backend, test_backend
         )
 
-    return ScenarioReport(
-        scenario_id=config.scenario_id,
-        profile_name=config.profile.name,
-        metric_name=metric_name,
-        seed=config.seed,
-        repeats=config.repeats,
-        dataset_info={
+    return {
+        "schema": "scenario-report/1",
+        "scenario": config.scenario_id,
+        "profile": config.profile.name,
+        "metric": "mse" if dataset.task == "regression" else "accuracy",
+        "seed": config.seed,
+        "repeats": config.repeats,
+        "dataset": {
             "kind": dataset.kind,
             "seed": dataset.seed,
             "n_samples": len(dataset.targets),
@@ -748,14 +705,15 @@ def run_scenario(
             "task": dataset.task,
             "n_features": dataset.n_features,
         },
-        model_info=model_spec.to_dict(),
-        runs=runs,
-        ideal_baseline=float(np.median(ideal_metrics)) if ideal_metrics else None,
-        statistics=statistics,
-        uq=uq_payload,
-        mitigation=mitigation_info,
-        flags=flags,
-    )
+        "model": model_spec.to_dict(),
+        "runs": runs,
+        "ideal_baseline": float(np.median(ideal_metrics)) if ideal_metrics else None,
+        "statistics": statistics,
+        "uq": uq_payload,
+        "mitigation": mitigation_info,
+        "flags": flags,
+        "package_version": _package_version,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +742,13 @@ RESULTS_KEYS = {"scenario": str, "metric": str, "runs": [_RUN_RECORD], ...: None
 RESULTS_KEYS["uq"] = Opt(Either({"configured": _UQ_VARIANT, "ideal": _UQ_VARIANT, ...: None}, None))
 
 
+# a UQ variant's files: (its summary key, table writer, chart renderer, chart title)
+_UQ_FILES = (
+    ("intervals", intervals_to_csv, render_interval_chart, "95% prediction intervals"),
+    ("reliability", reliability_to_csv, render_reliability_chart, "reliability"),
+)
+
+
 def _metrics_csv(runs: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -804,65 +769,29 @@ def _metrics_csv(runs: list[dict]) -> str:
     return buf.getvalue()
 
 
-def emit_report(report: "ScenarioReport | dict", out_dir: str | Path) -> list[Path]:
-    """Write results.json, metrics.csv, and the SVG charts; returns the
-    written paths. Identical reports produce identical bytes."""
-    payload = report.to_dict() if isinstance(report, ScenarioReport) else report
+def emit_report(payload: dict, out_dir: str | Path) -> list[Path]:
+    """Write a scenario-report/1 document as results.json, metrics.csv, the
+    box plot of percentage changes and, with UQ, each variant's interval or
+    reliability table and chart; returns the written paths. Identical
+    documents produce identical bytes."""
+    runs = payload["runs"]
+    pct = [r["pct_change"] for r in runs if r.get("error") is None and r.get("pct_change") is not None]
+    pct = [v for v in pct if not math.isnan(v)]
+    box_title = f"percentage change from ideal ({payload['metric']})"
+    files = [
+        ("results.json", report_json_bytes(payload).decode("utf-8")),
+        ("metrics.csv", _metrics_csv(runs)),
+        ("pct_change_box.svg", render_box_plot([(payload["scenario"], pct)], box_title, "percent")),
+    ]
+    for variant in ("configured", "ideal") if payload.get("uq") else ():
+        summary = payload["uq"][variant]
+        key, to_csv, render, title = next(kind for kind in _UQ_FILES if kind[0] in summary)
+        files += [
+            (f"uq_{key}_{variant}.csv", to_csv(summary[key])),
+            (f"uq_{key}_{variant}.svg", render(summary[key], f"{payload['scenario']} {variant}: {title}")),
+        ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    results = out / "results.json"
-    results.write_bytes(report_json_bytes(payload))
-    written.append(results)
-
-    metrics = out / "metrics.csv"
-    metrics.write_text(_metrics_csv(payload["runs"]), encoding="utf-8")
-    written.append(metrics)
-
-    pct = [
-        r["pct_change"]
-        for r in payload["runs"]
-        if r.get("error") is None and r.get("pct_change") is not None
-    ]
-    pct = [v for v in pct if not math.isnan(v)]
-    box = out / "pct_change_box.svg"
-    box.write_text(
-        render_box_plot(
-            [(payload["scenario"], pct)],
-            f"percentage change from ideal ({payload['metric']})",
-            "percent",
-        ),
-        encoding="utf-8",
-    )
-    written.append(box)
-
-    uq_payload = payload.get("uq")
-    if uq_payload:
-        for variant in ("configured", "ideal"):
-            summary = uq_payload[variant]
-            if "intervals" in summary:
-                table = out / f"uq_intervals_{variant}.csv"
-                table.write_text(intervals_to_csv(summary["intervals"]), encoding="utf-8")
-                chart = out / f"uq_intervals_{variant}.svg"
-                chart.write_text(
-                    render_interval_chart(
-                        summary["intervals"],
-                        f"{payload['scenario']} {variant}: 95% prediction intervals",
-                    ),
-                    encoding="utf-8",
-                )
-                written.extend([table, chart])
-            else:
-                table = out / f"uq_reliability_{variant}.csv"
-                table.write_text(reliability_to_csv(summary["reliability"]), encoding="utf-8")
-                chart = out / f"uq_reliability_{variant}.svg"
-                chart.write_text(
-                    render_reliability_chart(
-                        summary["reliability"],
-                        f"{payload['scenario']} {variant}: reliability",
-                    ),
-                    encoding="utf-8",
-                )
-                written.extend([table, chart])
-    return written
+    for name, text in files:
+        (out / name).write_text(text, encoding="utf-8")
+    return [out / name for name, _ in files]

@@ -10,7 +10,11 @@ every row of an angle table together, as the qelm backends do. Two exist:
     QlearMitigator   a learned corrector. A bagged-tree regressor is trained
                      on (noisy feature, circuit and profile metadata) ->
                      (ideal - noisy) residuals over a corpus of seeded random
-                     calibration circuits, then applied per feature.
+                     calibration circuits, then applied per feature to
+                     programs of the corpus's width. A trained corrector
+                     (QlearModel) lives only in the run that trained it: it
+                     has no document, and a report keeps its corpus size
+                     and held-out error.
 
 Extrapolated or corrected probability features are clipped to [0, 1] and
 renormalized to a valid distribution; expectation features are clipped to
@@ -261,13 +265,6 @@ def circuit_meta(circuit: Circuit) -> CircuitMeta:
     return CircuitMeta(depth(circuit), ones, twos)
 
 
-# a trained corrector's document (QlearModel.to_dict); BaggedTrees reads its regressor
-QLEAR_MODEL_KEYS = {
-    "schema": str, "feature_kind": str, "n_qubits": int, "seed": int, "corpus_size": int,
-    "held_out_mae": float, "trained": bool, "regressor": {...: None},
-}
-
-
 @dataclass
 class QlearModel:
     regressor: BaggedTrees
@@ -277,35 +274,6 @@ class QlearModel:
     corpus_size: int
     held_out_mae: float
     trained: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "qlear-model/1",
-            "feature_kind": self.feature_kind,
-            "n_qubits": self.n_qubits,
-            "seed": self.seed,
-            "corpus_size": self.corpus_size,
-            "held_out_mae": self.held_out_mae,
-            "trained": self.trained,
-            "regressor": self.regressor.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "QlearModel":
-        """The corrector of a document from to_dict, checked against
-        QLEAR_MODEL_KEYS: a bad one raises a ValidationError naming the path."""
-        if not isinstance(raw, dict) or raw.get("schema") != "qlear-model/1":
-            raise ValidationError("unrecognized corrector document")
-        raw = read(QLEAR_MODEL_KEYS, raw)
-        return QlearModel(
-            regressor=BaggedTrees.from_dict(raw["regressor"], "regressor"),
-            feature_kind=raw["feature_kind"],
-            n_qubits=raw["n_qubits"],
-            seed=raw["seed"],
-            corpus_size=raw["corpus_size"],
-            held_out_mae=float(raw["held_out_mae"]),
-            trained=raw["trained"],
-        )
 
 
 def _schema_rows(
@@ -453,6 +421,12 @@ class QlearMitigator:
                 f"corrector was trained on {self.model.feature_kind!r} features, "
                 f"got {feature_map.kind!r}"
             )
+        for program in programs:
+            if program.n_qubits != self.model.n_qubits:
+                raise ValidationError(
+                    f"corrector was trained on {self.model.n_qubits}-qubit circuits, "
+                    f"got a {program.n_qubits}-qubit one"
+                )
         noisy = NoisyBackend(profile).programs_features(programs, angles, feature_map, seeds)
         # the rows of program p are p, p + P, ...; a program's meta is its rows'
         for p, program in enumerate(programs):

@@ -2,10 +2,14 @@
 full-batch gradient descent, and greedy CART trees (classification and
 regression), plus a small bagged-tree ensemble used for learned error
 correction. All fits are deterministic given their inputs and seeds.
+READOUT_HYPER holds the hyper-parameters each kind takes, with the type and
+range each one needs.
 
 A fitted tree has one form, flat node arrays numbered breadth-first
 (_FlatTree): trees grow into them, route rows through them, and write and
-read their nested JSON node documents from and into them.
+read their nested JSON node documents from and into them. A readout's
+document is part of the model document (qelm.model_to_dict). A bagged
+ensemble has none: it lives only inside the corrector that trained it.
 
 Trees of many samples (bagging, bootstrap refits) grow together, one depth
 at a time, and a depth is held as pooled arrays: each node's rows are one
@@ -33,14 +37,22 @@ from .schema import Opt, Rule, read
 READOUT_KINDS = ("linear", "logistic", "tree")
 # a linear readout gives no class probabilities; the others need 0/1 labels
 READOUT_TASKS = {"regression": ("linear",), "classification": ("logistic", "tree")}
-# the hyper-parameters each kind takes, and the type each one needs
+# the hyper-parameters each kind takes, and the type and range each one needs
+_NON_NEGATIVE = Opt(Rule(float, lambda value: value >= 0, "must not be negative"))
 READOUT_HYPER = {
-    "linear": {"ridge": float},
-    "logistic": {"learning_rate": float, "max_iter": int, "grad_tol": float},
-    "tree": {"max_depth": int, "min_samples_split": int},
+    "linear": {"ridge": _NON_NEGATIVE},
+    "logistic": {
+        "learning_rate": Opt(Rule(float, lambda value: value > 0, "must be positive")),
+        "max_iter": Opt(Rule(int, lambda value: value >= 1, "must be at least 1")),
+        "grad_tol": _NON_NEGATIVE,
+    },
+    "tree": {
+        "max_depth": Opt(Rule(int, lambda value: value >= 0, "must not be negative")),
+        "min_samples_split": Opt(Rule(int, lambda value: value >= 2, "must be at least 2")),
+    },
 }
 # a readout_hyper object of any kind, for the document reader
-HYPER_KEYS = {key: Opt(kind) for hyper in READOUT_HYPER.values() for key, kind in hyper.items()}
+HYPER_KEYS = {key: slot for hyper in READOUT_HYPER.values() for key, slot in hyper.items()}
 # a tree's split node document (_FlatTree.to_dict); a leaf is {"value": v}
 SPLIT_KEYS = {"feature": int, "threshold": float, "left": {...: None}, "right": {...: None}}
 # the document of each readout kind (to_dict); _FlatTree.from_dict reads a tree's nodes
@@ -49,14 +61,6 @@ READOUT_KEYS = {
     "logistic": {"kind": str, "weights": [float], "intercept": float,
                  "degenerate": Opt(bool, False), "converged": Opt(bool, False)},
     "tree": {"kind": str, "task": str, "max_depth": int, "min_samples_split": int, "root": {...: None}},
-}
-# a bagged regressor's document (BaggedTrees.to_dict): its trees are regression tree readouts
-BAGGED_KEYS = {
-    "kind": str, "n_trees": int, "max_depth": int, "seed": int,
-    "trees": Rule(
-        [dict(READOUT_KEYS["tree"], task=Rule(str, lambda task: task == "regression", "must be 'regression'"))],
-        bool, "needs at least one tree",
-    ),
 }
 
 
@@ -580,26 +584,6 @@ class BaggedTrees:
         for tree_values in forest.value[leaves]:  # in tree order, as one tree at a time
             acc += tree_values
         return acc / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "bagged_trees",
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "seed": self.seed,
-            "trees": [t.to_dict() for t in self.trees],
-        }
-
-    @staticmethod
-    def from_dict(raw: dict, at: str = "") -> "BaggedTrees":
-        """The regressor of a document from to_dict, checked against
-        BAGGED_KEYS; ``at`` is the document's path in errors."""
-        raw = read(BAGGED_KEYS, raw, at)
-        model = BaggedTrees(n_trees=raw["n_trees"], max_depth=raw["max_depth"], seed=raw["seed"])
-        trees = f"{at}.trees" if at else "trees"
-        model.trees = [DecisionTree.from_dict(t, f"{trees}[{i}]") for i, t in enumerate(raw["trees"])]
-        model._forest = _stack_trees([tree._flat for tree in model.trees])
-        return model
 
 
 def fit_linear(features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> LinearReadout:

@@ -8,8 +8,6 @@ formatted to fixed precision; identical inputs yield identical bytes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 _FONT = 'font-family="monospace" font-size="11"'
@@ -147,7 +145,8 @@ def render_interval_chart(rows: list[dict], title: str) -> str:
 
 def render_reliability_chart(reliability: dict, title: str) -> str:
     """Reliability curve over the diagonal, with a confidence histogram
-    underneath. ``reliability`` is a ReliabilityDiagram.to_dict() payload."""
+    underneath. ``reliability`` is a uq.reliability_diagram dict, the form
+    a report holds; an empty bin's statistics are None."""
     edges = reliability["edges"]
     conf = reliability["mean_confidence"]
     freq = reliability["observed_frequency"]
@@ -159,11 +158,7 @@ def render_reliability_chart(reliability: dict, title: str) -> str:
         f'<line x1="{_fmt(top.x(0))}" y1="{_fmt(top.y(0))}" x2="{_fmt(top.x(1))}" '
         f'y2="{_fmt(top.y(1))}" stroke="gray" stroke-dasharray="4,4"/>'
     )
-    points = [
-        (c, f)
-        for c, f in zip(conf, freq)
-        if c is not None and f is not None and not (math.isnan(c) or math.isnan(f))
-    ]
+    points = [(c, f) for c, f in zip(conf, freq) if c is not None and f is not None]
     if points:
         path = " ".join(f"{_fmt(top.x(c))},{_fmt(top.y(f))}" for c, f in points)
         body.append(f'<polyline points="{path}" fill="none" stroke="#3182bd" stroke-width="1.5"/>')

@@ -237,38 +237,13 @@ def interval_score(y: float, lo: float, hi: float, alpha: float) -> float:
     return score
 
 
-@dataclass
-class ReliabilityDiagram:
-    """Per-bin calibration data over equal-width bins of [0, 1].
-
-    Empty bins carry count 0 and NaN statistics. The final bin is
-    right-closed so probability 1.0 lands in it.
-    """
-
-    edges: np.ndarray  # length n_bins + 1
-    mean_confidence: np.ndarray  # NaN where empty
-    observed_frequency: np.ndarray  # NaN where empty
-    counts: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.counts)
-
-    def to_dict(self) -> dict:
-        def clean(arr):
-            return [None if math.isnan(v) else float(v) for v in arr]
-
-        return {
-            "edges": [float(e) for e in self.edges],
-            "mean_confidence": clean(self.mean_confidence),
-            "observed_frequency": clean(self.observed_frequency),
-            "counts": [int(c) for c in self.counts],
-        }
-
-
-def reliability_diagram(probs, labels, n_bins: int = 10) -> ReliabilityDiagram:
-    """Bin positive-class probabilities and compare mean confidence with the
-    observed positive fraction per bin."""
+def reliability_diagram(probs, labels, n_bins: int = 10) -> dict:
+    """Bin positive-class probabilities over equal-width bins of [0, 1] and
+    compare mean confidence with the observed positive fraction per bin:
+    lists ``edges`` (n_bins + 1), ``mean_confidence``, ``observed_frequency``
+    and ``counts``, the form a report holds. An empty bin has count 0 and
+    None statistics; the final bin is right-closed so probability 1.0 lands
+    in it."""
     probs = np.asarray(probs, dtype=float).reshape(-1)
     labels = np.asarray(labels, dtype=float).reshape(-1)
     if len(probs) != len(labels):
@@ -279,19 +254,17 @@ def reliability_diagram(probs, labels, n_bins: int = 10) -> ReliabilityDiagram:
         raise ValidationError("probabilities must lie in [0, 1]")
     idx = np.minimum((probs * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
-    conf = np.full(n_bins, np.nan)
-    freq = np.full(n_bins, np.nan)
-    for b in range(n_bins):
+    conf, freq = [None] * n_bins, [None] * n_bins
+    for b in np.flatnonzero(counts):
         mask = idx == b
-        if counts[b] > 0:
-            conf[b] = probs[mask].mean()
-            freq[b] = labels[mask].mean()
-    return ReliabilityDiagram(
-        edges=np.linspace(0.0, 1.0, n_bins + 1),
-        mean_confidence=conf,
-        observed_frequency=freq,
-        counts=counts,
-    )
+        conf[b] = float(probs[mask].mean())
+        freq[b] = float(labels[mask].mean())
+    return {
+        "edges": np.linspace(0.0, 1.0, n_bins + 1).tolist(),
+        "mean_confidence": conf,
+        "observed_frequency": freq,
+        "counts": counts.tolist(),
+    }
 
 
 def brier(probs, labels) -> float:
@@ -389,11 +362,10 @@ def classification_uq_metrics(
     if len(y_true) != dist.n_inputs:
         raise LengthMismatch(f"{dist.n_inputs} inputs vs {len(y_true)} targets")
     p_pos = dist.mean_predictions()[:, 1]
-    diagram = reliability_diagram(p_pos, y_true, n_bins)
     return {
         "brier": brier(p_pos, y_true),
         "log_loss": log_loss(p_pos, y_true),
-        "reliability": diagram.to_dict(),
+        "reliability": reliability_diagram(p_pos, y_true, n_bins),
         "positive_probabilities": [float(p) for p in p_pos],
     }
 
@@ -412,8 +384,8 @@ def intervals_to_csv(rows: list[dict]) -> str:
 
 
 def reliability_to_csv(diagram: dict) -> str:
-    """One row per bin of a ReliabilityDiagram.to_dict() payload; an empty
-    bin's None statistics are empty cells."""
+    """One row per bin of a reliability_diagram; an empty bin's None
+    statistics are empty cells."""
     edges, conf, freq = (diagram[k] for k in ("edges", "mean_confidence", "observed_frequency"))
     lines = ["bin_low,bin_high,mean_confidence,observed_frequency,count"]
     for b, count in enumerate(diagram["counts"]):

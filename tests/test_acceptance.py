@@ -175,11 +175,11 @@ def test_criterion_08_noise_degrades_wide_classifier():
         profile = noise.bundled_profile("device-a")
         config = ScenarioConfig("C1_1", profile, repeats=10, seed=42)
         report = run_scenario(config, dataset, default_model_spec(dataset))
-        pct = [r["pct_change"] for r in report.runs if r["error"] is None]
+        pct = [r["pct_change"] for r in report["runs"] if r["error"] is None]
         assert len(pct) == 10
         assert np.median(pct) > 0.0
-        observed = [r["metric"] for r in report.runs]
-        ideal = [r["ideal_metric"] for r in report.runs]
+        observed = [r["metric"] for r in report["runs"]]
+        ideal = [r["ideal_metric"] for r in report["runs"]]
         _, p_value = mann_whitney_u(observed, ideal)
         assert p_value < 0.05
         assert a12(ideal, observed) >= 0.8

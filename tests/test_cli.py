@@ -264,6 +264,14 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
             },
             "readout_hyper.max_depht",
         ),
+        ({"model": {"readout_hyper": {"max_depth": 3}}}, "readout_hyper.max_depth"),
+        ({"model": {"readout_hyper": {"ridge": -1.0}}}, "model.readout_hyper.ridge"),
+        ({"model": {"readout_hyper": {"learning_rate": 0.0}}}, "model.readout_hyper.learning_rate"),
+        ({"model": {"readout_hyper": {"learning_rate": -0.1}}}, "model.readout_hyper.learning_rate"),
+        ({"model": {"readout_hyper": {"max_iter": 0}}}, "model.readout_hyper.max_iter"),
+        ({"model": {"readout_hyper": {"grad_tol": -1e-6}}}, "model.readout_hyper.grad_tol"),
+        ({"model": {"readout_hyper": {"max_depth": -1}}}, "model.readout_hyper.max_depth"),
+        ({"model": {"readout_hyper": {"min_samples_split": 1}}}, "model.readout_hyper.min_samples_split"),
         ({"qlear": {"corpus": 0}}, "qlear.corpus"),
         ({"qlear": {"corpus": 1}}, "qlear.corpus"),
         ({"dataset": {"kind": "regression3"}, "model": {"readout": "tree"}}, "readout"),
@@ -712,3 +720,13 @@ def test_an_input_that_is_not_utf8_text_or_is_a_directory_exits_one_naming_it(
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path} {problem}") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_a_singular_readout_fit_is_a_runtime_failure(capsys, tmp_path):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps({
+        "scenario": "C3_2", "profile": "device-a", "dataset": {"kind": "regression3", "size": 30},
+        "model": {"readout": "linear", "readout_hyper": {"ridge": 0.0}}, "uq": {"samples": 20}, "seed": 0,
+    }))
+    code, out, err = run_cli(capsys, "uq", "--config", str(config_file), "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "runtime failure: Singular matrix\n")

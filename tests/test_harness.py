@@ -261,8 +261,8 @@ def _small_scenario(repeats=3, scenario="C1_1", profile=None, seed=9):
 def test_zero_noise_scenario_has_zero_percent_changes():
     config, dataset = _small_scenario()
     report = run_scenario(config, dataset)
-    assert len(report.runs) == config.repeats
-    for run in report.runs:
+    assert len(report["runs"]) == config.repeats
+    for run in report["runs"]:
         assert run["error"] is None
         assert abs(run["pct_change"]) < 1e-6
 
@@ -270,20 +270,20 @@ def test_zero_noise_scenario_has_zero_percent_changes():
 def test_scenario_records_statistics_and_baseline():
     config, dataset = _small_scenario(repeats=4)
     report = run_scenario(config, dataset)
-    assert report.statistics is not None
-    assert 0.0 <= report.statistics["p_value"] <= 1.0
-    assert report.statistics["method"] == "exact"
-    assert report.ideal_baseline is not None
-    assert report.metric_name == "mse"
+    assert report["statistics"] is not None
+    assert 0.0 <= report["statistics"]["p_value"] <= 1.0
+    assert report["statistics"]["method"] == "exact"
+    assert report["ideal_baseline"] is not None
+    assert report["metric"] == "mse"
 
 
 def test_scenario_records_per_repeat_failures_without_aborting():
     dataset = generate_dataset("regression3", 24, seed=2)
     config = ScenarioConfig("C1_1", zero_noise_profile(2), repeats=2, seed=1, jobs=1)
     report = run_scenario(config, dataset)  # profile covers too few qubits
-    assert all(r["error"] is not None for r in report.runs)
-    assert "partial_failures" in report.flags
-    assert report.statistics is None
+    assert all(r["error"] is not None for r in report["runs"])
+    assert "partial_failures" in report["flags"]
+    assert report["statistics"] is None
 
 
 def test_scenario_propagates_a_programming_error(monkeypatch):
@@ -357,8 +357,8 @@ def test_uq_scenario_emits_uq_files(tmp_path):
         "C3_2", zero_noise_profile(3), repeats=2, seed=1, uq=UqSpec("bootstrap", 20), jobs=1
     )
     report = run_scenario(config, dataset)
-    assert report.uq is not None
-    assert report.uq["samples"] == 20
+    assert report["uq"] is not None
+    assert report["uq"]["samples"] == 20
     files = {f.name for f in emit_report(report, tmp_path / "uq")}
     assert "uq_intervals_configured.csv" in files
     assert "uq_intervals_ideal.svg" in files
@@ -429,7 +429,7 @@ def test_a_repeat_walks_once_per_front_and_backend(monkeypatch, scenario, mitiga
     )
     walks = _counted_walks(monkeypatch)
     report = run_scenario(config, dataset, harness.default_model_spec(dataset, shots))
-    assert all(r["error"] is None for r in report.runs)
+    assert all(r["error"] is None for r in report["runs"])
     assert len(walks) == 2 * per_repeat
 
 

@@ -373,42 +373,12 @@ def test_qlear_correct_preserves_dimension_and_simplex():
     assert abs(corrected.sum() - 1.0) < 1e-9
 
 
-def test_qlear_model_round_trips_through_json():
-    profile = zero_noise_profile(2)
-    model = mit.qlear_train(mit.calibration_circuits(2, 20, seed=1), profile, seed=2)
-    clone = mit.QlearModel.from_dict(model.to_dict())
-    noisy = np.array([0.4, 0.1, 0.3, 0.2])
-    meta = mit.CircuitMeta(4, 3, 1)
-    assert np.array_equal(
-        mit.qlear_correct(model, noisy, meta, profile),
-        mit.qlear_correct(clone, noisy, meta, profile),
-    )
-
-
-def _without_a_tree_task(document: dict) -> dict:
-    del document["regressor"]["trees"][0]["task"]
-    return document
-
-
-@pytest.mark.parametrize(
-    "change, problem",
-    [
-        (lambda doc: {"schema": doc["schema"]}, "feature_kind: required; the document has no feature_kind"),
-        (lambda doc: {**doc, "n_qubits": "2"}, "n_qubits: expected an integer, got '2'"),
-        (lambda doc: {**doc, "trained": 1}, "trained: expected true or false, got 1"),
-        (lambda doc: {**doc, "extra": 0}, "extra: unknown key"),
-        (lambda doc: {**doc, "regressor": {"kind": "bagged_trees"}}, "regressor.n_trees: required"),
-        (_without_a_tree_task, "regressor.trees[0].task: required; regressor.trees[0] has no task"),
-        (lambda doc: {**doc, "schema": "other"}, "unrecognized corrector document"),
-        (lambda doc: [], "unrecognized corrector document"),
-    ],
-    ids=["empty", "n-qubits", "trained", "unknown-key", "regressor", "tree-task", "schema", "not-object"],
-)
-def test_a_bad_corrector_document_raises_a_validation_error_naming_the_path(change, problem):
+def test_a_corrector_refuses_programs_of_another_width():
     model = mit.qlear_train(mit.calibration_circuits(2, 20, seed=1), zero_noise_profile(2), seed=2)
-    with pytest.raises(ValidationError) as caught:
-        mit.QlearModel.from_dict(change(model.to_dict()))
-    assert str(caught.value).startswith(problem)
+    wide = mit.random_circuit(3, 6, seed=4)
+    probabilities = qelm.FeatureMapSpec("probabilities", 0)
+    with pytest.raises(ValidationError, match="trained on 2-qubit circuits, got a 3-qubit one"):
+        mit.QlearMitigator(model).programs_features([wide], None, probabilities, zero_noise_profile(3), [0])
 
 
 def test_mitigated_backend_keys_are_distinct():

@@ -345,7 +345,7 @@ def test_bagged_trees_grow_the_trees_of_the_per_column_oracle(seed, n_trees, max
     for i in range(n_trees):
         idx = Rng(derive_seed(seed, "bag", i)).integers(len(y), 0, len(y))
         oracle.append(_OracleTree("regression", max_depth=max_depth).fit(x[idx], y[idx]).to_dict())
-    assert model.to_dict()["trees"] == oracle
+    assert [tree.to_dict() for tree in model.trees] == oracle
 
 
 @settings(max_examples=25, deadline=None)
@@ -354,11 +354,10 @@ def test_forest_prediction_is_the_in_order_sum_of_its_trees(seed, n_trees):
     x, y = _bagging_problem(seed)
     probe = np.vstack([x, np.random.default_rng(seed).uniform(-0.5, 2.0, size=(15, 3))])
     model = BaggedTrees(n_trees=n_trees, max_depth=5, seed=seed).fit(x, y)
-    for bagged in (model, BaggedTrees.from_dict(model.to_dict())):
-        acc = np.zeros(len(probe))
-        for tree in bagged.trees:
-            acc += _routed(tree, probe)[1]
-        assert bagged.predict(probe).tobytes() == (acc / n_trees).tobytes()
+    acc = np.zeros(len(probe))
+    for tree in model.trees:
+        acc += _routed(tree, probe)[1]
+    assert model.predict(probe).tobytes() == (acc / n_trees).tobytes()
 
 
 def _assert_survives_json(model, load, probe):
@@ -378,36 +377,6 @@ def test_tree_documents_survive_json(problem):
     task, x, y, max_depth, min_samples_split = problem
     tree = DecisionTree(task, max_depth=max_depth, min_samples_split=min_samples_split).fit(x, y)
     _assert_survives_json(tree, readout_from_dict, np.vstack([x, x + 0.125]))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
-def test_bagged_tree_documents_survive_json(seed, n_trees, max_depth):
-    x, y = _bagging_problem(seed)
-    model = BaggedTrees(n_trees=n_trees, max_depth=max_depth, seed=seed).fit(x, y)
-    _assert_survives_json(model, BaggedTrees.from_dict, np.vstack([x, x + 0.125]))
-
-
-@pytest.mark.parametrize(
-    "change, problem",
-    [
-        (lambda doc: doc["trees"][1].pop("task"), "trees[1].task: required; trees[1] has no task"),
-        (lambda doc: doc["trees"][0].update(task="classification"), "trees[0].task: must be 'regression'"),
-        (lambda doc: doc.pop("seed"), "seed: required; the document has no seed"),
-        (lambda doc: doc.update(n_trees=2.0), "n_trees: expected an integer, got 2.0"),
-        (lambda doc: doc.update(trees={}), "trees: expected a list, got {}"),
-        (lambda doc: doc.update(trees=[]), "trees: needs at least one tree"),
-        (lambda doc: doc["trees"][0]["root"].update(feature=-1), "trees[0].root.feature: must not be negative"),
-    ],
-    ids=["tree-task", "classification-tree", "seed", "n-trees", "trees", "no-trees", "feature"],
-)
-def test_a_bad_bagged_tree_document_raises_a_validation_error_naming_the_path(change, problem):
-    x, y = _bagging_problem(3)
-    document = BaggedTrees(n_trees=3, max_depth=2, seed=3).fit(x, y).to_dict()
-    change(document)
-    with pytest.raises(ValidationError) as caught:
-        BaggedTrees.from_dict(document)
-    assert str(caught.value).startswith(problem)
 
 
 def test_trees_grown_together_keep_their_own_depth():

@@ -193,19 +193,19 @@ def test_log_loss_cases():
 
 def test_reliability_confident_correct_predictions():
     diagram = uq.reliability_diagram([1.0] * 5, [1] * 5)
-    assert diagram.counts[-1] == 5
-    assert diagram.mean_confidence[-1] == pytest.approx(1.0)
-    assert diagram.observed_frequency[-1] == pytest.approx(1.0)
-    assert diagram.counts[:-1].sum() == 0
+    assert diagram["counts"][-1] == 5
+    assert diagram["mean_confidence"][-1] == pytest.approx(1.0)
+    assert diagram["observed_frequency"][-1] == pytest.approx(1.0)
+    assert sum(diagram["counts"][:-1]) == 0
 
 
 def test_reliability_overconfident_bin():
     probs = [0.85] * 20
     labels = [1] * 15 + [0] * 5
     diagram = uq.reliability_diagram(probs, labels)
-    assert diagram.mean_confidence[8] == pytest.approx(0.85)
-    assert diagram.observed_frequency[8] == pytest.approx(0.75)
-    assert diagram.mean_confidence[8] > diagram.observed_frequency[8]  # overconfident
+    assert diagram["mean_confidence"][8] == pytest.approx(0.85)
+    assert diagram["observed_frequency"][8] == pytest.approx(0.75)
+    assert diagram["mean_confidence"][8] > diagram["observed_frequency"][8]  # overconfident
 
 
 def test_reliability_matches_hand_counted_fixture():
@@ -213,19 +213,19 @@ def test_reliability_matches_hand_counted_fixture():
     probs = rng.uniform(size=100)
     labels = (rng.uniform(size=100) < probs).astype(int)
     diagram = uq.reliability_diagram(probs, labels, n_bins=10)
-    assert diagram.counts.sum() == 100
+    assert sum(diagram["counts"]) == 100
     for b in range(10):
         lo, hi = b / 10, (b + 1) / 10
         if b < 9:
             mask = (probs >= lo) & (probs < hi)
         else:
             mask = (probs >= lo) & (probs <= hi)
-        assert diagram.counts[b] == mask.sum()
+        assert diagram["counts"][b] == mask.sum()
         if mask.sum():
-            assert diagram.mean_confidence[b] == pytest.approx(probs[mask].mean())
-            assert diagram.observed_frequency[b] == pytest.approx(labels[mask].mean())
+            assert diagram["mean_confidence"][b] == pytest.approx(probs[mask].mean())
+            assert diagram["observed_frequency"][b] == pytest.approx(labels[mask].mean())
         else:
-            assert np.isnan(diagram.mean_confidence[b])
+            assert diagram["mean_confidence"][b] is None
 
 
 def test_reliability_validation():
@@ -239,7 +239,7 @@ def test_reliability_validation():
 
 def test_reliability_csv_shapes():
     diagram = uq.reliability_diagram([0.1, 0.9, 0.95], [0, 1, 1], n_bins=10)
-    text = uq.reliability_to_csv(diagram.to_dict())
+    text = uq.reliability_to_csv(diagram)
     assert len(text.strip().splitlines()) == 11
 
 
