@@ -2,8 +2,6 @@
 full-batch gradient descent, and greedy CART trees (classification and
 regression), plus a small bagged-tree ensemble used for learned error
 correction. All fits are deterministic given their inputs and seeds.
-READOUT_HYPER holds the hyper-parameters each kind takes, with the type and
-range each one needs.
 
 A fitted tree has one form, flat node arrays numbered breadth-first
 (_FlatTree): trees grow into them, route rows through them, and write and
