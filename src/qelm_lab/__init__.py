@@ -6,11 +6,9 @@ __version__ = "0.1.0"
 from .circuit import (  # noqa: F401
     Circuit,
     Gate,
-    append_gate,
     compose,
     fold_to_scale,
     from_text,
-    global_fold,
     inverse,
     to_text,
 )
@@ -27,7 +25,6 @@ from .simulator import (  # noqa: F401
     OutcomeDistribution,
     ShotCounts,
     StateVector,
-    expectation_z,
     measure_distribution,
     run_ideal,
     run_noisy,

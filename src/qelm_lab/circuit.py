@@ -149,12 +149,6 @@ def _check_gate(gate: Gate, n_qubits: int) -> None:
             )
 
 
-def append_gate(circuit: Circuit, gate: Gate) -> Circuit:
-    """Return a copy of ``circuit`` with ``gate`` appended."""
-    _check_gate(gate, circuit.n_qubits)
-    return Circuit(circuit.n_qubits, circuit.gates + (gate,))
-
-
 def compose(first: Circuit, second: Circuit) -> Circuit:
     """Concatenate two circuits over the same register."""
     if first.n_qubits != second.n_qubits:
@@ -167,17 +161,6 @@ def compose(first: Circuit, second: Circuit) -> Circuit:
 def inverse(circuit: Circuit) -> Circuit:
     """The adjoint circuit: gates reversed, each replaced by its adjoint."""
     return Circuit(circuit.n_qubits, tuple(g.adjoint() for g in reversed(circuit.gates)))
-
-
-def global_fold(circuit: Circuit, k: int) -> Circuit:
-    """Append k repetitions of (inverse(circuit), circuit).
-
-    The result has (2k + 1) times the original gate count and is ideally
-    equivalent to ``circuit`` because each appended pair is the identity.
-    """
-    if k < 0:
-        raise ValidationError(f"fold count must be non-negative, got {k}")
-    return fold_to_scale(circuit, 2 * k + 1)
 
 
 def fold_to_scale(circuit: Circuit, scale: float) -> Circuit:

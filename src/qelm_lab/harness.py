@@ -383,7 +383,7 @@ class ModelSpec:
         # checked here so that a bad setting fails the run, not every repeat
         if self.readout not in READOUT_KINDS:
             raise ValidationError(f"unknown readout kind {self.readout!r}")
-        read(READOUT_HYPER[self.readout], self.hyper_dict(), "readout_hyper")
+        read(READOUT_HYPER[self.readout], self.hyper_dict(), "model.readout_hyper")
         self.front(((0.0, 1.0),), 0)
 
     def hyper_dict(self) -> dict:
@@ -464,6 +464,8 @@ class ScenarioConfig:
             raise ValidationError(f"qlear.corpus: need at least 2 circuits, got {self.qlear_corpus}")
         if self.qlear_trees < 1:
             raise ValidationError(f"qlear.trees: need at least 1 tree, got {self.qlear_trees}")
+        if self.qlear_max_depth < 0:
+            raise ValidationError(f"qlear.max_depth: must not be negative, got {self.qlear_max_depth}")
         if self.jobs is not None and self.jobs < 1:  # None: one worker per repeat, up to the cores
             raise ValidationError(f"jobs: need at least 1 worker, got {self.jobs}")
         if self.scenario_id.startswith("C3") and self.uq is None:

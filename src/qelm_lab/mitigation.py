@@ -446,6 +446,3 @@ class MitigatedBackend:
 
     def programs_features(self, programs, angles, spec, seeds):
         return self.mitigator.programs_features(programs, angles, spec, self.profile, seeds)
-
-    def circuit_features(self, circuit, spec, seed):
-        return self.programs_features([circuit], None, spec, [seed])[0]

@@ -102,19 +102,6 @@ class NoiseProfile:
     def confusion_matrix(self, qubit: int) -> np.ndarray:
         return np.array(self.readout_confusion[qubit], dtype=float)
 
-    @property
-    def is_noiseless(self) -> bool:
-        if self.depol_1q > 0 or self.depol_2q > 0:
-            return False
-        if any(not np.allclose(self.confusion_matrix(q), np.eye(2)) for q in range(self.n_qubits)):
-            return False
-        for t in (self.gate_time_1q_us, self.gate_time_2q_us):
-            for q in range(self.n_qubits):
-                g, lam = relaxation_params(self, q, t)
-                if g > 0 or lam > 0:
-                    return False
-        return True
-
 
 @dataclass(frozen=True)
 class KrausChannel:

@@ -10,7 +10,7 @@ The reservoir is drawn once from its seed and never changes; training only
 fits the readout. A backend decides how circuits are executed; it is a
 ``key`` naming it plus ``programs_features(programs, angles, spec, seeds)``,
 which evolves programs for every row of an angle table (None: circuits,
-one row) together (``circuit_features(circuit, spec, seed)``: one circuit):
+one row) together:
 
     IdealBackend()            exact state-vector probabilities
     NoisyBackend(profile)     density-matrix evolution plus readout confusion,
@@ -22,11 +22,12 @@ feature_matrices computes the angles of the rows of several parts (inputs,
 base seed) in one step and hands them to the backend in one call (with a
 FeatureCache: the rows it lacks); feature_matrix is its one-part case, and
 grouped_feature_matrices makes one such call per distinct (front,
-backend.key), so a repeat walks its train and test rows together. train is
-feature_matrix then fit_model, which fits the readout to given features. A
-backend maps all rows' distributions to feature rows in one step
-(probabilities_features). Feature extraction per row is pure given (front,
-x, backend, seed), which makes results cacheable and runs replayable.
+backend.key), so a repeat walks its train and test rows together.
+fit_model fits the readout to a feature matrix, and apply_readout predicts
+from one. A backend maps all rows' distributions to feature rows in one
+step (probabilities_features). Feature extraction per row is pure given
+(front, x, backend, seed), which makes results cacheable and runs
+replayable.
 """
 
 from __future__ import annotations
@@ -261,9 +262,6 @@ class IdealBackend:
     def programs_features(self, programs: list[Circuit], angles, spec: FeatureMapSpec, seeds) -> np.ndarray:
         return probabilities_features(ideal_probabilities(programs, angles), spec, seeds)
 
-    def circuit_features(self, circuit: Circuit, spec: FeatureMapSpec, seed: int) -> np.ndarray:
-        return self.programs_features([circuit], None, spec, [seed])[0]
-
 
 class NoisyBackend:
     """Density-matrix execution under a noise profile, including readout
@@ -389,23 +387,6 @@ class QelmModel:
         return self.front.n_qubits
 
 
-def train(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    task: str,
-    front: QelmFront,
-    readout_kind: str,
-    backend,
-    seed: int = 0,
-    cache: FeatureCache | None = None,
-    readout_hyper: dict | None = None,
-) -> QelmModel:
-    """Extract features for every training row on ``backend`` and fit the
-    readout: feature_matrix, then fit_model."""
-    features = feature_matrix(front, inputs, backend, seed, cache)
-    return fit_model(features, targets, task, front, readout_kind, readout_hyper)
-
-
 def fit_model(
     features, targets, task: str, front: QelmFront, readout_kind: str, readout_hyper: dict | None = None
 ) -> QelmModel:
@@ -425,34 +406,13 @@ def fit_model(
 
 
 def apply_readout(model: QelmModel, features: np.ndarray):
-    """The predictions of ``model`` on a feature matrix; same shape
-    conventions as predict_batch."""
+    """The predictions of ``model`` on a feature matrix: a float per row for
+    regression; for classification, a label per row and the (rows, 2)
+    class probabilities."""
     if model.task == "regression":
         return model.readout.predict(features)
     probs = model.readout.predict_proba(features)
     return np.argmax(probs, axis=1), probs
-
-
-def predict(model: QelmModel, x: np.ndarray, backend, seed: int = 0):
-    """One prediction: a float for regression, (class, probability vector)
-    for classification."""
-    features = extract_features(model.front, x, backend, seed).reshape(1, -1)
-    if model.task == "regression":
-        return float(model.readout.predict(features)[0])
-    labels, probs = apply_readout(model, features)
-    return int(labels[0]), probs[0]
-
-
-def predict_batch(
-    model: QelmModel,
-    inputs: np.ndarray,
-    backend,
-    base_seed: int = 0,
-    cache: FeatureCache | None = None,
-):
-    """Predictions for every row; same shape conventions as predict."""
-    features = feature_matrix(model.front, inputs, backend, base_seed, cache)
-    return apply_readout(model, features)
 
 
 def with_reservoir_seed(front: QelmFront, seed: int) -> QelmFront:

@@ -389,6 +389,13 @@ def _stack_trees(trees: list[_FlatTree]) -> tuple[_FlatTree, np.ndarray]:
     return _FlatTree(feature, threshold, left + shift, right + shift, value, depth), roots
 
 
+def forest_values(trees: list[DecisionTree], features: np.ndarray) -> np.ndarray:
+    """The leaf value each fitted tree gives each row, the trees routing the
+    rows together as one forest: shape (trees, rows) + a leaf value's shape."""
+    forest, roots = _stack_trees([tree._flat for tree in trees])
+    return forest.value[forest.leaves(np.asarray(features, dtype=float), roots)]
+
+
 @dataclass
 class DecisionTree:
     task: str  # "classification" | "regression"

@@ -880,16 +880,6 @@ def z_expectations(probs: np.ndarray, qubit_sets: list[tuple[int, ...]]) -> np.n
     return np.stack(columns, axis=1)
 
 
-def expectation_z(dist: OutcomeDistribution, qubit: int) -> float:
-    """<Z_qubit> of the outcome distribution: +1 for bit 0, -1 for bit 1."""
-    return float(z_expectations(dist.vector[None], [(qubit,)])[0, 0])
-
-
-def expectation_zz(dist: OutcomeDistribution, q_a: int, q_b: int) -> float:
-    """<Z_a Z_b> of the outcome distribution."""
-    return float(z_expectations(dist.vector[None], [(q_a, q_b)])[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # helpers
 

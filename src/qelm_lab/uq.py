@@ -36,7 +36,7 @@ from .qelm import (
     grouped_feature_matrices,
     with_reservoir_seed,
 )
-from .readout import _stack_trees, fit_readouts
+from .readout import fit_readouts, forest_values
 from .rng import derive_seed, integers_per_seed
 
 
@@ -61,7 +61,7 @@ class PredictionDistribution:
             )
         if self.task == "classification":
             sums = self.samples.sum(axis=2)
-            if np.abs(sums - 1.0).max() > 1e-9:
+            if not np.all(np.abs(sums - 1.0) <= 1e-9):  # NaN sums fail too
                 raise ValidationError("classification samples must be probability vectors")
 
     @property
@@ -116,8 +116,7 @@ def bootstrap_distribution(
     samples = integers_per_seed([derive_seed(seed, "bootstrap", k) for k in range(b)], n, 0, n)
     refits = fit_readouts(train_features, targets, readout_kind, readout_hyper, samples)
     if readout_kind == "tree" and task == "classification":
-        forest, roots = _stack_trees([tree._flat for tree in refits])
-        per_refit = forest.value[forest.leaves(test_features, roots)]
+        per_refit = forest_values(refits, test_features)
     elif task == "regression":
         per_refit = [readout.predict(test_features) for readout in refits]
     else:
@@ -169,15 +168,10 @@ def ensemble_distribution(
 # ---------------------------------------------------------------------------
 # scoring rules
 
-def prediction_interval(samples, alpha: float) -> tuple[float, float]:
-    """Empirical (alpha/2, 1 - alpha/2) quantiles with linear interpolation
-    between order statistics."""
-    lo, hi = _intervals(np.asarray(samples, dtype=float).reshape(1, -1), alpha)[:, 0]
-    return float(lo), float(hi)
-
-
-def _intervals(samples: np.ndarray, alpha: float) -> np.ndarray:
-    """``prediction_interval`` of every row of ``samples``: shape (2, rows)."""
+def prediction_intervals(samples: np.ndarray, alpha: float) -> np.ndarray:
+    """The empirical (alpha/2, 1 - alpha/2) quantiles of every row of
+    ``samples``, with linear interpolation between order statistics:
+    shape (2, rows), the lower bounds first."""
     if samples.shape[1] < 2:
         raise InsufficientSamples("need at least 2 samples for an interval")
     if not 0.0 < alpha < 1.0:
@@ -185,15 +179,9 @@ def _intervals(samples: np.ndarray, alpha: float) -> np.ndarray:
     return np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], axis=1, method="linear")
 
 
-def crps(samples, y: float) -> float:
-    """Continuous ranked probability score of the empirical distribution:
-    crps_rows of one row."""
-    samples = np.asarray(samples, dtype=float).reshape(1, -1)
-    return float(crps_rows(samples, np.array([y], dtype=float))[0])
-
-
 def crps_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The CRPS of every row of ``samples`` against its entry of ``y``.
+    """The continuous ranked probability score of the empirical
+    distribution of every row of ``samples`` against its entry of ``y``.
 
     Uses the pair identity mean|x_i - y| - mean|x_i - x_j| / 2, which equals
     the integral of (F(z) - 1{y <= z})^2 for the empirical CDF F.
@@ -250,7 +238,7 @@ def reliability_diagram(probs, labels, n_bins: int = 10) -> dict:
         raise LengthMismatch(f"{len(probs)} probabilities vs {len(labels)} labels")
     if len(probs) == 0:
         raise EmptyInput("reliability diagram needs at least one prediction")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
         raise ValidationError("probabilities must lie in [0, 1]")
     idx = np.minimum((probs * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
@@ -315,7 +303,7 @@ def regression_uq_metrics(
         raise LengthMismatch(f"{dist.n_inputs} inputs vs {len(y_true)} targets")
     if not all(0.0 < tau < 1.0 for tau in tau_grid):
         raise ValidationError(f"tau_grid values must lie in (0, 1), got {tau_grid}")
-    bounds = _intervals(dist.samples, alpha).tolist()
+    bounds = prediction_intervals(dist.samples, alpha).tolist()
     quantiles = np.quantile(dist.samples, tau_grid, axis=1, method="linear").T.tolist()
     crps_vals = crps_rows(dist.samples, y_true)
     rows = []

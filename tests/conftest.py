@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
+from qelm_lab import qelm
 from qelm_lab.noise import NoiseProfile, zero_noise_profile
 
 
@@ -31,6 +32,18 @@ def make_depol_profile(p1q: float, p2q: float = 0.0, n_qubits: int = 4, name: st
         gate_time_2q_us=0.0,
         readout_confusion=(identity,) * n_qubits,
     )
+
+
+def fitted(inputs, targets, task, front, readout, backend, seed=0):
+    """The model whose readout is fitted to the features of ``inputs`` on
+    ``backend``: qelm.feature_matrix, then qelm.fit_model."""
+    features = qelm.feature_matrix(front, inputs, backend, seed)
+    return qelm.fit_model(features, targets, task, front, readout)
+
+
+def predictions(model, inputs, backend, base_seed=0):
+    """qelm.apply_readout on the feature matrix of ``inputs``."""
+    return qelm.apply_readout(model, qelm.feature_matrix(model.front, inputs, backend, base_seed))
 
 
 def random_gate_list(rng: np.random.Generator, n_qubits: int, n_gates: int):

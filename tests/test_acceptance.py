@@ -87,7 +87,8 @@ def test_criterion_03_crps_pair_formula_vs_integration():
             n = int(rng.integers(1, 21))
             samples = rng.normal(scale=rng.uniform(0.2, 4.0), size=n)
             y = float(rng.normal(scale=2.0))
-            assert abs(uq.crps(samples, y) - crps_by_integration(samples, y)) < 1e-6
+            crps = uq.crps_rows(samples[None], np.array([y]))[0]
+            assert abs(crps - crps_by_integration(samples, y)) < 1e-6
 
 
 def test_criterion_04_folding_soundness():

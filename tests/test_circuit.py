@@ -12,16 +12,16 @@ from conftest import circuits, random_gate_list
 
 def test_append_builds_entangling_pair():
     empty = circ.Circuit(2)
-    one = circ.append_gate(empty, circ.h(0))
+    one = circ.Circuit(2, empty.gates + (circ.h(0),))
     assert len(one.gates) == 1
-    pair = circ.append_gate(one, circ.cx(0, 1))
+    pair = circ.Circuit(2, one.gates + (circ.cx(0, 1),))
     assert len(pair.gates) == 2
     assert len(empty.gates) == 0  # inputs are untouched
 
 
 def test_append_rejects_out_of_range_target():
     with pytest.raises(InvalidTarget):
-        circ.append_gate(circ.Circuit(2), circ.cx(0, 5))
+        circ.Circuit(2, circ.Circuit(2).gates + (circ.cx(0, 5),))
 
 
 def test_gate_arity_is_checked():
@@ -59,13 +59,13 @@ def test_double_inverse_is_structural_identity():
 
 
 def test_global_fold_counts(bell):
-    assert circ.global_fold(bell, 0) == bell
-    assert len(circ.global_fold(bell, 1).gates) == 6
-    assert len(circ.global_fold(bell, 2).gates) == 10
+    assert circ.fold_to_scale(bell, 1) == bell
+    assert len(circ.fold_to_scale(bell, 3).gates) == 6
+    assert len(circ.fold_to_scale(bell, 5).gates) == 10
 
 
 def test_folded_bell_keeps_its_distribution(bell):
-    dist = measure_distribution(run_ideal(circ.global_fold(bell, 2)))
+    dist = measure_distribution(run_ideal(circ.fold_to_scale(bell, 5)))
     assert abs(dist.probabilities["00"] - 0.5) < 1e-10
     assert abs(dist.probabilities["11"] - 0.5) < 1e-10
     assert set(dist.probabilities) == {"00", "11"}
@@ -112,14 +112,18 @@ def _fold_each_scale_afresh(circuit: circ.Circuit, scale: float) -> circ.Circuit
     built anew for every scale."""
     if not circuit.gates:
         return circuit
+
+    def global_fold(k):  # the circuit, then k repetitions of (its inverse, it)
+        return circuit.gates + k * (circ.inverse(circuit).gates + circuit.gates)
+
     nearest = round(scale)
     if abs(scale - nearest) < 1e-9 and nearest % 2 == 1:
-        return circ.global_fold(circuit, (nearest - 1) // 2)
+        return circ.Circuit(circuit.n_qubits, global_fold((nearest - 1) // 2))
     s_odd = int(scale)
     if s_odd % 2 == 0:
         s_odd -= 1
     m = min(round((scale - s_odd) * len(circuit.gates) / 2.0), len(circuit.gates))
-    folded = circ.global_fold(circuit, (s_odd - 1) // 2).gates
+    folded = global_fold((s_odd - 1) // 2)
     tail = tuple(g for gate in folded[len(folded) - m :] for g in (gate, gate.adjoint(), gate))
     return circ.Circuit(circuit.n_qubits, folded[: len(folded) - m] + tail)
 

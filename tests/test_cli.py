@@ -264,7 +264,7 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
             },
             "readout_hyper.max_depht",
         ),
-        ({"model": {"readout_hyper": {"max_depth": 3}}}, "readout_hyper.max_depth"),
+        ({"model": {"readout_hyper": {"max_depth": 3}}}, "model.readout_hyper.max_depth"),
         ({"model": {"readout_hyper": {"ridge": -1.0}}}, "model.readout_hyper.ridge"),
         ({"model": {"readout_hyper": {"learning_rate": 0.0}}}, "model.readout_hyper.learning_rate"),
         ({"model": {"readout_hyper": {"learning_rate": -0.1}}}, "model.readout_hyper.learning_rate"),
@@ -295,6 +295,7 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
         ({"model": {"j_range": [float("-inf"), 1]}}, "model.j_range[0]"),
         ({"zne": {"scale_factors": [1, "3"]}}, "zne.scale_factors[1]"),
         ({"zne": {"scale_factors": [1, 3], "degre": 1}}, "zne.degre"),
+        ({"qlear": {"max_depth": -1}}, "qlear.max_depth"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])

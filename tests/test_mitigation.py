@@ -339,8 +339,8 @@ def test_qlear_improves_on_depolarizing_noise():
     fm = qelm.FeatureMapSpec("probabilities", 0)
     raw_err, corrected_err = [], []
     for c in fresh:
-        ideal = ideal_backend.circuit_features(c, fm, 0)
-        noisy = noisy_backend.circuit_features(c, fm, 0)
+        ideal = ideal_backend.programs_features([c], None, fm, [0])[0]
+        noisy = noisy_backend.programs_features([c], None, fm, [0])[0]
         corrected = mit.qlear_correct(model, noisy, mit.circuit_meta(c), profile)
         raw_err.append(np.abs(noisy - ideal).mean())
         corrected_err.append(np.abs(corrected - ideal).mean())
@@ -392,8 +392,9 @@ def test_mitigated_backend_keys_are_distinct():
 
 @pytest.mark.parametrize("shots", [0, 512])
 def test_feature_matrix_equals_a_row_by_row_loop(shots):
-    """The batched feature path against one circuit_features call per row,
-    byte for byte, on every backend; the rows include a duplicate."""
+    """The batched feature path against one programs_features call per row,
+    each on that row's circuit alone, byte for byte, on every backend; the
+    rows include a duplicate."""
     profile = bundled_profile("device-a")
     front = qelm.QelmFront(
         qelm.EncoderSpec(((0.0, 1.0),) * 3),
@@ -413,9 +414,9 @@ def test_feature_matrix_equals_a_row_by_row_loop(shots):
     )
     for backend in backends:
         rows = [
-            backend.circuit_features(
-                qelm.front_circuit(front, x), front.feature_map, derive_seed(9, "row", i)
-            )
+            backend.programs_features(
+                [qelm.front_circuit(front, x)], None, front.feature_map, [derive_seed(9, "row", i)]
+            )[0]
             for i, x in enumerate(inputs)
         ]
         batched = qelm.feature_matrix(front, inputs, backend, 9)

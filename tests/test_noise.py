@@ -119,7 +119,8 @@ def test_zero_noise_channel_is_identity():
     channel = noise.channel_for_gate(profile, circ.h(0))
     assert len(channel.operators) == 1
     assert np.allclose(channel.operators[0], np.eye(2))
-    assert profile.is_noiseless
+    assert noise.gate_noise_parts(profile, circ.h(0)) == []
+    assert noise.gate_noise_parts(profile, circ.cx(0, 1)) == []
 
 
 def test_depolarizing_kraus_decomposition():
@@ -216,7 +217,8 @@ def test_depolarizing_strength_is_monotone_in_tv_distance(bell):
 
 def test_resolve_profile_accepts_names_and_paths(tmp_path):
     assert noise.resolve_profile("device-b").name == "device-b"
-    assert noise.resolve_profile("zero-noise").is_noiseless
+    zero = noise.resolve_profile("zero-noise")
+    assert noise.gate_noise_parts(zero, circ.h(0)) == noise.gate_noise_parts(zero, circ.cx(0, 1)) == []
     path = tmp_path / "p.json"
     path.write_text(
         json.dumps(

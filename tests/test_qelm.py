@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qelm_lab import circuit as circ
 from qelm_lab import qelm
 from qelm_lab.errors import DimensionMismatch, ValidationError
 from qelm_lab.noise import bundled_profile, zero_noise_profile
 from qelm_lab.simulator import measure_distribution, run_ideal
 
-from conftest import circuits, make_depol_profile
+from conftest import circuits, fitted, make_depol_profile, predictions
 
 UNIT = ((0.0, 1.0),)
 
@@ -90,7 +89,7 @@ def test_probability_features_on_entangling_pair(bell):
     assert np.abs(feats - np.array([0.5, 0.0, 0.0, 0.5])).max() < 1e-12
     backend = qelm.IdealBackend()
     assert np.allclose(
-        backend.circuit_features(bell, qelm.FeatureMapSpec("probabilities"), 0), feats
+        backend.programs_features([bell], None, qelm.FeatureMapSpec("probabilities"), [0])[0], feats
     )
 
 
@@ -117,8 +116,8 @@ def test_ideal_and_zero_noise_backends_agree():
 @given(circuit=circuits(), kind=st.sampled_from(qelm.FEATURE_MAP_KINDS))
 def test_zero_noise_backend_matches_the_ideal_backend(circuit, kind):
     spec = qelm.FeatureMapSpec(kind, shots=0)
-    ideal = qelm.IdealBackend().circuit_features(circuit, spec, 0)
-    noisy = qelm.NoisyBackend(zero_noise_profile(4)).circuit_features(circuit, spec, 0)
+    ideal = qelm.IdealBackend().programs_features([circuit], None, spec, [0])[0]
+    noisy = qelm.NoisyBackend(zero_noise_profile(4)).programs_features([circuit], None, spec, [0])[0]
     assert ideal.shape == noisy.shape
     assert np.abs(ideal - noisy).max() <= 1e-12
 
@@ -165,8 +164,8 @@ def _front(n_qubits, seed=11, shots=0):
 def test_train_beats_constant_predictor_on_linear_fixture():
     x_train, y_train, x_test, y_test = _linear_fixture()
     backend = qelm.IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
-    preds = qelm.predict_batch(model, x_test, backend, 3)
+    model = fitted(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
+    preds = predictions(model, x_test, backend, 3)
     mse = float(np.mean((preds - y_test) ** 2))
     const = float(np.mean((y_train.mean() - y_test) ** 2))
     assert mse * 2.0 <= const
@@ -179,8 +178,8 @@ def test_classification_accuracy_on_separable_fixture():
     centers = np.where(y[:, None] == 0, 0.25, 0.75)
     x = np.clip(centers + rng.uniform(-0.1, 0.1, size=(n, 4)), 0.0, 1.0)
     backend = qelm.IdealBackend()
-    model = qelm.train(x[:56], y[:56], "classification", _front(4), "tree", backend, seed=5)
-    labels, probs = qelm.predict_batch(model, x[56:], backend, 6)
+    model = fitted(x[:56], y[:56], "classification", _front(4), "tree", backend, seed=5)
+    labels, probs = predictions(model, x[56:], backend, 6)
     assert np.mean(labels == y[56:]) >= 0.9
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
     assert np.array_equal(labels, np.argmax(probs, axis=1))
@@ -188,28 +187,28 @@ def test_classification_accuracy_on_separable_fixture():
 
 def test_predict_rejects_wrong_dimension():
     x_train, y_train, _, _ = _linear_fixture(40)
-    model = qelm.train(
+    model = fitted(
         x_train, y_train, "regression", _front(3), "linear", qelm.IdealBackend(), seed=2
     )
     with pytest.raises(DimensionMismatch):
-        qelm.predict(model, np.zeros(4), qelm.IdealBackend())
+        predictions(model, np.zeros((1, 4)), qelm.IdealBackend())
 
 
 def test_training_leaves_reservoir_untouched():
     front = _front(3)
     before = qelm.build_reservoir(front.reservoir)
     x_train, y_train, _, _ = _linear_fixture(40)
-    qelm.train(x_train, y_train, "regression", front, "linear", qelm.IdealBackend(), seed=2)
+    fitted(x_train, y_train, "regression", front, "linear", qelm.IdealBackend(), seed=2)
     assert qelm.build_reservoir(front.reservoir) == before
 
 
 def test_exact_features_make_training_deterministic():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()
-    m1 = qelm.train(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
-    m2 = qelm.train(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
+    m1 = fitted(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
+    m2 = fitted(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
     assert np.array_equal(
-        qelm.predict_batch(m1, x_test, backend, 3), qelm.predict_batch(m2, x_test, backend, 3)
+        predictions(m1, x_test, backend, 3), predictions(m2, x_test, backend, 3)
     )
 
 
@@ -282,12 +281,12 @@ def test_sampled_features_depend_only_on_seed_and_row():
 def test_model_json_round_trip():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
+    model = fitted(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
     clone = qelm.model_from_dict(qelm.model_to_dict(model))
     assert clone.front == model.front
     assert np.allclose(
-        qelm.predict_batch(model, x_test, backend, 3),
-        qelm.predict_batch(clone, x_test, backend, 3),
+        predictions(model, x_test, backend, 3),
+        predictions(clone, x_test, backend, 3),
     )
 
 
@@ -300,13 +299,13 @@ def test_saved_models_load_and_predict_identically(tmp_path):
         ("classification", y_cls, "logistic"),
         ("classification", y_cls, "tree"),
     ):
-        model = qelm.train(x_train, targets, task, _front(3), readout, backend, seed=2)
+        model = fitted(x_train, targets, task, _front(3), readout, backend, seed=2)
         path = tmp_path / f"{task}-{readout}.json"
         qelm.save_model(model, path)
         loaded = qelm.load_model(path)
         assert loaded.front == model.front and loaded.readout_kind == readout
-        want = qelm.predict_batch(model, x_test, backend, 3)
-        got = qelm.predict_batch(loaded, x_test, backend, 3)
+        want = predictions(model, x_test, backend, 3)
+        got = predictions(loaded, x_test, backend, 3)
         if task == "regression":
             assert np.array_equal(got, want)
         else:
@@ -326,7 +325,7 @@ def test_saved_models_load_and_predict_identically(tmp_path):
 )
 def test_a_bad_model_document_raises_a_validation_error_naming_the_key(mutate, problem):
     x_train, y_train, _, _ = _linear_fixture(20)
-    model = qelm.train(x_train, y_train, "regression", _front(3), "linear", qelm.IdealBackend(), seed=2)
+    model = fitted(x_train, y_train, "regression", _front(3), "linear", qelm.IdealBackend(), seed=2)
     document = json.loads(json.dumps(qelm.model_to_dict(model)))
     document = mutate(document) or document
     with pytest.raises(ValidationError, match=f"^{problem}"):
@@ -336,7 +335,7 @@ def test_a_bad_model_document_raises_a_validation_error_naming_the_key(mutate, p
 def test_a_tree_model_document_has_its_keys_checked():
     x_train, y_train, _, _ = _linear_fixture(20)
     y_cls = (y_train > y_train.mean()).astype(float)
-    model = qelm.train(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
+    model = fitted(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
     document = json.loads(json.dumps(qelm.model_to_dict(model)))
     assert qelm.model_to_dict(qelm.model_from_dict(document)) == document
     document["readout"]["max_depth"] = 2.5
@@ -362,7 +361,7 @@ def test_a_bad_tree_node_raises_a_validation_error_naming_its_path(mutate, probl
     predict time) IndexError."""
     x_train, y_train, _, _ = _linear_fixture(20)
     y_cls = (y_train > y_train.mean()).astype(float)
-    model = qelm.train(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
+    model = fitted(x_train, y_cls, "classification", _front(3), "tree", qelm.IdealBackend(), seed=2)
     document = json.loads(json.dumps(qelm.model_to_dict(model)))
     root = document["readout"]["root"]
     assert "feature" in root and model.front.n_features == 8
@@ -378,7 +377,7 @@ def test_a_readout_without_one_weight_per_feature_does_not_load(tmp_path, task, 
     predict time."""
     x_train, y_train, _, _ = _linear_fixture(20)
     targets = y_train if task == "regression" else (y_train > y_train.mean()).astype(float)
-    model = qelm.train(x_train, targets, task, _front(3), readout, qelm.IdealBackend(), seed=2)
+    model = fitted(x_train, targets, task, _front(3), readout, qelm.IdealBackend(), seed=2)
     document = qelm.model_to_dict(model)
     assert len(document["readout"]["weights"]) == model.front.n_features == 8
     document["readout"]["weights"] = document["readout"]["weights"][:2]
@@ -391,14 +390,15 @@ def test_a_readout_without_one_weight_per_feature_does_not_load(tmp_path, task, 
 def test_single_prediction_shapes():
     x_train, y_train, x_test, _ = _linear_fixture(40)
     backend = qelm.IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
-    assert isinstance(qelm.predict(model, x_test[0], backend), float)
+    model = fitted(x_train, y_train, "regression", _front(3), "linear", backend, seed=2)
+    preds = predictions(model, x_test[:1], backend)
+    assert preds.shape == (1,) and isinstance(preds[0], float)
     y_cls = (y_train > y_train.mean()).astype(float)
-    cls = qelm.train(x_train, y_cls, "classification", _front(3), "logistic", backend, seed=2)
-    label, probs = qelm.predict(cls, x_test[0], backend)
-    assert label in (0, 1)
-    assert probs.shape == (2,)
-    assert probs.sum() == pytest.approx(1.0)
+    cls = fitted(x_train, y_cls, "classification", _front(3), "logistic", backend, seed=2)
+    labels, probs = predictions(cls, x_test[:1], backend)
+    assert labels[0] in (0, 1)
+    assert probs[0].shape == (2,)
+    assert probs[0].sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("cached", [False, True])

@@ -153,15 +153,14 @@ def test_sample_requires_positive_shots():
 
 
 def test_expectation_z_cases(bell):
-    point = sim.OutcomeDistribution(1, np.array([1.0, 0.0]))
-    assert sim.expectation_z(point, 0) == pytest.approx(1.0)
-    uniform = sim.OutcomeDistribution(1, np.array([0.5, 0.5]))
-    assert sim.expectation_z(uniform, 0) == pytest.approx(0.0)
-    bell_dist = sim.measure_distribution(sim.run_ideal(bell))
-    assert sim.expectation_z(bell_dist, 0) == pytest.approx(0.0)
-    assert sim.expectation_zz(bell_dist, 0, 1) == pytest.approx(1.0)
+    point = np.array([[1.0, 0.0]])
+    assert sim.z_expectations(point, [(0,)])[0, 0] == pytest.approx(1.0)
+    uniform = np.array([[0.5, 0.5]])
+    assert sim.z_expectations(uniform, [(0,)])[0, 0] == pytest.approx(0.0)
+    bell_probs = sim.measure_distribution(sim.run_ideal(bell)).vector[None]
+    assert sim.z_expectations(bell_probs, [(0,), (0, 1)])[0].tolist() == pytest.approx([0.0, 1.0])
     with pytest.raises(InvalidTarget):
-        sim.expectation_z(bell_dist, 2)
+        sim.z_expectations(bell_probs, [(2,)])
 
 
 def test_state_invariants_are_enforced():
@@ -683,10 +682,11 @@ def test_expectations_read_cached_signs_bit_identically():
         idx = np.arange(2**n)
         signs = [1.0 - 2.0 * ((idx >> (n - 1 - q)) & 1) for q in range(n)]
         for a in range(n):
-            assert sim.expectation_z(dist, a) == float(np.sum(dist.vector * signs[a]))
+            got = sim.z_expectations(dist.vector[None], [(a,)])[0, 0]
+            assert got == float(np.sum(dist.vector * signs[a]))
             for b in range(n):
                 want = float(np.sum(dist.vector * signs[a] * signs[b]))
-                assert sim.expectation_zz(dist, a, b) == want
+                assert sim.z_expectations(dist.vector[None], [(a, b)])[0, 0] == want
     cached = sim._z_signs(3, 2)
     assert cached is sim._z_signs(3, 2) and not cached.flags.writeable
 

@@ -18,6 +18,7 @@ from qelm_lab.qelm import FeatureCache, IdealBackend
 from qelm_lab.readout import fit_readout
 from qelm_lab.rng import Rng, derive_seed
 
+from conftest import fitted, predictions
 
 def crps_by_integration(samples, y):
     """Independent oracle: integrate (F(z) - 1{y <= z})^2 piecewise, where F
@@ -38,11 +39,11 @@ def crps_by_integration(samples, y):
 # scoring rules
 
 def test_interval_of_constant_samples_is_degenerate():
-    assert uq.prediction_interval([5.0] * 10, 0.05) == (5.0, 5.0)
+    assert uq.prediction_intervals(np.array([[5.0] * 10]), 0.05).tolist() == [[5.0], [5.0]]
 
 
 def test_interval_interpolates_order_statistics():
-    lo, hi = uq.prediction_interval(np.arange(1.0, 101.0), 0.05)
+    (lo,), (hi,) = uq.prediction_intervals(np.arange(1.0, 101.0)[None], 0.05)
     assert lo == pytest.approx(3.475)
     assert hi == pytest.approx(97.525)
 
@@ -54,7 +55,7 @@ def test_interval_coverage_narrative_case():
 
 def test_interval_requires_two_samples():
     with pytest.raises(InsufficientSamples):
-        uq.prediction_interval([1.0], 0.05)
+        uq.prediction_intervals(np.array([[1.0]]), 0.05)
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,18 +66,18 @@ def test_interval_requires_two_samples():
 )
 def test_interval_is_monotone_in_alpha(data, a1, a2):
     small, large = sorted((a1, a2))
-    lo_s, hi_s = uq.prediction_interval(data, small)
-    lo_l, hi_l = uq.prediction_interval(data, large)
+    (lo_s,), (hi_s,) = uq.prediction_intervals(np.array([data]), small)
+    (lo_l,), (hi_l,) = uq.prediction_intervals(np.array([data]), large)
     assert lo_s <= lo_l + 1e-12
     assert hi_s >= hi_l - 1e-12
 
 
 def test_crps_zero_when_samples_match_outcome():
-    assert uq.crps([4.2] * 8, 4.2) == pytest.approx(0.0)
+    assert uq.crps_rows(np.array([[4.2] * 8]), np.array([4.2]))[0] == pytest.approx(0.0)
 
 
 def test_crps_two_point_case_matches_integration():
-    assert uq.crps([0.0, 2.0], 1.0) == pytest.approx(0.5)
+    assert uq.crps_rows(np.array([[0.0, 2.0]]), np.array([1.0]))[0] == pytest.approx(0.5)
     assert crps_by_integration([0.0, 2.0], 1.0) == pytest.approx(0.5)
 
 
@@ -100,7 +101,7 @@ def _former_crps(samples, y):
 )
 def test_crps_rows_equals_crps_row_by_row(rows, n, decade, seed, ties):
     """The stacked CRPS of a batch has the bits of the one-row formula on
-    each row alone, and crps is its one-row case."""
+    each row alone, and a one-row slice scores as that row of the batch."""
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(rows, n)) * 10.0**decade
     if ties:
@@ -109,7 +110,7 @@ def test_crps_rows_equals_crps_row_by_row(rows, n, decade, seed, ties):
     got = uq.crps_rows(samples, y)
     want = np.array([_former_crps(row, target) for row, target in zip(samples, y)])
     assert got.tobytes() == want.tobytes()
-    assert uq.crps(samples[0], y[0]) == want[0]
+    assert uq.crps_rows(samples[:1], y[:1])[0] == want[0]
 
 
 def test_crps_pair_formula_equals_integration_oracle():
@@ -118,7 +119,7 @@ def test_crps_pair_formula_equals_integration_oracle():
         n = int(rng.integers(1, 21))
         samples = rng.normal(scale=rng.uniform(0.5, 3.0), size=n)
         y = float(rng.normal())
-        assert uq.crps(samples, y) == pytest.approx(
+        assert uq.crps_rows(samples[None], np.array([y]))[0] == pytest.approx(
             crps_by_integration(samples, y), abs=1e-6
         )
 
@@ -237,6 +238,16 @@ def test_reliability_validation():
         uq.reliability_diagram([], [])
 
 
+def test_reliability_rejects_a_nan_probability():
+    with pytest.raises(ValidationError, match="probabilities must lie in"):
+        uq.reliability_diagram([np.nan, 0.5], [1, 0])
+
+
+def test_a_nan_class_probability_is_not_a_probability_vector():
+    with pytest.raises(ValidationError, match="must be probability vectors"):
+        uq.PredictionDistribution("classification", [[[np.nan, np.nan]]], ("bootstrap", 1))
+
+
 def test_reliability_csv_shapes():
     diagram = uq.reliability_diagram([0.1, 0.9, 0.95], [0, 1, 1], n_bins=10)
     text = uq.reliability_to_csv(diagram)
@@ -268,7 +279,7 @@ def test_bootstrap_degenerate_training_set_collapses():
         qelm.FeatureMapSpec("probabilities", 0),
     )
     backend = IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
+    model = fitted(x_train, y_train, "regression", front, "linear", backend, seed=1)
     dist = uq.bootstrap_distribution(
         model.front, model.readout_kind, model.task, x_train, y_train, np.array([[0.2, 0.9]]), backend, backend,
         b=16, seed=4,
@@ -279,7 +290,7 @@ def test_bootstrap_degenerate_training_set_collapses():
 def test_bootstrap_is_seeded_and_spreads():
     x_train, y_train, x_test, _, front = _tiny_setup()
     backend = IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
+    model = fitted(x_train, y_train, "regression", front, "linear", backend, seed=1)
     kwargs = dict(train_backend=backend, test_backend=backend, b=100, train_seed=1, test_seed=2)
     parts = (model.front, model.readout_kind, model.task)
     d1 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=9, **kwargs)
@@ -294,7 +305,7 @@ def test_bootstrap_is_seeded_and_spreads():
 def test_bootstrap_requires_two_resamples():
     x_train, y_train, x_test, _, front = _tiny_setup()
     backend = IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
+    model = fitted(x_train, y_train, "regression", front, "linear", backend, seed=1)
     with pytest.raises(InsufficientMembers):
         uq.bootstrap_distribution(
             model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=1
@@ -319,8 +330,8 @@ def test_ensemble_member_i_is_the_model_of_reservoir_seed_member_i():
     )
     for i in range(3):
         member_front = qelm.with_reservoir_seed(front, derive_seed(11, "member", i))
-        model = qelm.train(x_train, y_train, "regression", member_front, "linear", backend, seed=2)
-        want = qelm.predict_batch(model, x_test, backend, 3)
+        model = fitted(x_train, y_train, "regression", member_front, "linear", backend, seed=2)
+        want = predictions(model, x_test, backend, 3)
         assert dist.samples[:, i].tobytes() == want.tobytes()
     assert not np.array_equal(dist.samples[:, 0], dist.samples[:, 1])
 
@@ -364,7 +375,7 @@ def test_classification_distribution_and_metrics():
     )
     backend = IdealBackend()
     split = 28
-    model = qelm.train(x[:split], y[:split], "classification", front, "logistic", backend, seed=1)
+    model = fitted(x[:split], y[:split], "classification", front, "logistic", backend, seed=1)
     dist = uq.bootstrap_distribution(
         model.front, model.readout_kind, model.task, x[:split], y[:split], x[split:], backend, backend, b=25, seed=3
     )
@@ -398,7 +409,7 @@ def test_bootstrap_refits_keep_the_bits_of_one_readout_per_resample(task, readou
 def test_regression_metrics_summary_fields():
     x_train, y_train, x_test, y_test, front = _tiny_setup()
     backend = IdealBackend()
-    model = qelm.train(x_train, y_train, "regression", front, "linear", backend, seed=1)
+    model = fitted(x_train, y_train, "regression", front, "linear", backend, seed=1)
     dist = uq.bootstrap_distribution(
         model.front, model.readout_kind, model.task, x_train, y_train, x_test, backend, backend, b=50, seed=3
     )
@@ -435,7 +446,7 @@ def _per_row_metrics(samples, y_true, alpha, tau_grid):
                 "covered": bool(lo <= y <= hi),
             }
         )
-        crps_vals.append(uq.crps(samples[i], y))
+        crps_vals.append(uq.crps_rows(samples[i : i + 1], np.array([y]))[0])
         cs_vals.append(float(np.mean([uq.check_score(y, q, t) for q, t in zip(taus, tau_grid)])))
         is_vals.append(uq.interval_score(y, lo, hi, alpha))
     return {
