@@ -21,10 +21,14 @@ import numpy as np
 from . import circuit as circ
 from .errors import ParseError, QelmLabError, UsageError, ValidationError
 from .harness import (
+    DATASET_KEYS,
     DATASET_KINDS,
     MITIGATOR_KINDS,
+    MODEL_SPEC_KEYS,
     RESULTS_KEYS,
     SCENARIO_IDS,
+    SCENARIO_KEYS,
+    UQ_KEYS,
     UQ_METHODS,
     Dataset,
     ModelSpec,
@@ -51,7 +55,7 @@ from .qelm import (
     fit_model,
     save_model,
 )
-from .readout import HYPER_KEYS, READOUT_KINDS, check_readout_task
+from .readout import READOUT_KINDS, check_readout_task
 from .schema import Opt, file_text, read
 from .simulator import DENSITY_QUBIT_CAP, IDEAL_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
 
@@ -61,32 +65,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# The run config of scenario and uq. A missing model key takes its value from
-# default_model_spec for the dataset, a missing zne or uq key the ZneConfig or
-# UqSpec default.
+# The run config of scenario and uq, from the descriptions its types check
+# themselves against. A missing model key takes the value of the dataset's
+# default_model_spec, a missing zne or uq key the ZneConfig or UqSpec default.
 RUN_CONFIG = {
-    "scenario": Opt(str, "C1_1"),
+    **SCENARIO_KEYS,
     "profile": Opt(str, None),
-    "dataset": Opt(
-        {"kind": Opt(str, "regression3"), "size": Opt(int, 120), "seed": Opt(int, 7),
-         "noise_level": Opt(float, 0.1)},
-        {},
-    ),
-    "model": Opt(
-        {"reservoir_style": Opt(str), "layers": Opt(int), "trotter_steps": Opt(int),
-         "evolution_time": Opt(float), "j_range": Opt((float, float)), "h_range": Opt((float, float)),
-         "feature_map": Opt(str), "shots": Opt(int), "readout": Opt(str), "entangle": Opt(bool),
-         "readout_hyper": Opt(HYPER_KEYS)},
-        {},
-    ),
-    "mitigator": Opt(str, None),
+    "dataset": Opt(DATASET_KEYS, {}),
+    "model": Opt(MODEL_SPEC_KEYS, {}),
     "zne": Opt(ZNE_KEYS, None),
-    "qlear": Opt({"corpus": Opt(int, 24), "trees": Opt(int, 20), "max_depth": Opt(int, 6)}, {}),
-    "uq": Opt({"method": Opt(str, "bootstrap"), "samples": Opt(int)}, None),
-    "repeats": Opt(int, 10),
-    "seed": Opt(int, 0),
+    "uq": Opt(UQ_KEYS, None),
     "out": Opt(str, "out"),
-    "jobs": Opt(int, None),
 }
 
 
@@ -143,8 +132,7 @@ def merge_run_config(args: argparse.Namespace, **fallback) -> dict:
 def run_inputs(
     config: dict, scenario_id: str | None = None
 ) -> tuple[ScenarioConfig, Dataset, ModelSpec]:
-    """The harness inputs of a run config from merge_run_config; the rules
-    on its values are checked by the harness types."""
+    """The harness inputs of a run config from merge_run_config."""
     if config["profile"] is None:
         raise UsageError("profile: required for noisy or mitigated scenarios")
     d, q = config["dataset"], config["qlear"]
@@ -185,6 +173,8 @@ def _check_circuit_width(circuit, profile) -> None:
 # subcommands
 
 def _cmd_simulate(args) -> int:
+    if args.shots < 0:
+        raise UsageError(f"--shots: must not be negative, got {args.shots}")
     if args.circuit:
         text = file_text(args.circuit)
     else:

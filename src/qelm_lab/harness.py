@@ -22,7 +22,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,9 @@ from .mitigation import (
 )
 from .noise import NoiseProfile
 from .qelm import (
+    ENCODER_KEYS,
+    FEATURE_MAP_KEYS,
+    RESERVOIR_KEYS,
     EncoderSpec,
     FeatureCache,
     FeatureMapSpec,
@@ -51,9 +54,9 @@ from .qelm import (
     fit_model,
     grouped_feature_matrices,
 )
-from .readout import READOUT_HYPER, READOUT_KINDS, check_readout_task
+from .readout import HYPER_KEYS, READOUT_HYPER, READOUT_KIND, TASK, check_readout_task
 from .rng import Rng, derive_seed
-from .schema import Either, Opt, Rule, file_text, read
+from .schema import Either, Opt, Rule, at_least, file_text, one_of, read
 from .svg import render_box_plot, render_interval_chart, render_reliability_chart
 from .uq import (
     bootstrap_distribution,
@@ -98,8 +101,7 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.targets = np.asarray(self.targets, dtype=float)
-        if self.task not in ("regression", "classification"):
-            raise ValidationError(f"unknown task {self.task!r}")
+        read(TASK, self.task, "task")
         if len(self.features) != len(self.targets):
             raise ValidationError("feature rows must match target count")
         if self.task == "classification" and not np.all(np.isin(self.targets, (0.0, 1.0))):
@@ -133,6 +135,15 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n_train]), np.sort(perm[n_train:])
 
 
+# a run config's dataset section, the arguments of generate_dataset
+DATASET_KEYS = {
+    "kind": Opt(one_of(DATASET_KINDS), "regression3"),
+    "size": Opt(Rule(int, lambda n: 20 <= n <= MAX_SAMPLES, f"must lie in [20, {MAX_SAMPLES}]"), 120),
+    "seed": Opt(int, 7),
+    "noise_level": Opt(at_least(0.0, float), 0.1),
+}
+
+
 def generate_dataset(kind: str, n_samples: int, seed: int, noise_level: float = 0.1) -> Dataset:
     """Deterministic synthetic tasks with 3, 4, or 8 features.
 
@@ -142,12 +153,7 @@ def generate_dataset(kind: str, n_samples: int, seed: int, noise_level: float = 
                       noise_level
     """
     noise_level = float(noise_level)
-    if kind not in DATASET_KINDS:
-        raise ValidationError(f"dataset.kind: unknown dataset kind {kind!r}")
-    if not 20 <= n_samples <= MAX_SAMPLES:
-        raise ValidationError(f"dataset.size: need at least 20 samples, at most {MAX_SAMPLES}, got {n_samples}")
-    if noise_level < 0:
-        raise ValidationError("dataset.noise_level: must be non-negative")
+    read(DATASET_KEYS, {"kind": kind, "size": n_samples, "seed": seed, "noise_level": noise_level}, "dataset")
     rng = Rng(derive_seed(seed, kind))
     if kind == "regression3":
         x = rng.uniforms(3 * n_samples).reshape(n_samples, 3)
@@ -344,18 +350,20 @@ class UqSpec:
     samples: int = 0  # 0 picks the method default (100 / 30)
 
     def __post_init__(self):
-        if self.method not in UQ_METHODS:
-            raise ValidationError(f"unknown uq method {self.method!r}")
-        if self.samples < 0 or self.samples == 1:
-            raise ValidationError(
-                f"uq.samples: need 0 (the method default) or at least 2, got {self.samples}"
-            )
+        read(UQ_KEYS, vars(self), "uq")
 
     @property
     def resolved_samples(self) -> int:
         if self.samples:
             return self.samples
         return 100 if self.method == "bootstrap" else 30
+
+
+# a run config's uq section; the uq subcommand reads a missing one as {"samples": 0}
+UQ_KEYS = {
+    "method": Opt(one_of(UQ_METHODS), "bootstrap"),
+    "samples": Opt(Rule(int, lambda n: n == 0 or n >= 2, "must be 0 (the method default) or at least 2")),
+}
 
 
 @dataclass(frozen=True)
@@ -380,11 +388,10 @@ class ModelSpec:
         object.__setattr__(self, "j_range", tuple(self.j_range))
         object.__setattr__(self, "h_range", tuple(self.h_range))
         object.__setattr__(self, "readout_hyper", tuple(sorted(dict(self.readout_hyper).items())))
-        # checked here so that a bad setting fails the run, not every repeat
-        if self.readout not in READOUT_KINDS:
-            raise ValidationError(f"unknown readout kind {self.readout!r}")
-        read(READOUT_HYPER[self.readout], self.hyper_dict(), "model.readout_hyper")
-        self.front(((0.0, 1.0),), 0)
+        # checked here so that a bad setting fails the run, not every repeat;
+        # the readout_hyper keys are those of the chosen readout
+        hyper = Opt(READOUT_HYPER.get(self.readout, HYPER_KEYS))
+        read({**MODEL_SPEC_KEYS, "readout_hyper": hyper}, self.to_dict(), "model")
 
     def hyper_dict(self) -> dict:
         return dict(self.readout_hyper)
@@ -401,7 +408,17 @@ class ModelSpec:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "readout_hyper": self.hyper_dict()}
+        return {**vars(self), "readout_hyper": self.hyper_dict()}
+
+
+# a run config's model section, with the rules of the front specs' documents;
+# a missing key takes the value of the dataset's default model
+MODEL_SPEC_KEYS = {key: Opt(slot) for key, slot in {
+    "reservoir_style": RESERVOIR_KEYS["style"], "evolution_time": RESERVOIR_KEYS["time"],
+    **{key: RESERVOIR_KEYS[key] for key in ("layers", "trotter_steps", "j_range", "h_range")},
+    "feature_map": FEATURE_MAP_KEYS["kind"], "shots": FEATURE_MAP_KEYS["shots"], "readout": READOUT_KIND,
+    "entangle": ENCODER_KEYS["entangle"], "readout_hyper": HYPER_KEYS,
+}.items()}
 
 
 def default_model_spec(dataset: Dataset, shots: int = 0) -> ModelSpec:
@@ -445,35 +462,45 @@ class ScenarioConfig:
     jobs: int | None = None
 
     def __post_init__(self):
-        if self.scenario_id not in SCENARIO_IDS:
-            raise ValidationError(f"unknown scenario id {self.scenario_id!r}")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be at least 1")
-        mitigated = "mitigated" in SCENARIO_BACKENDS[self.scenario_id]
-        if mitigated and self.mitigator is None:
-            raise ValidationError(
-                f"scenario {self.scenario_id} uses a mitigated backend; set mitigator"
-            )
-        if not mitigated and self.mitigator is not None:
-            raise ValidationError(
-                f"scenario {self.scenario_id} has no mitigated backend; drop mitigator"
-            )
-        if self.mitigator is not None and self.mitigator not in MITIGATOR_KINDS:
-            raise ValidationError(f"unknown mitigator {self.mitigator!r}")
-        if self.qlear_corpus < 2:  # one circuit to train on, one to hold out
-            raise ValidationError(f"qlear.corpus: need at least 2 circuits, got {self.qlear_corpus}")
-        if self.qlear_trees < 1:
-            raise ValidationError(f"qlear.trees: need at least 1 tree, got {self.qlear_trees}")
-        if self.qlear_max_depth < 0:
-            raise ValidationError(f"qlear.max_depth: must not be negative, got {self.qlear_max_depth}")
-        if self.jobs is not None and self.jobs < 1:  # None: one worker per repeat, up to the cores
-            raise ValidationError(f"jobs: need at least 1 worker, got {self.jobs}")
-        if self.scenario_id.startswith("C3") and self.uq is None:
-            raise ValidationError(f"scenario {self.scenario_id} requires a uq setting")
+        qlear = {"corpus": self.qlear_corpus, "trees": self.qlear_trees, "max_depth": self.qlear_max_depth}
+        read(SCENARIO_KEYS, {"scenario": self.scenario_id, "repeats": self.repeats, "seed": self.seed,
+                             "mitigator": self.mitigator, "qlear": qlear, "jobs": self.jobs})
+        _check_mitigator(self)
+        _check_uq(self)
 
     @property
     def backend_pair(self) -> tuple[str, str]:
         return SCENARIO_BACKENDS[self.scenario_id]
+
+
+# a run config's keys of a ScenarioConfig, with its fields' defaults (a run's scenario is C1_1)
+SCENARIO_KEYS = {
+    "scenario": Opt(one_of(SCENARIO_IDS), "C1_1"),
+    "repeats": Opt(at_least(1), ScenarioConfig.repeats),
+    "seed": Opt(int, ScenarioConfig.seed),
+    "mitigator": Opt(one_of(MITIGATOR_KINDS), None),
+    "qlear": Opt({  # a corpus needs one circuit to train on and one to hold out
+        "corpus": Opt(at_least(2), ScenarioConfig.qlear_corpus),
+        "trees": Opt(at_least(1), ScenarioConfig.qlear_trees),
+        "max_depth": Opt(at_least(0), ScenarioConfig.qlear_max_depth),
+    }, {}),
+    "jobs": Opt(at_least(1), None),  # None: one worker per repeat, up to the cores
+}
+
+
+def _check_mitigator(config: ScenarioConfig) -> None:
+    """A scenario has a mitigator exactly when one of its backends is mitigated."""
+    scenario, mitigator = config.scenario_id, config.mitigator
+    if "mitigated" in config.backend_pair and mitigator is None:
+        raise ValidationError(f"mitigator: required, scenario {scenario} uses a mitigated backend")
+    if "mitigated" not in config.backend_pair and mitigator is not None:
+        raise ValidationError(f"mitigator: scenario {scenario} has no mitigated backend, got {mitigator!r}")
+
+
+def _check_uq(config: ScenarioConfig) -> None:
+    """A C3 scenario needs a uq setting."""
+    if config.scenario_id.startswith("C3") and config.uq is None:
+        raise ValidationError(f"uq: required, scenario {config.scenario_id} makes uncertainty artifacts")
 
 
 def _jsonable(value):

@@ -40,7 +40,7 @@ from .noise import NoiseProfile
 from .qelm import FeatureMapSpec, IdealBackend, NoisyBackend
 from .readout import BaggedTrees
 from .rng import Rng, derive_seed
-from .schema import Opt, read
+from .schema import Opt, Rule, one_of, read
 from .simulator import (
     measure_distribution,
     run_ideal,
@@ -77,22 +77,8 @@ class ZneConfig:
     def __post_init__(self):
         # from JSON the factors are a list that may hold integers
         object.__setattr__(self, "scale_factors", tuple(float(s) for s in self.scale_factors))
-        if self.folding != "global":
-            raise ValidationError(f"unsupported folding strategy {self.folding!r}")
-        if self.extrapolation not in EXTRAPOLATION_METHODS:
-            raise ValidationError(f"unknown extrapolation {self.extrapolation!r}")
-        scales = self.scale_factors
-        if len(scales) < 2:
-            raise ValidationError("need at least 2 scale factors")
-        if abs(scales[0] - 1.0) > 1e-12:
-            raise ValidationError("first scale factor must be 1.0")
-        if any(b <= a for a, b in zip(scales, scales[1:])):
-            raise ValidationError("scale factors must be strictly increasing")
-        if self.extrapolation == "polynomial":
-            if not 1 <= self.degree < len(scales):
-                raise ValidationError(
-                    f"polynomial degree must lie in [1, {len(scales) - 1}], got {self.degree}"
-                )
+        read(ZNE_KEYS, vars(self), "zne")
+        _check_degree(self)
 
     @property
     def effective_degree(self) -> int:
@@ -103,20 +89,29 @@ class ZneConfig:
         return 1000  # exponential sorts after any polynomial in tie-breaks
 
     def to_dict(self) -> dict:
-        return {
-            "scale_factors": list(self.scale_factors),
-            "folding": self.folding,
-            "extrapolation": self.extrapolation,
-            "degree": self.degree,
-        }
+        return {**vars(self), "scale_factors": list(self.scale_factors)}
 
     @staticmethod
     def from_dict(raw: dict) -> "ZneConfig":
         return ZneConfig(**read(ZNE_KEYS, raw, at="zne"))
 
 
-# the JSON form of a ZneConfig; a missing key keeps the field's default
-ZNE_KEYS = {"scale_factors": [float], "folding": Opt(str), "extrapolation": Opt(str), "degree": Opt(int)}
+# the JSON form of a ZneConfig, checked by its constructor; a missing key
+# keeps the field's default
+ZNE_KEYS = {
+    "scale_factors": Rule(
+        [float], lambda s: len(s) >= 2 and abs(s[0] - 1.0) <= 1e-12 and all(a < b for a, b in zip(s, s[1:])),
+        "must be at least 2 numbers, starting at 1.0 and strictly increasing",
+    ),
+    "folding": Opt(one_of(("global",))), "extrapolation": Opt(one_of(EXTRAPOLATION_METHODS)), "degree": Opt(int),
+}
+
+
+def _check_degree(config: ZneConfig) -> None:
+    """A polynomial fit needs fewer degrees than scale factors."""
+    top = len(config.scale_factors) - 1
+    if config.extrapolation == "polynomial" and not 1 <= config.degree <= top:
+        raise ValidationError(f"zne.degree: must lie in [1, {top}] for a polynomial fit, got {config.degree}")
 
 
 def extrapolate(scales, values, method: str = "polynomial", degree: int = 3):

@@ -44,9 +44,9 @@ from . import circuit as circ
 from .circuit import Circuit
 from .errors import DimensionMismatch, ValidationError
 from .noise import NoiseProfile
-from .readout import HYPER_KEYS, check_readout_task, fit_readout, readout_from_dict
+from .readout import HYPER_KEYS, READOUT_KIND, TASK, check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
-from .schema import Opt, Rule, file_text, read
+from .schema import Opt, Rule, at_least, file_text, one_of, read
 from .simulator import (
     OutcomeDistribution,
     ideal_probabilities,
@@ -70,11 +70,7 @@ class EncoderSpec:
     entangle: bool = True
 
     def __post_init__(self):
-        if self.style not in ENCODER_STYLES:
-            raise ValidationError(f"unknown encoder style {self.style!r}")
-        for i, (lo, hi) in enumerate(self.feature_range):
-            if not lo < hi:
-                raise ValidationError(f"feature_range[{i}] must have min < max, got ({lo}, {hi})")
+        read(ENCODER_KEYS, vars(self), "encoder")
 
 
 @dataclass(frozen=True)
@@ -100,14 +96,7 @@ class ReservoirSpec:
     trotter_steps: int = 3
 
     def __post_init__(self):
-        if self.style not in RESERVOIR_STYLES:
-            raise ValidationError(f"unknown reservoir style {self.style!r}")
-        if self.n_qubits < 1:
-            raise ValidationError("reservoir needs at least one qubit")
-        if self.style == "rotation" and self.layers < 1:
-            raise ValidationError("rotation reservoir needs at least one layer")
-        if self.style == "ising" and self.trotter_steps < 1:
-            raise ValidationError("ising reservoir needs at least one trotter step")
+        read(RESERVOIR_KEYS, vars(self), "reservoir")
 
 
 @dataclass(frozen=True)
@@ -122,10 +111,7 @@ class FeatureMapSpec:
     shots: int = 0
 
     def __post_init__(self):
-        if self.kind not in FEATURE_MAP_KINDS:
-            raise ValidationError(f"unknown feature map kind {self.kind!r}")
-        if self.shots < 0:
-            raise ValidationError("shots must be >= 0")
+        read(FEATURE_MAP_KEYS, vars(self), "feature_map")
 
     def n_features(self, n_qubits: int) -> int:
         if self.kind == "probabilities":
@@ -133,6 +119,19 @@ class FeatureMapSpec:
         if self.kind == "z_expectations":
             return n_qubits
         return n_qubits + n_qubits * (n_qubits - 1) // 2
+
+
+# The model document's keys of each front spec, checked by its constructor;
+# a run config's model section shares their rules (harness.MODEL_SPEC_KEYS).
+ENCODER_KEYS = {
+    "feature_range": [Rule((float, float), lambda r: r[0] < r[1], "must have min < max")],
+    "style": one_of(ENCODER_STYLES), "entangle": bool,
+}
+RESERVOIR_KEYS = {
+    "style": one_of(RESERVOIR_STYLES), "n_qubits": at_least(1), "seed": int, "layers": at_least(1),
+    "j_range": (float, float), "h_range": (float, float), "time": float, "trotter_steps": at_least(1),
+}
+FEATURE_MAP_KEYS = {"kind": one_of(FEATURE_MAP_KINDS), "shots": at_least(0)}
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,9 @@ class QelmFront:
     feature_map: FeatureMapSpec
 
     def __post_init__(self):
-        if len(self.encoder.feature_range) != self.reservoir.n_qubits:
-            raise ValidationError(
-                "encoder feature_range length must equal the reservoir qubit count"
-            )
+        n, ranges = self.reservoir.n_qubits, len(self.encoder.feature_range)
+        if ranges != n:
+            raise ValidationError(f"encoder.feature_range: expected {n} ranges, one per qubit, got {ranges}")
 
     @property
     def n_qubits(self) -> int:
@@ -392,8 +390,7 @@ def fit_model(
 ) -> QelmModel:
     """The model of ``front`` whose readout is fitted to the training rows'
     ``features``. The reservoir is a frozen value and is never altered."""
-    if task not in ("regression", "classification"):
-        raise ValidationError(f"unknown task {task!r}")
+    read(TASK, task, "task")
     check_readout_task(readout_kind, task)
     readout = fit_readout(features, targets, readout_kind, readout_hyper)
     return QelmModel(
@@ -433,26 +430,11 @@ def exact_feature_front(front: QelmFront) -> QelmFront:
 # model persistence
 
 def model_to_dict(model: QelmModel) -> dict:
-    front = model.front
     return {
         "schema": "qelm-model/1",
         "task": model.task,
-        "encoder": {
-            "style": front.encoder.style,
-            "feature_range": [[lo, hi] for lo, hi in front.encoder.feature_range],
-            "entangle": front.encoder.entangle,
-        },
-        "reservoir": {
-            "style": front.reservoir.style,
-            "n_qubits": front.reservoir.n_qubits,
-            "seed": front.reservoir.seed,
-            "layers": front.reservoir.layers,
-            "j_range": list(front.reservoir.j_range),
-            "h_range": list(front.reservoir.h_range),
-            "time": front.reservoir.time,
-            "trotter_steps": front.reservoir.trotter_steps,
-        },
-        "feature_map": {"kind": front.feature_map.kind, "shots": front.feature_map.shots},
+        # the encoder, reservoir and feature_map sections: each spec's fields, tuples as lists
+        **{key: json.loads(json.dumps(vars(spec))) for key, spec in vars(model.front).items()},
         "readout_kind": model.readout_kind,
         "readout_hyper": model.readout_hyper,
         "readout": model.readout.to_dict(),
@@ -462,14 +444,11 @@ def model_to_dict(model: QelmModel) -> dict:
 # The model document (model_to_dict); readout_from_dict reads its readout.
 MODEL_KEYS = {
     "schema": Rule(str, lambda name: name == "qelm-model/1", "not a qelm-model/1 document"),
-    "task": str,
-    "encoder": {"style": str, "feature_range": [(float, float)], "entangle": bool},
-    "reservoir": {
-        "style": str, "n_qubits": int, "seed": int, "layers": int, "j_range": (float, float),
-        "h_range": (float, float), "time": float, "trotter_steps": int,
-    },
-    "feature_map": {"kind": str, "shots": int},
-    "readout_kind": str,
+    "task": TASK,
+    "encoder": ENCODER_KEYS,
+    "reservoir": RESERVOIR_KEYS,
+    "feature_map": FEATURE_MAP_KEYS,
+    "readout_kind": READOUT_KIND,
     "readout_hyper": Opt(HYPER_KEYS, {}),
     "readout": {...: None},
 }

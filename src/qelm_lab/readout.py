@@ -30,24 +30,24 @@ import numpy as np
 
 from .errors import ValidationError
 from .rng import derive_seed, integers_per_seed
-from .schema import Opt, Rule, read
+from .schema import Opt, Rule, at_least, one_of, read
 
 READOUT_KINDS = ("linear", "logistic", "tree")
+# the readout kind of a run config's model and of a model document
+READOUT_KIND = one_of(READOUT_KINDS)
 # a linear readout gives no class probabilities; the others need 0/1 labels
 READOUT_TASKS = {"regression": ("linear",), "classification": ("logistic", "tree")}
+TASK = one_of(tuple(READOUT_TASKS))
 # the hyper-parameters each kind takes, and the type and range each one needs
-_NON_NEGATIVE = Opt(Rule(float, lambda value: value >= 0, "must not be negative"))
+_NON_NEGATIVE = Opt(at_least(0.0, float))
 READOUT_HYPER = {
     "linear": {"ridge": _NON_NEGATIVE},
     "logistic": {
         "learning_rate": Opt(Rule(float, lambda value: value > 0, "must be positive")),
-        "max_iter": Opt(Rule(int, lambda value: value >= 1, "must be at least 1")),
+        "max_iter": Opt(at_least(1)),
         "grad_tol": _NON_NEGATIVE,
     },
-    "tree": {
-        "max_depth": Opt(Rule(int, lambda value: value >= 0, "must not be negative")),
-        "min_samples_split": Opt(Rule(int, lambda value: value >= 2, "must be at least 2")),
-    },
+    "tree": {"max_depth": Opt(at_least(0)), "min_samples_split": Opt(at_least(2))},
 }
 # a readout_hyper object of any kind, for the document reader
 HYPER_KEYS = {key: slot for hyper in READOUT_HYPER.values() for key, slot in hyper.items()}
@@ -63,10 +63,10 @@ READOUT_KEYS = {
 
 
 def check_readout_task(kind: str, task: str) -> None:
-    """Raise a ValidationError unless readout ``kind`` fits ``task``."""
+    """Raise a ValidationError naming ``model.readout`` unless ``kind`` fits ``task``."""
     if kind not in READOUT_TASKS[task]:
         fits = " or ".join(READOUT_TASKS[task])
-        raise ValidationError(f"readout: {kind!r} does not fit a {task} task; use {fits}")
+        raise ValidationError(f"model.readout: {kind!r} does not fit a {task} task; use {fits}")
 
 
 @dataclass
@@ -671,8 +671,7 @@ def fit_readouts(
     each as ``fit_readout(features[rows], targets[rows], kind, hyper)`` fits
     it, handed out one by one. The trees of all samples are grown together,
     and linear readouts of samples of one length are solved together."""
-    if kind not in READOUT_KINDS:
-        raise ValidationError(f"unknown readout kind {kind!r}")
+    read(READOUT_KIND, kind, "readout")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if features.ndim != 2:
@@ -702,9 +701,7 @@ def readout_from_dict(raw: dict, at: str = "", n_features: int | None = None):
     READOUT_KEYS; ``at`` is the document's path in errors. A linear or
     logistic readout must hold one weight per feature and a tree's splits
     must index one of ``n_features`` columns (None: any)."""
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind not in READOUT_KINDS:
-        raise ValidationError(f"{at + '.' if at else ''}kind: unknown readout kind {kind!r}")
+    kind = read({"kind": READOUT_KIND, ...: None}, raw, at)["kind"]
     raw = read(READOUT_KEYS[kind], raw, at)
     if kind != "tree" and n_features is not None and len(raw["weights"]) != n_features:
         raise ValidationError(

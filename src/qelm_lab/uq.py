@@ -225,6 +225,23 @@ def interval_score(y: float, lo: float, hi: float, alpha: float) -> float:
     return score
 
 
+def _scored_pairs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Positive-class probabilities and their labels as flat arrays, checked:
+    equal lengths, at least one pair, probabilities in [0, 1] (NaN fails)
+    and labels 0 or 1."""
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    labels = np.asarray(labels, dtype=float).reshape(-1)
+    if len(probs) != len(labels):
+        raise LengthMismatch(f"{len(probs)} probabilities vs {len(labels)} labels")
+    if len(probs) == 0:
+        raise EmptyInput("scoring needs at least one prediction")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):
+        raise ValidationError("probabilities must lie in [0, 1]")
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise ValidationError("labels must be 0 or 1")
+    return probs, labels
+
+
 def reliability_diagram(probs, labels, n_bins: int = 10) -> dict:
     """Bin positive-class probabilities over equal-width bins of [0, 1] and
     compare mean confidence with the observed positive fraction per bin:
@@ -232,14 +249,7 @@ def reliability_diagram(probs, labels, n_bins: int = 10) -> dict:
     and ``counts``, the form a report holds. An empty bin has count 0 and
     None statistics; the final bin is right-closed so probability 1.0 lands
     in it."""
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if len(probs) != len(labels):
-        raise LengthMismatch(f"{len(probs)} probabilities vs {len(labels)} labels")
-    if len(probs) == 0:
-        raise EmptyInput("reliability diagram needs at least one prediction")
-    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails too
-        raise ValidationError("probabilities must lie in [0, 1]")
+    probs, labels = _scored_pairs(probs, labels)
     idx = np.minimum((probs * n_bins).astype(int), n_bins - 1)
     counts = np.bincount(idx, minlength=n_bins)
     conf, freq = [None] * n_bins, [None] * n_bins
@@ -257,24 +267,14 @@ def reliability_diagram(probs, labels, n_bins: int = 10) -> dict:
 
 def brier(probs, labels) -> float:
     """Mean squared error between positive-class probabilities and labels."""
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if len(probs) != len(labels):
-        raise LengthMismatch(f"{len(probs)} probabilities vs {len(labels)} labels")
-    if len(probs) == 0:
-        raise EmptyInput("brier needs at least one prediction")
+    probs, labels = _scored_pairs(probs, labels)
     return float(np.mean((probs - labels) ** 2))
 
 
 def log_loss(probs, labels, epsilon: float = 1e-15) -> float:
     """Mean negative log likelihood with probabilities clamped to
     [epsilon, 1 - epsilon] so saturated outputs stay finite."""
-    probs = np.asarray(probs, dtype=float).reshape(-1)
-    labels = np.asarray(labels, dtype=float).reshape(-1)
-    if len(probs) != len(labels):
-        raise LengthMismatch(f"{len(probs)} probabilities vs {len(labels)} labels")
-    if len(probs) == 0:
-        raise EmptyInput("log loss needs at least one prediction")
+    probs, labels = _scored_pairs(probs, labels)
     p = np.clip(probs, epsilon, 1.0 - epsilon)
     return float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
 

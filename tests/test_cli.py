@@ -3,7 +3,8 @@ from importlib import resources
 
 import pytest
 
-from qelm_lab.cli import main
+from qelm_lab.cli import RUN_CONFIG, main
+from test_schema import leaf_paths
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +62,13 @@ def test_simulate_custom_circuit_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--circuit", str(path))
     assert code == 0
     assert json.loads(out) == {"1": 1.0}
+
+
+def test_simulate_rejects_negative_shots_before_any_work(capsys, tmp_path):
+    # the circuit file is missing: the flag is checked before it is read
+    argv = ["simulate", "--shots", "-1", "--circuit", str(tmp_path / "none.txt"), "--out", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv) == (1, "", "error: --shots: must not be negative, got -1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_missing_circuit_file(capsys):
@@ -239,77 +247,132 @@ def test_train_csv_with_a_short_row_exits_one(capsys, tmp_path):
     assert "row 3" in err
 
 
+# A bad value for every run-config key: (config, the key path its error names).
+# test_every_run_config_key_has_a_bad_value_case keeps it complete.
+BAD_VALUES = [
+    ({"scenario": "C9_9"}, "scenario"),
+    ({"profile": 5}, "profile"),
+    ({"dataset": [1, 2]}, "dataset"),
+    ({"dataset": {"kind": "foo"}}, "dataset.kind"),
+    ({"dataset": {"size": "many"}}, "dataset.size"),
+    ({"dataset": {"size": "120"}}, "dataset.size"),
+    ({"dataset": {"size": 0}}, "dataset.size"),
+    ({"dataset": {"size": 100_001}}, "dataset.size"),
+    ({"dataset": {"seed": 1.5}}, "dataset.seed"),
+    ({"dataset": {"noise_level": True}}, "dataset.noise_level"),
+    ({"dataset": {"noise_level": "nan"}}, "dataset.noise_level"),
+    ({"dataset": {"noise_level": float("nan")}}, "dataset.noise_level"),
+    ({"dataset": {"noise_level": -0.5}}, "dataset.noise_level"),
+    ({"model": {"reservoir_style": "foo"}}, "model.reservoir_style"),
+    ({"model": {"layers": "x"}}, "model.layers"),
+    ({"model": {"layers": -3}}, "model.layers"),
+    ({"model": {"layers": 0, "reservoir_style": "rotation"}}, "model.layers"),
+    ({"model": {"layer": 3}}, "model.layer"),
+    ({"model": {"trotter_steps": 0}}, "model.trotter_steps"),
+    ({"model": {"trotter_steps": 0, "reservoir_style": "rotation"}}, "model.trotter_steps"),
+    ({"model": {"evolution_time": "inf"}}, "model.evolution_time"),
+    ({"model": {"evolution_time": float("inf")}}, "model.evolution_time"),
+    ({"model": {"j_range": "ab"}}, "model.j_range"),
+    ({"model": {"j_range": [float("-inf"), 1]}}, "model.j_range[0]"),
+    ({"model": {"h_range": [1]}}, "model.h_range"),
+    ({"model": {"feature_map": "foo"}}, "model.feature_map"),
+    ({"model": {"shots": 1.5}}, "model.shots"),
+    ({"model": {"shots": -1}}, "model.shots"),
+    ({"model": {"readout": "svm"}}, "model.readout"),
+    ({"dataset": {"kind": "regression3"}, "model": {"readout": "tree"}}, "model.readout"),
+    ({"dataset": {"kind": "classification4"}, "model": {"readout": "linear"}}, "model.readout"),
+    ({"model": {"entangle": "no"}}, "model.entangle"),
+    ({"model": {"entangle": "false"}}, "model.entangle"),
+    ({"model": {"readout_hyper": {"ridge": "x"}}}, "model.readout_hyper.ridge"),
+    ({"model": {"readout_hyper": {"ridge": -1.0}}}, "model.readout_hyper.ridge"),
+    (
+        {
+            "dataset": {"kind": "classification4"},
+            "model": {"readout": "logistic", "readout_hyper": {"max_iter": 2.5}},
+        },
+        "model.readout_hyper.max_iter",
+    ),
+    (
+        {
+            "dataset": {"kind": "classification4"},
+            "model": {"readout": "tree", "readout_hyper": {"max_depht": 3}},
+        },
+        "model.readout_hyper.max_depht",
+    ),
+    ({"model": {"readout_hyper": {"max_depth": 3}}}, "model.readout_hyper.max_depth"),
+    ({"model": {"readout_hyper": {"learning_rate": 0.0}}}, "model.readout_hyper.learning_rate"),
+    ({"model": {"readout_hyper": {"learning_rate": -0.1}}}, "model.readout_hyper.learning_rate"),
+    ({"model": {"readout_hyper": {"max_iter": 0}}}, "model.readout_hyper.max_iter"),
+    ({"model": {"readout_hyper": {"grad_tol": -1e-6}}}, "model.readout_hyper.grad_tol"),
+    ({"model": {"readout_hyper": {"max_depth": -1}}}, "model.readout_hyper.max_depth"),
+    ({"model": {"readout_hyper": {"min_samples_split": 1}}}, "model.readout_hyper.min_samples_split"),
+    ({"scenario": "C2_1", "mitigator": "foo"}, "mitigator"),
+    ({"scenario": "C2_1"}, "mitigator"),
+    ({"scenario": "C1_1", "mitigator": "zne"}, "mitigator"),
+    ({"zne": {"degree": 2}}, "zne.scale_factors"),
+    ({"zne": {"scale_factors": [1, "3"]}}, "zne.scale_factors[1]"),
+    ({"zne": {"scale_factors": [1, 3, 2]}}, "zne.scale_factors"),
+    ({"zne": {"scale_factors": [2, 3]}}, "zne.scale_factors"),
+    ({"zne": {"scale_factors": [1]}}, "zne.scale_factors"),
+    ({"zne": {"scale_factors": [1, 3], "folding": "local"}}, "zne.folding"),
+    ({"zne": {"scale_factors": [1, 3], "extrapolation": "foo"}}, "zne.extrapolation"),
+    ({"zne": {"scale_factors": [1, 3], "degree": 3}}, "zne.degree"),
+    ({"zne": {"scale_factors": [1, 3], "degree": "1"}}, "zne.degree"),
+    ({"zne": {"scale_factors": [1, 3], "degre": 1}}, "zne.degre"),
+    ({"qlear": {"corpus": "x"}}, "qlear.corpus"),
+    ({"qlear": {"corpus": 0}}, "qlear.corpus"),
+    ({"qlear": {"corpus": 1}}, "qlear.corpus"),
+    ({"qlear": {"trees": 0}}, "qlear.trees"),
+    ({"qlear": {"max_depth": -1}}, "qlear.max_depth"),
+    ({"uq": {"method": "foo"}}, "uq.method"),
+    ({"scenario": "C3_1"}, "uq"),
+    ({"uq": {"method": "bootstrap", "samples": "x"}}, "uq.samples"),
+    ({"uq": {"samples": 2.9}}, "uq.samples"),
+    ({"uq": {"samples": 1}}, "uq.samples"),
+    ({"repeats": 5.0}, "repeats"),
+    ({"repeats": 0}, "repeats"),
+    ({"repeat": 3}, "repeat"),
+    ({"seed": 1.9}, "seed"),
+    ({"out": 5}, "out"),
+    ({"jobs": 0}, "jobs"),
+]
+
+
+def test_every_run_config_key_has_a_bad_value_case():
+    covered = {key.split("[")[0] for _, key in BAD_VALUES}
+    assert leaf_paths(RUN_CONFIG) - covered == set()
+
+
+@pytest.mark.parametrize("config, key", BAD_VALUES)
+@pytest.mark.parametrize("print_config", [False, True])
+def test_a_bad_config_value_exits_one_naming_its_key(capsys, tmp_path, config, key, print_config):
+    config_file = tmp_path / "c.json"
+    config_file.write_text(json.dumps(config))
+    argv = ["scenario", "--config", str(config_file)]
+    argv += [] if "profile" in config else ["--profile", "device-a"]  # a flag wins over the file
+    argv += [] if "out" in config else ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, *(["--print-config"] if print_config else []))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {key}:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
-    "config, key",
+    "flags, line",
     [
-        ({"dataset": {"size": "many"}}, "dataset.size"),
-        ({"model": {"layers": "x"}}, "model.layers"),
-        ({"qlear": {"corpus": "x"}}, "qlear.corpus"),
-        ({"uq": {"method": "bootstrap", "samples": "x"}}, "uq.samples"),
-        ({"zne": {"degree": 2}}, "zne.scale_factors"),
-        ({"dataset": [1, 2]}, "dataset"),
-        ({"model": {"j_range": "ab"}}, "j_range"),
-        ({"model": {"readout_hyper": {"ridge": "x"}}}, "readout_hyper.ridge"),
-        (
-            {
-                "dataset": {"kind": "classification4"},
-                "model": {"readout": "logistic", "readout_hyper": {"max_iter": 2.5}},
-            },
-            "readout_hyper.max_iter",
-        ),
-        (
-            {
-                "dataset": {"kind": "classification4"},
-                "model": {"readout": "tree", "readout_hyper": {"max_depht": 3}},
-            },
-            "readout_hyper.max_depht",
-        ),
-        ({"model": {"readout_hyper": {"max_depth": 3}}}, "model.readout_hyper.max_depth"),
-        ({"model": {"readout_hyper": {"ridge": -1.0}}}, "model.readout_hyper.ridge"),
-        ({"model": {"readout_hyper": {"learning_rate": 0.0}}}, "model.readout_hyper.learning_rate"),
-        ({"model": {"readout_hyper": {"learning_rate": -0.1}}}, "model.readout_hyper.learning_rate"),
-        ({"model": {"readout_hyper": {"max_iter": 0}}}, "model.readout_hyper.max_iter"),
-        ({"model": {"readout_hyper": {"grad_tol": -1e-6}}}, "model.readout_hyper.grad_tol"),
-        ({"model": {"readout_hyper": {"max_depth": -1}}}, "model.readout_hyper.max_depth"),
-        ({"model": {"readout_hyper": {"min_samples_split": 1}}}, "model.readout_hyper.min_samples_split"),
-        ({"qlear": {"corpus": 0}}, "qlear.corpus"),
-        ({"qlear": {"corpus": 1}}, "qlear.corpus"),
-        ({"dataset": {"kind": "regression3"}, "model": {"readout": "tree"}}, "readout"),
-        ({"dataset": {"kind": "classification4"}, "model": {"readout": "linear"}}, "readout"),
-        ({"qlear": {"trees": 0}}, "qlear.trees"),
-        ({"jobs": 0}, "jobs"),
-        ({"repeat": 3}, "repeat"),
-        ({"model": {"layer": 3}}, "model.layer"),
-        ({"model": {"entangle": "no"}}, "model.entangle"),
-        ({"model": {"entangle": "false"}}, "model.entangle"),
-        ({"uq": {"samples": 2.9}}, "uq.samples"),
-        ({"model": {"shots": 1.5}}, "model.shots"),
-        ({"seed": 1.9}, "seed"),
-        ({"repeats": 5.0}, "repeats"),
-        ({"dataset": {"size": "120"}}, "dataset.size"),
-        ({"dataset": {"noise_level": True}}, "dataset.noise_level"),
-        ({"model": {"evolution_time": "inf"}}, "model.evolution_time"),
-        ({"model": {"evolution_time": float("inf")}}, "model.evolution_time"),
-        ({"dataset": {"noise_level": "nan"}}, "dataset.noise_level"),
-        ({"dataset": {"noise_level": float("nan")}}, "dataset.noise_level"),
-        ({"model": {"j_range": [float("-inf"), 1]}}, "model.j_range[0]"),
-        ({"zne": {"scale_factors": [1, "3"]}}, "zne.scale_factors[1]"),
-        ({"zne": {"scale_factors": [1, 3], "degre": 1}}, "zne.degre"),
-        ({"qlear": {"max_depth": -1}}, "qlear.max_depth"),
+        (["--repeats", "0"], "repeats: must be at least 1, got 0"),
+        (["--shots", "-1"], "model.shots: must not be negative, got -1"),
+        (["--trotter-steps", "0"], "model.trotter_steps: must be at least 1, got 0"),
+        (["--layers", "-3"], "model.layers: must be at least 1, got -3"),  # the default Ising reservoir
+        (["--reservoir", "rotation", "--layers", "0"], "model.layers: must be at least 1, got 0"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])
-def test_wrong_typed_config_value_exits_one_naming_the_key(
-    capsys, tmp_path, config, key, print_config
-):
-    config_file = tmp_path / "c.json"
-    config_file.write_text(json.dumps(config))
-    argv = ["scenario", "--config", str(config_file), "--profile", "device-a"]
-    argv += ["--out", str(tmp_path / "out")] + (["--print-config"] if print_config else [])
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and f"{key}:" in err
+def test_a_bad_run_flag_exits_one_naming_its_key(capsys, tmp_path, flags, line, print_config):
+    argv = ["scenario", "--profile", "device-a", *flags, "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv, *(["--print-config"] if print_config else []))
+    assert (code, out, err) == (1, "", f"error: {line}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -323,7 +386,7 @@ def test_jobs_below_one_exits_one(capsys, tmp_path, command, jobs):
     )
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: jobs: need at least 1 worker, got {jobs}")
+    assert err == f"error: jobs: must be at least 1, got {jobs}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -335,7 +398,7 @@ def test_unknown_readout_kind_fails_before_any_repeat_runs(capsys, tmp_path):
         "--dataset-size", "20", "--out", str(tmp_path / "out"),
     )
     assert code == 1
-    assert "unknown readout kind 'svm'" in err
+    assert err == "error: model.readout: must be one of linear, logistic, tree, got 'svm'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -378,7 +441,7 @@ def test_readout_that_does_not_fit_the_task_exits_one(capsys, tmp_path, command,
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: readout:") and f"{readout!r} does not fit" in err
+    assert err.startswith("error: model.readout:") and f"{readout!r} does not fit" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -482,6 +545,14 @@ def test_a_non_finite_noise_level_flag_exits_one_naming_its_path(capsys, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, key", [(["--layers", "-3"], "model.layers"), (["--trotter-steps", "0"], "model.trotter_steps")])
+@pytest.mark.parametrize("reservoir", ["ising", "rotation"])
+def test_train_checks_the_model_rules_of_a_run(capsys, tmp_path, flags, key, reservoir):
+    argv = ["train", *flags, "--reservoir", reservoir, "--dataset-size", "20", "--out", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {key}: must be at least 1, got {flags[1]}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_uses_the_dataset_seed_it_is_given(capsys, tmp_path):
     mse = {}
     for seed in ("0", "7"):
@@ -501,7 +572,7 @@ def test_a_dataset_size_of_zero_exits_one(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: dataset.size: need at least 20 samples")
+    assert err == "error: dataset.size: must lie in [20, 100000], got 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -635,11 +706,16 @@ def test_report_re_emits_every_file_byte_for_byte(capsys, tmp_path, argv):
 @pytest.mark.parametrize(
     "model, problem",
     [
-        ({"reservoir_style": "bogus"}, "unknown reservoir style 'bogus'"),
-        ({"feature_map": "bogus"}, "unknown feature map kind 'bogus'"),
-        ({"shots": -1}, "shots must be >= 0"),
-        ({"trotter_steps": 0}, "ising reservoir needs at least one trotter step"),
-        ({"layers": 0, "reservoir_style": "rotation"}, "rotation reservoir needs at least one layer"),
+        ({"reservoir_style": "bogus"}, "model.reservoir_style: must be one of rotation, ising, got 'bogus'"),
+        (
+            {"feature_map": "bogus"},
+            "model.feature_map: must be one of probabilities, z_expectations, z_and_zz_expectations, got 'bogus'",
+        ),
+        ({"shots": -1}, "model.shots: must not be negative, got -1"),
+        ({"trotter_steps": 0}, "model.trotter_steps: must be at least 1, got 0"),
+        ({"layers": 0, "reservoir_style": "rotation"}, "model.layers: must be at least 1, got 0"),
+        ({"layers": -3}, "model.layers: must be at least 1, got -3"),
+        ({"trotter_steps": 0, "reservoir_style": "rotation"}, "model.trotter_steps: must be at least 1, got 0"),
     ],
 )
 @pytest.mark.parametrize("print_config", [False, True])
@@ -651,7 +727,7 @@ def test_a_bad_model_setting_exits_one_before_any_work(capsys, tmp_path, model, 
     code, out, err = run_cli(capsys, *argv, *(["--print-config"] if print_config else []))
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and problem in err
+    assert err == f"error: {problem}\n"
     assert not (tmp_path / "out").exists()
 
 

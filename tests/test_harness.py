@@ -298,7 +298,7 @@ def test_scenario_propagates_a_programming_error(monkeypatch):
 
 
 def test_model_spec_rejects_an_unknown_readout_kind():
-    with pytest.raises(ValidationError, match="unknown readout kind 'svm'"):
+    with pytest.raises(ValidationError, match="^model.readout: must be one of linear, logistic, tree, got 'svm'$"):
         ModelSpec(readout="svm")
 
 

@@ -319,7 +319,7 @@ def test_saved_models_load_and_predict_identically(tmp_path):
         (lambda doc: doc["reservoir"].update(n_qubits="one"), "reservoir.n_qubits: expected an integer, got 'one'"),
         (lambda doc: doc["encoder"]["feature_range"].append([0.0]), r"encoder.feature_range\[3\]: expected a list of 2"),
         (lambda doc: doc["readout"].update(weights=[True]), r"readout.weights\[0\]: expected a number, got True"),
-        (lambda doc: doc["readout"].update(kind="svm"), "readout.kind: unknown readout kind 'svm'"),
+        (lambda doc: doc["readout"].update(kind="svm"), "readout.kind: must be one of linear, logistic, tree, got 'svm'"),
         (lambda doc: doc.update(schema="qelm-model/0"), "schema: not a qelm-model/1 document"),
     ],
 )
@@ -330,6 +330,32 @@ def test_a_bad_model_document_raises_a_validation_error_naming_the_key(mutate, p
     document = mutate(document) or document
     with pytest.raises(ValidationError, match=f"^{problem}"):
         qelm.model_from_dict(document)
+
+
+@pytest.mark.parametrize(
+    "part, key, value, problem",
+    [
+        ("reservoir", "style", "bogus", "reservoir.style: must be one of rotation, ising, got 'bogus'"),
+        ("reservoir", "layers", -3, "reservoir.layers: must be at least 1, got -3"),
+        ("reservoir", "trotter_steps", 0, "reservoir.trotter_steps: must be at least 1, got 0"),
+        ("feature_map", "shots", -1, "feature_map.shots: must not be negative, got -1"),
+        ("encoder", "feature_range", [[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]],
+         r"encoder.feature_range\[1\]: must have min < max, got \[1.0, 1.0\]"),
+        (None, "task", "bogus", "task: must be one of regression, classification, got 'bogus'"),
+        (None, "readout_kind", "svm", "readout_kind: must be one of linear, logistic, tree, got 'svm'"),
+    ],
+)
+def test_a_model_file_breaking_a_run_config_rule_does_not_load(tmp_path, part, key, value, problem):
+    """The model document shares its rules with the run config's model
+    section: a value a run would reject does not load."""
+    x_train, y_train, _, _ = _linear_fixture(20)
+    model = fitted(x_train, y_train, "regression", _front(3), "linear", qelm.IdealBackend(), seed=2)
+    document = qelm.model_to_dict(model)
+    (document[part] if part else document)[key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ValidationError, match=f"^{problem}$"):
+        qelm.load_model(path)
 
 
 def test_a_tree_model_document_has_its_keys_checked():

@@ -61,12 +61,12 @@ def test_errors_carry_the_document_and_the_starting_path():
         read({"degree": int}, {"degree": "3"}, at="zne", doc="run.json")
 
 
-def _leaf_paths(slot, path=""):
+def leaf_paths(slot, path=""):
     if isinstance(slot, Opt):
         slot = slot.slot
     if not isinstance(slot, dict):
         return {path}
-    return {p for key, s in slot.items() for p in _leaf_paths(s, f"{path}.{key}" if path else key)}
+    return {p for key, s in slot.items() for p in leaf_paths(s, f"{path}.{key}" if path else key)}
 
 
 def test_the_readme_table_lists_exactly_the_run_config_keys():
@@ -74,7 +74,7 @@ def test_the_readme_table_lists_exactly_the_run_config_keys():
     table = text[text.index("| key | type | default |"):]
     table = table[: table.index("\n\n")]
     keys = {line.split("`")[1] for line in table.splitlines()[2:]}
-    assert keys == _leaf_paths(RUN_CONFIG)
+    assert keys == leaf_paths(RUN_CONFIG)
 
 
 # ---------------------------------------------------------------------------

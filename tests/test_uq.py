@@ -189,6 +189,40 @@ def test_log_loss_cases():
         uq.log_loss([0.5], [1, 0])
 
 
+@pytest.mark.parametrize("score", [uq.brier, uq.log_loss, uq.reliability_diagram])
+@pytest.mark.parametrize(
+    "probs, labels, error",
+    [
+        ([0.5], [1, 0], LengthMismatch),
+        ([], [], EmptyInput),
+        ([0.5], [3], ValidationError),
+        ([0.2, 0.9], [2, 0], ValidationError),
+        ([0.5], [0.5], ValidationError),
+        ([np.nan], [1], ValidationError),
+        ([np.nan, 0.5], [1, 0], ValidationError),
+        ([1.5], [1], ValidationError),
+        ([-0.1], [0], ValidationError),
+    ],
+)
+def test_every_scoring_rule_checks_its_pairs(score, probs, labels, error):
+    with pytest.raises(error):
+        score(probs, labels)
+
+
+def test_checked_scores_keep_their_bits():
+    rng = np.random.default_rng(3)
+    probs = np.concatenate([rng.uniform(size=50), [0.0, 1.0]])
+    labels = (rng.uniform(size=52) < probs).astype(float)
+    assert uq.brier(probs, labels) == float(np.mean((probs - labels) ** 2))
+    p = np.clip(probs, 1e-15, 1.0 - 1e-15)
+    assert uq.log_loss(probs, labels) == float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)))
+    idx = np.minimum((probs * 10).astype(int), 9)
+    diagram = uq.reliability_diagram(probs, labels)
+    for b in range(10):
+        if diagram["counts"][b]:
+            assert diagram["observed_frequency"][b] == float(labels[idx == b].mean())
+
+
 # ---------------------------------------------------------------------------
 # reliability diagrams
 
