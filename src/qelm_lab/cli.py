@@ -56,7 +56,7 @@ from .qelm import (
     save_model,
 )
 from .readout import READOUT_KINDS, check_readout_task
-from .schema import Opt, file_text, read
+from .schema import Opt, Rule, at_least, file_text, json_file, read
 from .simulator import DENSITY_QUBIT_CAP, IDEAL_QUBIT_CAP, measure_distribution, run_ideal, run_noisy, sample
 
 
@@ -79,22 +79,6 @@ RUN_CONFIG = {
 }
 
 
-def _read_json_object(key: str, name: str) -> dict:
-    """The JSON object in file ``name``; a UsageError naming ``key`` if the
-    file is missing, is not JSON, or holds something else, and file_text's
-    ParseError naming the file if it is a directory or not UTF-8."""
-    path = Path(name)
-    if not path.exists():
-        raise UsageError(f"{key}: file {path} does not exist")
-    try:
-        raw = json.loads(file_text(path))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{key}: {path} is not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise UsageError(f"{key}: top level must be a JSON object")
-    return raw
-
-
 def _with_flags(raw: dict, args: argparse.Namespace) -> dict:
     """``raw`` with every run-config flag that was given set over it. A
     flag's dest is its key's path, such as ``dataset.size``."""
@@ -115,7 +99,8 @@ def merge_run_config(args: argparse.Namespace, **fallback) -> dict:
     """The run config of a command line, checked by the reader: the config
     file, then QELM_LAB_SEED, then the flags, then ``fallback`` for keys
     still unset or null."""
-    raw = _read_json_object("config", args.config) if args.config else {}
+    # any object here; the keys are read with the flags set over them
+    raw = read({...: None}, json_file(args.config), doc="config") if args.config else {}
     env_seed = os.environ.get("QELM_LAB_SEED")
     if env_seed is not None and "seed" not in raw and args.seed is None:
         try:
@@ -173,8 +158,7 @@ def _check_circuit_width(circuit, profile) -> None:
 # subcommands
 
 def _cmd_simulate(args) -> int:
-    if args.shots < 0:
-        raise UsageError(f"--shots: must not be negative, got {args.shots}")
+    read(at_least(0), args.shots, "--shots")
     if args.circuit:
         text = file_text(args.circuit)
     else:
@@ -200,7 +184,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# the flags of the synthetic dataset, which a CSV file replaces
+_SYNTHETIC_FLAGS = {"dataset.kind": "--dataset", "dataset.size": "--dataset-size",
+                    "dataset.noise_level": "--noise-level"}
+
+
 def _cmd_train(args) -> int:
+    for dest, flag in _SYNTHETIC_FLAGS.items():
+        if args.data and getattr(args, dest) is not None:
+            raise UsageError(f"{flag}: does not apply to a CSV file, got {getattr(args, dest)!r}")
     config = read(RUN_CONFIG, _with_flags({}, args))
     d, seed = config["dataset"], config["seed"]
     if args.data:
@@ -281,12 +273,9 @@ def _cmd_calibrate_zne(args) -> int:
         _check_circuit_width(representative, profile)
     else:
         top = min(profile.n_qubits, DENSITY_QUBIT_CAP)
-        if not 1 <= args.qubits <= top:
-            raise UsageError(
-                f"--qubits must lie in [1, {top}] for profile {profile.name!r}, got {args.qubits}"
-            )
-        if args.gates < 0:
-            raise UsageError(f"--gates must be non-negative, got {args.gates}")
+        qubits = Rule(int, lambda n: 1 <= n <= top, f"must lie in [1, {top}] for profile {profile.name!r}")
+        read(qubits, args.qubits, "--qubits")
+        read(at_least(0), args.gates, "--gates")
         representative = random_circuit(args.qubits, args.gates, args.seed or 0)
     grid = [
         ZneConfig((1.0, 2.0, 3.0, 5.0), extrapolation="polynomial", degree=3),
@@ -306,10 +295,7 @@ def _cmd_calibrate_zne(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    payload = _read_json_object("results", args.results)
-    if payload.get("schema") != "scenario-report/1":
-        raise UsageError("results: not a scenario report document")
-    payload = read(RESULTS_KEYS, payload, doc="results")
+    payload = read(RESULTS_KEYS, json_file(args.results), doc="results")
     written = emit_report(payload, args.out or "out")
     print(f"re-emitted {len(written)} files to {args.out or 'out'}")
     return 0
@@ -410,8 +396,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValidationError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QelmLabError, OSError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # a numeric failure, such as a singular readout fit, is a runtime failure too
+    except (QelmLabError, OSError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
+        # a numeric failure, such as a singular readout fit, or an allocation
+        # too large for the machine, is a runtime failure too
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

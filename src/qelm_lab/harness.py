@@ -748,7 +748,8 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 # report emission
 
-# What emit_report reads of a results document; other keys pass unchecked.
+# A results document's schema and what emit_report reads of it; other keys
+# pass unchecked.
 # A UQ variant holds the interval rows of a regression task or the
 # reliability lists of a classification task.
 _NUMBER_OR_NULL = Either(float, None)
@@ -767,7 +768,8 @@ _UQ_VARIANT = Rule(
     lambda variant: "intervals" in variant or "reliability" in variant,
     "has neither intervals nor reliability",
 )
-RESULTS_KEYS = {"scenario": str, "metric": str, "runs": [_RUN_RECORD], ...: None}
+RESULTS_KEYS = {"schema": Rule(str, lambda name: name == "scenario-report/1", "not a scenario-report/1 document")}
+RESULTS_KEYS |= {"scenario": str, "metric": str, "runs": [_RUN_RECORD], ...: None}
 RESULTS_KEYS["uq"] = Opt(Either({"configured": _UQ_VARIANT, "ideal": _UQ_VARIANT, ...: None}, None))
 
 

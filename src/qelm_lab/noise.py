@@ -18,8 +18,9 @@ so the combined off-diagonal decay matches exp(-t / T2) exactly, and lambda
 clamps to 0 when T2 = 2 T1 (relaxation-limited dephasing).
 
 Three profiles ship with the package ("device-a", "device-b", "device-c"),
-spanning typical current-device error magnitudes. The JSON schema is
-documented in the README and validated on load.
+spanning typical current-device error magnitudes. PROFILE_KEYS describes
+the JSON form and the rule of each key (the README lists them), and a
+NoiseProfile checks its fields against it.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Gate
-from .errors import ParseError, ValidationError
-from .schema import Either, file_text, read
+from .errors import ValidationError
+from .schema import Either, Rule, at_least, json_file, read
 
 BUNDLED_PROFILES = ("device-a", "device-b", "device-c")
 
@@ -46,6 +47,29 @@ _PAULIS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+# the JSON form of a NoiseProfile, with every rule on one key: t1_us and
+# t2_us are one number for every qubit or one per qubit, and readout holds
+# one row-stochastic 2x2 matrix per qubit
+_PROBABILITY = Rule(float, lambda p: 0.0 <= p <= 1.0, "must lie in [0, 1]")
+_TIME = Rule(float, lambda t: t > 0, "must be positive")
+_ROW = Rule((_PROBABILITY,) * 2, lambda row: abs(sum(row) - 1.0) <= 1e-12, "must sum to 1 within 1e-12")
+PROFILE_KEYS = {"name": str} | dict.fromkeys(("depol_1q", "depol_2q"), _PROBABILITY)
+PROFILE_KEYS |= dict.fromkeys(("t1_us", "t2_us"), Either(_TIME, [_TIME]))
+PROFILE_KEYS |= dict.fromkeys(("gate_time_1q_us", "gate_time_2q_us"), at_least(0, float))
+PROFILE_KEYS["readout"] = Rule([(_ROW, _ROW)], lambda matrices: len(matrices) > 0, "must hold at least one qubit")
+
+
+def _check_qubits(t1_us, t2_us, readout) -> None:
+    """The rules across a profile's keys: t1_us and t2_us cover the qubits
+    of readout, and t2 <= 2 * t1 on each."""
+    for key, times in (("t1_us", t1_us), ("t2_us", t2_us)):
+        if len(times) != len(readout):
+            raise ValidationError(f"{key}: needs one value per readout qubit ({len(readout)}), got {list(times)!r}")
+    for q, (t1, t2) in enumerate(zip(t1_us, t2_us)):
+        if t2 > 2.0 * t1:
+            raise ValidationError(f"t2_us[{q}]: must be at most 2 * t1_us[{q}] = {2.0 * t1!r}, got {t2!r}")
 
 
 @dataclass(frozen=True)
@@ -69,31 +93,10 @@ class NoiseProfile:
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         confusion = tuple(tuple(tuple(map(float, row)) for row in m) for m in self.readout_confusion)
         object.__setattr__(self, "readout_confusion", confusion)
-        for label, p in (("depol_1q", self.depol_1q), ("depol_2q", self.depol_2q)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{label} must lie in [0, 1], got {p}")
-        n = len(self.readout_confusion)
-        if n == 0:
-            raise ValidationError("readout needs at least one qubit entry")
-        if len(self.t1_us) != n or len(self.t2_us) != n:
-            raise ValidationError("t1_us, t2_us and readout must cover the same qubits")
-        for q, (t1, t2) in enumerate(zip(self.t1_us, self.t2_us)):
-            if t1 <= 0:
-                raise ValidationError(f"t1_us[{q}] must be positive, got {t1}")
-            if not 0.0 < t2 <= 2.0 * t1:
-                raise ValidationError(f"t2_us[{q}] must satisfy 0 < t2 <= 2*t1, got {t2}")
-        for label, t in (
-            ("gate_time_1q_us", self.gate_time_1q_us),
-            ("gate_time_2q_us", self.gate_time_2q_us),
-        ):
-            if not t >= 0:  # NaN too
-                raise ValidationError(f"{label} must be non-negative, got {t}")
-        for q, rows in enumerate(self.readout_confusion):
-            for row in rows:
-                if any(not 0.0 <= v <= 1.0 for v in row):
-                    raise ValidationError(f"readout[{q}] entries must lie in [0, 1]")
-                if abs(sum(row) - 1.0) > 1e-12:
-                    raise ValidationError(f"readout[{q}] rows must sum to 1 within 1e-12")
+        fields = {**vars(self), "readout": confusion}
+        del fields["readout_confusion"]
+        read(PROFILE_KEYS, fields)
+        _check_qubits(self.t1_us, self.t2_us, confusion)
 
     @property
     def n_qubits(self) -> int:
@@ -273,13 +276,6 @@ def zero_noise_profile(n_qubits: int = 12, name: str = "zero-noise") -> NoisePro
     )
 
 
-# the JSON form of a NoiseProfile: t1_us and t2_us are one number for every
-# qubit or one per qubit, and readout holds one 2x2 matrix per qubit
-PROFILE_KEYS = {"name": str, "readout": [((float, float), (float, float))]}
-PROFILE_KEYS |= dict.fromkeys(("depol_1q", "depol_2q", "gate_time_1q_us", "gate_time_2q_us"), float)
-PROFILE_KEYS |= dict.fromkeys(("t1_us", "t2_us"), Either(float, [float]))
-
-
 def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
     doc = read(PROFILE_KEYS, raw, doc=source)
     confusion = doc.pop("readout")
@@ -288,18 +284,13 @@ def _profile_from_dict(raw: dict, source: str) -> NoiseProfile:
             doc[key] = [doc[key]] * len(confusion)
     try:
         return NoiseProfile(**doc, readout_confusion=confusion)
-    except ValidationError as exc:  # a rule across values: name the document
+    except ValidationError as exc:  # a rule across keys: name the document
         raise ValidationError(f"{source}: {exc}") from None
 
 
 def load_profile(path: str | Path) -> NoiseProfile:
     """Load and validate a profile JSON file."""
-    text = file_text(path)
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return _profile_from_dict(raw, str(path))
+    return _profile_from_dict(json_file(path), str(path))
 
 
 def bundled_profile(name: str) -> NoiseProfile:

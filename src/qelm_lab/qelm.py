@@ -46,7 +46,7 @@ from .errors import DimensionMismatch, ValidationError
 from .noise import NoiseProfile
 from .readout import HYPER_KEYS, READOUT_KIND, TASK, check_readout_task, fit_readout, readout_from_dict
 from .rng import Rng, derive_seed
-from .schema import Opt, Rule, at_least, file_text, one_of, read
+from .schema import Opt, Rule, at_least, json_file, one_of, read
 from .simulator import (
     OutcomeDistribution,
     ideal_probabilities,
@@ -476,4 +476,4 @@ def save_model(model: QelmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> QelmModel:
-    return model_from_dict(json.loads(file_text(path)))
+    return model_from_dict(json_file(path))

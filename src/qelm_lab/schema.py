@@ -16,11 +16,14 @@ which then takes the default; a default of None also takes null.
 
 ``file_text(path)`` reads every input file the command line takes, of any
 format (JSON documents, circuit text, CSV data): a directory or a file that
-is not UTF-8 text raises a ParseError naming the file.
+is not UTF-8 text raises a ParseError naming the file. ``json_file(path)``
+parses a JSON document's text, and a ParseError names the file when the
+text is not JSON.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 
 from .errors import ParseError, ValidationError
@@ -67,6 +70,15 @@ def file_text(path, newline: str | None = None) -> str:
         raise ParseError(f"{path} is a directory, not a file") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def json_file(path):
+    """The JSON value in the file at ``path``, read by file_text; a
+    ParseError naming the file if its text is not JSON."""
+    try:
+        return json.loads(file_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not JSON ({exc})") from None
 
 
 def _fits(slot, value) -> bool:

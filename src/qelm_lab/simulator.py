@@ -667,8 +667,9 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
     return results
 
 
-def _qubit_count(circuits: list[Circuit], cap: int, runner: str, backend: str) -> int:
+def _qubit_count(circuits: list[Circuit], runner: str, backend: str) -> int:
     n = circuits[0].n_qubits
+    cap = IDEAL_QUBIT_CAP if backend == "ideal" else DENSITY_QUBIT_CAP
     if any(c.n_qubits != n for c in circuits):
         raise ValidationError(f"{runner} needs circuits on one qubit count")
     if n > cap:
@@ -676,16 +677,16 @@ def _qubit_count(circuits: list[Circuit], cap: int, runner: str, backend: str) -
     return n
 
 
-def run_ideal(circuit: Circuit, cap: int = IDEAL_QUBIT_CAP) -> StateVector:
+def run_ideal(circuit: Circuit) -> StateVector:
     """Apply the gate list to |0...0> and return the final pure state."""
-    return run_ideal_many([circuit], cap)[0]
+    return run_ideal_many([circuit])[0]
 
 
-def run_ideal_many(circuits: list[Circuit], cap: int = IDEAL_QUBIT_CAP) -> list[StateVector]:
+def run_ideal_many(circuits: list[Circuit]) -> list[StateVector]:
     """run_ideal of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
     return _walk_ideal(
-        circuits, None, cap, "run_ideal_many",
+        circuits, None, "run_ideal_many",
         lambda stack: [StateVector(state.ndim, state.reshape(-1)) for state in stack],
     )
 
@@ -696,14 +697,14 @@ def ideal_probabilities(circuits: list[Circuit], angles: np.ndarray | None = Non
     each, row by row and bit for bit, evolved together by one walk. The
     states are measured one stack per node, with StateVector's norm check
     and OutcomeDistribution's checks on every row."""
-    return np.array(_walk_ideal(circuits, angles, IDEAL_QUBIT_CAP, "ideal_probabilities", _measure_amplitudes))
+    return np.array(_walk_ideal(circuits, angles, "ideal_probabilities", _measure_amplitudes))
 
 
-def _walk_ideal(circuits: list[Circuit], angles, cap: int, runner: str, finish) -> list:
+def _walk_ideal(circuits: list[Circuit], angles, runner: str, finish) -> list:
     """_walk from |0...0> in the state-vector representation."""
     if not circuits:
         return []
-    n = _qubit_count(circuits, cap, runner, "ideal")
+    n = _qubit_count(circuits, runner, "ideal")
     tensor = np.zeros((2,) * n, dtype=complex)
     tensor[(0,) * n] = 1.0
     return _walk(circuits, angles, tensor, None, finish)
@@ -716,19 +717,17 @@ def _measure_amplitudes(stack: np.ndarray) -> np.ndarray:
     return _readout(squares, _norm_checks(squares), stack.ndim - 1, None)
 
 
-def run_noisy(circuit: Circuit, profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
+def run_noisy(circuit: Circuit, profile: NoiseProfile) -> DensityMatrix:
     """Evolve |0...0><0...0| through the circuit, applying each gate's unitary
     followed by the profile's noise channel for that gate."""
-    return run_noisy_many([circuit], profile, cap)[0]
+    return run_noisy_many([circuit], profile)[0]
 
 
-def run_noisy_many(
-    circuits: list[Circuit], profile: NoiseProfile, cap: int = DENSITY_QUBIT_CAP
-) -> list[DensityMatrix]:
+def run_noisy_many(circuits: list[Circuit], profile: NoiseProfile) -> list[DensityMatrix]:
     """run_noisy of every circuit, in order, evolved together by one walk;
     each state is bit-identical to that circuit's run on its own."""
     return _walk_noisy(
-        circuits, None, profile, cap, "run_noisy_many",
+        circuits, None, profile, "run_noisy_many",
         lambda stack: [_pauli_to_density(state) for state in stack],
     )
 
@@ -744,18 +743,18 @@ def noisy_probabilities(
     trace and diagonal."""
     return np.array(
         _walk_noisy(
-            circuits, angles, profile, DENSITY_QUBIT_CAP, "noisy_probabilities",
+            circuits, angles, profile, "noisy_probabilities",
             lambda stack: _measure_pauli(stack, profile),
         )
     )
 
 
-def _walk_noisy(circuits: list[Circuit], angles, profile: NoiseProfile, cap: int, runner: str, finish) -> list:
+def _walk_noisy(circuits: list[Circuit], angles, profile: NoiseProfile, runner: str, finish) -> list:
     """_walk from |0...0><0...0| in the PTM representation, each gate
     followed by the profile's noise."""
     if not circuits:
         return []
-    n = _qubit_count(circuits, cap, runner, "density")
+    n = _qubit_count(circuits, runner, "density")
     if profile.n_qubits < n:
         raise IncompatibleProfile(
             f"profile {profile.name!r} covers {profile.n_qubits} qubits, circuit needs {n}"

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from qelm_lab.cli import RUN_CONFIG, main
+from qelm_lab.noise import PROFILE_KEYS
 from test_schema import leaf_paths
 
 
@@ -461,8 +462,11 @@ def _results(**change) -> str:
 @pytest.mark.parametrize(
     "text, problem",
     [
-        ("{not json", "is not valid JSON"),
-        ("[1, 2]", "top level must be a JSON object"),
+        ("{not json", "error: <file>: not JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))\n"),
+        ("[1, 2]", "error: results: expected an object, got [1, 2]\n"),
+        pytest.param(
+            _results(schema="other/1"), "schema: not a scenario-report/1 document, got 'other/1'", id="schema-other"
+        ),
         ('{"schema": "scenario-report/1"}', "has no scenario, metric, runs"),
         pytest.param(_results(runs=[1]), "runs[0]: expected an object, got 1", id="run-not-object"),
         pytest.param(_results(runs=[{}]), "runs[0].repeat: required", id="run-empty"),
@@ -500,7 +504,10 @@ def test_report_on_a_malformed_results_file_exits_one(capsys, tmp_path, text, pr
     )
     assert code == 1
     assert out == ""
-    assert err.startswith("error: results: ") and problem in err
+    if problem.startswith("error: "):  # the whole line
+        assert err == problem.replace("<file>", str(results))
+    else:
+        assert err.startswith("error: results: ") and problem in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -601,13 +608,47 @@ def test_a_profile_value_the_reader_rejects_exits_one_naming_file_and_key(
     assert not (tmp_path / "out").exists()
 
 
+def _device_a():
+    return json.loads(resources.files("qelm_lab").joinpath("profiles/device-a.json").read_text())
+
+
+# A bad value for every noise-profile key: (change to device-a, the error
+# after the file's name). test_every_profile_key_has_a_bad_value_case keeps
+# it complete.
+BAD_PROFILE_VALUES = [
+    ({"name": 5}, "name: expected a string, got 5"),
+    ({"depol_1q": 1.5}, "depol_1q: must lie in [0, 1], got 1.5"),
+    ({"depol_2q": -0.1}, "depol_2q: must lie in [0, 1], got -0.1"),
+    ({"t1_us": -1.0}, "t1_us: must be positive, got -1.0"),
+    ({"t1_us": [0.0] + _device_a()["t1_us"][1:]}, "t1_us[0]: must be positive, got 0.0"),
+    ({"t2_us": 0}, "t2_us: must be positive, got 0"),
+    ({"gate_time_1q_us": -1}, "gate_time_1q_us: must not be negative, got -1"),
+    ({"gate_time_2q_us": -0.3}, "gate_time_2q_us: must not be negative, got -0.3"),
+    ({"readout": [], "t1_us": 100.0, "t2_us": 100.0}, "readout: must hold at least one qubit, got []"),
+    ({"readout": [[[0.9, 0.2], [0.1, 0.9]]] * 12}, "readout[0][0]: must sum to 1 within 1e-12, got [0.9, 0.2]"),
+    ({"readout": [[[1.0, 0.0], [1.2, -0.2]]] * 12}, "readout[0][1][0]: must lie in [0, 1], got 1.2"),
+]
+
+
+def test_every_profile_key_has_a_bad_value_case():
+    covered = {problem.split(":")[0].split("[")[0] for _, problem in BAD_PROFILE_VALUES}
+    assert leaf_paths(PROFILE_KEYS) - covered == set()
+
+
+@pytest.mark.parametrize("change, problem", BAD_PROFILE_VALUES)
+def test_a_bad_profile_value_exits_one_naming_file_and_key(capsys, tmp_path, change, problem):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**_device_a(), **change}))
+    assert run_cli(capsys, "simulate", "--profile", str(path)) == (1, "", f"error: {path}: {problem}\n")
+
+
 @pytest.mark.parametrize(
     "change, rule",
     [
         ({"t1_us": [50.0, 50.0, 50.0], "readout": [[[0.98, 0.02], [0.03, 0.97]]] * 2},
-         "t1_us, t2_us and readout must cover the same qubits"),
-        ({"t1_us": 50.0, "t2_us": 150.0}, "t2_us[0] must satisfy 0 < t2 <= 2*t1, got 150.0"),
-        ({"depol_1q": 1.5}, "depol_1q must lie in [0, 1], got 1.5"),
+         "t1_us: needs one value per readout qubit (2), got [50.0, 50.0, 50.0]"),
+        ({"t1_us": 50.0, "t2_us": 150.0}, "t2_us[0]: must be at most 2 * t1_us[0] = 100.0, got 150.0"),
+        ({"depol_1q": 1.5}, "depol_1q: must lie in [0, 1], got 1.5"),
     ],
 )
 def test_a_rule_a_profile_file_breaks_exits_one_naming_the_file(capsys, tmp_path, change, rule):
@@ -621,9 +662,9 @@ def test_a_rule_a_profile_file_breaks_exits_one_naming_the_file(capsys, tmp_path
 @pytest.mark.parametrize(
     "flags, problem",
     [
-        (["--qubits", "30"], "--qubits must lie in [1, 12] for profile 'device-a', got 30"),
-        (["--qubits", "0"], "--qubits must lie in [1, 12] for profile 'device-a', got 0"),
-        (["--gates", "-1"], "--gates must be non-negative, got -1"),
+        (["--qubits", "30"], "--qubits: must lie in [1, 12] for profile 'device-a', got 30"),
+        (["--qubits", "0"], "--qubits: must lie in [1, 12] for profile 'device-a', got 0"),
+        (["--gates", "-1"], "--gates: must not be negative, got -1"),
     ],
 )
 def test_calibrate_zne_rejects_a_bad_flag_with_exit_one(capsys, tmp_path, flags, problem):
@@ -770,19 +811,23 @@ def test_report_charts_integers_beyond_the_float_precision(capsys, tmp_path):
     assert (tmp_path / "out" / "uq_intervals_configured.svg").exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--circuit", "{path}"],
-        ["calibrate-zne", "--profile", "device-a", "--circuit", "{path}"],
-        ["simulate", "--profile", "{path}"],
-        ["scenario", "--config", "{path}"],
-        ["uq", "--config", "{path}"],
-        ["report", "--results", "{path}"],
-        ["train", "--data", "{path}", "--task", "regression"],
-    ],
-    ids=lambda argv: " ".join(argv[:2]),
-)
+# a command line for each input file the command line reads, at {path}
+INPUT_FILES = [
+    ["simulate", "--circuit", "{path}"],
+    ["calibrate-zne", "--profile", "device-a", "--circuit", "{path}"],
+    ["simulate", "--profile", "{path}"],
+    ["scenario", "--config", "{path}"],
+    ["uq", "--config", "{path}"],
+    ["report", "--results", "{path}"],
+    ["train", "--data", "{path}", "--task", "regression"],
+]
+
+
+def _input_id(argv):
+    return " ".join(argv[:2])
+
+
+@pytest.mark.parametrize("argv", INPUT_FILES, ids=_input_id)
 @pytest.mark.parametrize("kind, problem", [("binary", "is not UTF-8 text"), ("directory", "is a directory")])
 def test_an_input_that_is_not_utf8_text_or_is_a_directory_exits_one_naming_it(
     capsys, tmp_path, argv, kind, problem
@@ -799,6 +844,47 @@ def test_an_input_that_is_not_utf8_text_or_is_a_directory_exits_one_naming_it(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", INPUT_FILES, ids=_input_id)
+def test_a_missing_input_file_exits_one_in_one_form(capsys, tmp_path, argv):
+    path = tmp_path / "none"
+    argv = [arg.replace("{path}", str(path)) for arg in argv] + ["--out", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv) == (1, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [a for a in INPUT_FILES if "--circuit" not in a and "--data" not in a], ids=_input_id)
+def test_an_input_that_is_not_json_exits_one_naming_it(capsys, tmp_path, argv):
+    path = tmp_path / "input.json"
+    path.write_text("{not json")
+    argv = [arg.replace("{path}", str(path)) for arg in argv] + ["--out", str(tmp_path / "out")]
+    problem = "not JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"
+    assert run_cli(capsys, *argv) == (1, "", f"error: {path}: {problem}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _csv_file(tmp_path) -> str:
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,y\n" + "".join(f"{i / 10},{i % 3},{i % 4}\n" for i in range(10)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [("--dataset", "regression3", "'regression3'"), ("--dataset-size", "0", "0"), ("--noise-level", "0.1", "0.1")],
+)
+def test_train_from_a_csv_file_rejects_the_synthetic_dataset_flags(capsys, tmp_path, flag, value, shown):
+    argv = ["train", "--data", _csv_file(tmp_path), "--task", "regression", flag, value, "--out", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {flag}: does not apply to a CSV file, got {shown}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_from_a_csv_file_splits_it_by_the_dataset_seed(capsys, tmp_path):
+    argv = ["train", "--data", _csv_file(tmp_path), "--task", "regression"]
+    runs = [run_cli(capsys, *argv, "--dataset-seed", seed, "--out", str(tmp_path / seed)) for seed in ("0", "7")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs[0][1] != runs[1][1]
+
+
 def test_a_singular_readout_fit_is_a_runtime_failure(capsys, tmp_path):
     config_file = tmp_path / "c.json"
     config_file.write_text(json.dumps({
@@ -807,3 +893,19 @@ def test_a_singular_readout_fit_is_a_runtime_failure(capsys, tmp_path):
     }))
     code, out, err = run_cli(capsys, "uq", "--config", str(config_file), "--out", str(tmp_path / "out"))
     assert (code, out, err) == (2, "", "runtime failure: Singular matrix\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", "--shots", "10000000000000"], "sample"),
+        (["scenario", "--profile", "device-a", "--dataset-size", "20", "--repeats", "1"], "run_scenario"),
+    ],
+)
+def test_an_allocation_too_large_for_the_machine_is_a_runtime_failure(capsys, tmp_path, monkeypatch, argv, name):
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(f"qelm_lab.cli.{name}", allocate)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "runtime failure: Unable to allocate 72.8 TiB for an array\n")

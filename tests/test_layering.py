@@ -34,3 +34,18 @@ def _private_uses(path: Path):
 def test_no_module_uses_a_private_name_of_another():
     assert len(SOURCES) > 10
     assert [use for path in SOURCES for use in _private_uses(path)] == []
+
+
+def _json_error_handlers(path: Path):
+    """Each ``except`` clause of ``path`` that names JSONDecodeError."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(getattr(c, "attr", getattr(c, "id", None)) == "JSONDecodeError" for c in caught):
+                yield f"{path.name}:{node.lineno} catches JSONDecodeError"
+
+
+def test_only_schema_handles_malformed_json():
+    handlers = [h for path in SOURCES for h in _json_error_handlers(path)]
+    assert [h for h in handlers if not h.startswith("schema.py:")] == []
+    assert len(handlers) == 1  # schema.json_file's

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from qelm_lab import simulator as sim
 from qelm_lab.errors import ParseError, ValidationError
 
 from conftest import make_depol_profile
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_bundled_profiles_load_and_validate():
@@ -109,8 +112,23 @@ def test_a_profile_from_json_values_holds_floats_in_tuples():
     assert type(profile.gate_time_1q_us) is float and hash(profile)
 
 
+def test_the_readme_table_lists_exactly_the_profile_keys():
+    text = README.read_text()
+    table = text[text.index("| key | rule |"):]
+    table = table[: table.index("\n\n")]
+    assert {line.split("`")[1] for line in table.splitlines()[2:]} == set(noise.PROFILE_KEYS)
+
+
+def test_a_profile_built_in_python_is_checked_as_a_file_is():
+    with pytest.raises(ValidationError, match=re.escape("readout[0][1][0]: must lie in [0, 1], got 1.5")):
+        noise.NoiseProfile("bad", 0, 0, (100,), (100,), 0, 0, (((1, 0), (1.5, -0.5)),))
+    problem = "t2_us: needs one value per readout qubit (1), got [100.0, 90.0]"
+    with pytest.raises(ValidationError, match=re.escape(problem)):
+        noise.NoiseProfile("bad", 0, 0, (100,), (100, 90), 0, 0, (((1, 0), (0, 1)),))
+
+
 def test_a_nan_gate_time_is_rejected():
-    with pytest.raises(ValidationError, match="gate_time_1q_us must be non-negative, got nan"):
+    with pytest.raises(ValidationError, match="^gate_time_1q_us: must be finite, got nan$"):
         noise.NoiseProfile("nan", 0, 0, (100,), (100,), math.nan, 0, (((1, 0), (0, 1)),))
 
 

@@ -37,7 +37,7 @@ def test_bell_distribution(bell):
 
 def test_qubit_caps():
     with pytest.raises(CapExceeded):
-        sim.run_ideal(circ.Circuit(3), cap=2)
+        sim.run_ideal(circ.Circuit(21))
     with pytest.raises(CapExceeded):
         sim.run_noisy(circ.Circuit(13), zero_noise_profile(13))
 
@@ -523,7 +523,7 @@ def test_identical_circuits_ending_at_one_node_take_one_finish_call():
         calls.append(len(stack))
         return [state.copy() for state in stack]
 
-    states = sim._walk_noisy([base, twin, base], None, profile, sim.DENSITY_QUBIT_CAP, "test", finish)
+    states = sim._walk_noisy([base, twin, base], None, profile, "test", finish)
     assert calls == [1]
     want = _run_noisy_alone(base, profile)
     for state in states:
@@ -535,9 +535,9 @@ def test_identical_circuits_ending_at_one_node_take_one_finish_call():
     ))
     angles = np.random.default_rng(5).uniform(0.0, np.pi, size=(4, 3))
     calls.clear()
-    states = sim._walk_ideal([program, program], angles, sim.IDEAL_QUBIT_CAP, "test", finish)
+    states = sim._walk_ideal([program, program], angles, "test", finish)
     assert calls == [4]
-    alone = sim._walk_ideal([program], angles, sim.IDEAL_QUBIT_CAP, "test", finish)
+    alone = sim._walk_ideal([program], angles, "test", finish)
     for first, second, want in zip(states[::2], states[1::2], alone):
         assert np.array_equal(first, want) and np.array_equal(second, want)
 
@@ -902,7 +902,7 @@ def _former_features(vec: np.ndarray, spec, seed: int) -> np.ndarray:
 
 def _final_ptm(circuit: circ.Circuit, profile) -> np.ndarray:
     """One circuit's final PTM state, walked alone (fused as in any walk)."""
-    states = sim._walk_noisy([circuit], None, profile, sim.DENSITY_QUBIT_CAP, "test", lambda s: [s[0].copy()])
+    states = sim._walk_noisy([circuit], None, profile, "test", lambda s: [s[0].copy()])
     return states[0]
 
 
