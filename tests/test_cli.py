@@ -462,8 +462,12 @@ def _results(**change) -> str:
 @pytest.mark.parametrize(
     "text, problem",
     [
-        ("{not json", "error: <file>: not JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))\n"),
-        ("[1, 2]", "error: results: expected an object, got [1, 2]\n"),
+        pytest.param(
+            "{not json",
+            "error: <file>: not JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))\n",
+            id="not-json",
+        ),
+        pytest.param("[1, 2]", "error: results: expected an object, got [1, 2]\n", id="not-an-object"),
         pytest.param(
             _results(schema="other/1"), "schema: not a scenario-report/1 document, got 'other/1'", id="schema-other"
         ),
