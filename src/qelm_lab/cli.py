@@ -3,12 +3,14 @@
 Subcommands: simulate, train, scenario, uq, calibrate-zne, report. Runs are
 driven by a JSON config file plus flag overrides (flags win over the file;
 the QELM_LAB_SEED environment variable is the lowest-priority seed source).
-Exit codes: 0 success, 1 validation or usage error, 2 runtime failure.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime failure; a
+standard output whose reader has gone ends a command with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -140,6 +142,14 @@ def run_inputs(
     return scenario, dataset, spec
 
 
+def _reject_flags(args: argparse.Namespace, flags: dict, source: str) -> None:
+    """A UsageError naming the first of ``flags`` (dest: flag) that was
+    given, since none of them applies to ``source``."""
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise UsageError(f"{flag}: does not apply to {source}, got {getattr(args, dest)!r}")
+
+
 def _check_circuit_width(circuit, profile) -> None:
     """A UsageError naming --circuit when the circuit is wider than its
     backend takes: the ideal one without a profile, else the density one
@@ -176,11 +186,11 @@ def _cmd_simulate(args) -> int:
     if args.shots:
         dist = sample(dist, args.shots, args.seed or 0).to_distribution()
     payload = json.dumps(dist.probabilities, sort_keys=True)
-    print(payload)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "distribution.json").write_text(payload + "\n")
+    print(payload)
     return 0
 
 
@@ -190,9 +200,8 @@ _SYNTHETIC_FLAGS = {"dataset.kind": "--dataset", "dataset.size": "--dataset-size
 
 
 def _cmd_train(args) -> int:
-    for dest, flag in _SYNTHETIC_FLAGS.items():
-        if args.data and getattr(args, dest) is not None:
-            raise UsageError(f"{flag}: does not apply to a CSV file, got {getattr(args, dest)!r}")
+    if args.data:
+        _reject_flags(args, _SYNTHETIC_FLAGS, "a CSV file")
     config = read(RUN_CONFIG, _with_flags({}, args))
     d, seed = config["dataset"], config["seed"]
     if args.data:
@@ -266,17 +275,24 @@ def _cmd_uq(args) -> int:
     return 0
 
 
+# the flags of the random representative circuit, which a circuit file replaces
+_RANDOM_CIRCUIT_FLAGS = {"qubits": "--qubits", "gates": "--gates", "seed": "--seed"}
+
+
 def _cmd_calibrate_zne(args) -> int:
     profile = resolve_profile(args.profile)
     if args.circuit:
+        _reject_flags(args, _RANDOM_CIRCUIT_FLAGS, "a circuit file")
         representative = circ.from_text(file_text(args.circuit))
         _check_circuit_width(representative, profile)
     else:
+        n_qubits = 3 if args.qubits is None else args.qubits
+        n_gates = 12 if args.gates is None else args.gates
         top = min(profile.n_qubits, DENSITY_QUBIT_CAP)
         qubits = Rule(int, lambda n: 1 <= n <= top, f"must lie in [1, {top}] for profile {profile.name!r}")
-        read(qubits, args.qubits, "--qubits")
-        read(at_least(0), args.gates, "--gates")
-        representative = random_circuit(args.qubits, args.gates, args.seed or 0)
+        read(qubits, n_qubits, "--qubits")
+        read(at_least(0), n_gates, "--gates")
+        representative = random_circuit(n_qubits, n_gates, args.seed or 0)
     grid = [
         ZneConfig((1.0, 2.0, 3.0, 5.0), extrapolation="polynomial", degree=3),
         ZneConfig((1.0, 2.0, 3.0, 5.0), extrapolation="polynomial", degree=2),
@@ -286,11 +302,11 @@ def _cmd_calibrate_zne(args) -> int:
     ]
     chosen = zne_calibrate(profile, representative, grid)
     payload = json.dumps(chosen.to_dict(), indent=2, sort_keys=True)
-    print(payload)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "zne_config.json").write_text(payload + "\n")
+    print(payload)
     return 0
 
 
@@ -368,10 +384,10 @@ def build_parser() -> _Parser:
 
     p_cal = sub.add_parser("calibrate-zne", help="pick the best extrapolation settings")
     p_cal.add_argument("--profile", required=True)
-    p_cal.add_argument("--qubits", type=int, default=3)
-    p_cal.add_argument("--gates", type=int, default=12)
+    p_cal.add_argument("--qubits", type=int, help="random circuit width (default 3)")
+    p_cal.add_argument("--gates", type=int, help="random circuit gate count (default 12)")
     p_cal.add_argument("--circuit", help="representative circuit file (optional)")
-    p_cal.add_argument("--seed", type=int, default=0)
+    p_cal.add_argument("--seed", type=int, help="random circuit seed (default 0)")
     p_cal.add_argument("--out")
     p_cal.set_defaults(func=_cmd_calibrate_zne)
 
@@ -390,7 +406,16 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_help()
             return 1
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of standard output has gone (``| head``) after every file
+        # was written; point the stream at devnull so that its last flush
+        # cannot fail again
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except SystemExit as exc:  # argparse --help
         return 0 if exc.code in (0, None) else 1
     except (UsageError, ValidationError, ParseError, FileNotFoundError) as exc:

@@ -295,12 +295,16 @@ def _exact_u_counts(pooled: np.ndarray, m: int) -> dict[float, int]:
     return {(s - offset) / 2.0: int(c) for s, c in enumerate(counts[m]) if c}
 
 
+# the largest pooled size whose exact null distribution ``auto`` counts
+EXACT_MANN_WHITNEY_SIZE = 16
+
+
 def mann_whitney_u(a, b, method: str = "auto") -> tuple[float, float]:
     """Two-sided Mann-Whitney test; returns (U of the first sample, p value).
 
     ``auto`` counts the exact null distribution when the pooled size is
-    at most 16 and otherwise uses the normal approximation with tie
-    correction and continuity correction.
+    at most EXACT_MANN_WHITNEY_SIZE and otherwise uses the normal
+    approximation with tie correction and continuity correction.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -312,7 +316,7 @@ def mann_whitney_u(a, b, method: str = "auto") -> tuple[float, float]:
         raise ValidationError("Mann-Whitney values must not be NaN")
     u_obs = _u_statistic(a, b)
     m, n = len(a), len(b)
-    if method == "exact" or (method == "auto" and m + n <= 16):
+    if method == "exact" or (method == "auto" and m + n <= EXACT_MANN_WHITNEY_SIZE):
         u_counts = _exact_u_counts(np.concatenate([a, b]), m)
         total = sum(u_counts.values())
         count_le = sum(c for u, c in u_counts.items() if u <= u_obs + 1e-12)
@@ -710,7 +714,7 @@ def run_scenario(
             "u": u,
             "p_value": p,
             "a12_observed_vs_ideal": a12(observed, ideal_metrics),
-            "method": "exact" if len(observed) + len(ideal_metrics) <= 16 else "approx",
+            "method": "exact" if len(observed) + len(ideal_metrics) <= EXACT_MANN_WHITNEY_SIZE else "approx",
         }
 
     uq_payload = None

@@ -3,7 +3,7 @@ reservoir, measurement-based feature extraction, and a trainable readout.
 
 The pipeline for one input x is
 
-    encode(x) . reservoir  ->  execute on a backend  ->  measure  ->
+    encoder(x) . reservoir  ->  execute on a backend  ->  measure  ->
     feature vector         ->  readout
 
 The reservoir is drawn once from its seed and never changes; training only
@@ -156,25 +156,10 @@ class QelmFront:
         return self.feature_map.n_features(self.n_qubits)
 
 
-def encode(features: np.ndarray, spec: EncoderSpec, n_qubits: int) -> Circuit:
-    """Min-max scale each feature into an RY angle in [0, pi], one qubit per
-    feature, then close with a CX ring when entangling is on."""
-    features = np.asarray(features, dtype=float).reshape(1, -1)
-    if features.shape[1] != n_qubits:
-        raise DimensionMismatch(f"got {features.shape[1]} features for {n_qubits} qubits")
-    if len(spec.feature_range) != n_qubits:
-        raise DimensionMismatch(
-            f"encoder covers {len(spec.feature_range)} features, circuit has {n_qubits} qubits"
-        )
-    gates = [circ.ry(q, theta) for q, theta in enumerate(encoder_angles(spec, features)[0])]
-    if spec.entangle and n_qubits >= 2:
-        gates += [circ.cx(q, (q + 1) % n_qubits) for q in range(n_qubits)]
-    return Circuit(n_qubits, tuple(gates))
-
-
 def encoder_angles(spec: EncoderSpec, inputs) -> np.ndarray:
-    """The encoder's angles of rows of features, one row each, with encode's
-    bits and errors: a wrong feature count, a non-finite angle."""
+    """The encoder's angles of rows of features, one row each: each feature
+    min-max scaled into an RY angle in [0, pi]. A wrong feature count or a
+    non-finite angle raises."""
     inputs = np.asarray(inputs, dtype=float)
     n = len(spec.feature_range)
     rows = inputs.reshape(len(inputs), -1) if len(inputs) else inputs.reshape(0, n)
@@ -218,15 +203,20 @@ def build_reservoir(spec: ReservoirSpec) -> Circuit:
 
 
 def front_program(front: QelmFront) -> Circuit:
-    """The program every row of the front runs: front_circuit with the
-    encoder's RY gates as slots."""
+    """The program every row of the front runs: one RY slot per qubit, the
+    CX ring when the encoder entangles, then the reservoir."""
     n = front.n_qubits
-    ring = encode(np.zeros(n), front.encoder, n).gates[n:]
+    ring = tuple(circ.cx(q, (q + 1) % n) for q in range(n)) if front.encoder.entangle and n >= 2 else ()
     return Circuit(n, tuple(map(circ.Slot, range(n))) + ring + build_reservoir(front.reservoir).gates)
 
 
 def front_circuit(front: QelmFront, x: np.ndarray) -> Circuit:
-    return circ.compose(encode(x, front.encoder, front.n_qubits), build_reservoir(front.reservoir))
+    """The circuit of the one input row ``x``: front_program with its slots
+    bound to the row's encoder angles."""
+    angles = encoder_angles(front.encoder, np.reshape(x, (1, -1)))[0]
+    gates = front_program(front).gates
+    return Circuit(front.n_qubits, tuple(circ.ry(g.qubit, angles[g.qubit]) if isinstance(g, circ.Slot) else g
+                                         for g in gates))
 
 
 def distribution_features(dist: OutcomeDistribution, spec: FeatureMapSpec, seed: int) -> np.ndarray:

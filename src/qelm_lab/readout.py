@@ -594,26 +594,22 @@ class BaggedTrees:
 def fit_linear(features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> LinearReadout:
     """Ridge least squares via the normal equations; the intercept column is
     not penalized."""
-    return next(_fit_linears(np.asarray(features, dtype=float), np.asarray(targets, dtype=float), None, ridge))
+    targets = np.asarray(targets, dtype=float)
+    return next(_fit_linears(np.asarray(features, dtype=float), targets, [np.arange(len(targets))], ridge))
 
 
 def _fit_linears(features: np.ndarray, targets: np.ndarray, samples, ridge: float = 1e-8):
     """fit_linear of ``features[rows]``, ``targets[rows]`` for each sample of
-    rows, all of one length (None: one fit on every row, as given), by
-    stacked normal equations: about _GROW_CELLS design entries per stack,
-    each stack solved in one call."""
+    rows, all of one length, by stacked normal equations: about _GROW_CELLS
+    design entries per stack, each stack solved in one call."""
     n, d = features.shape
     design = np.hstack([features, np.ones((n, 1))])
     penalty = ridge * np.eye(d + 1)
     penalty[d, d] = 0.0
-    if samples is None:
-        stacks = [(design[None], targets[None])]
-    else:
-        samples = np.asarray(samples)
-        batch = max(1, _GROW_CELLS // max(samples.shape[1] * (d + 1), 1))
-        batches = (samples[k : k + batch] for k in range(0, len(samples), batch))
-        stacks = ((design[rows], targets[rows]) for rows in batches)
-    for stacked, stacked_targets in stacks:
+    samples = np.asarray(samples)
+    batch = max(1, _GROW_CELLS // max(samples.shape[1] * (d + 1), 1))
+    for k in range(0, len(samples), batch):
+        stacked, stacked_targets = design[samples[k : k + batch]], targets[samples[k : k + batch]]
         stacked_t = stacked.transpose(0, 2, 1)
         coeffs = np.linalg.solve(stacked_t @ stacked + penalty, stacked_t @ stacked_targets[..., None])[..., 0]
         yield from (LinearReadout(weights=c[:d], intercept=float(c[d])) for c in coeffs)
@@ -661,16 +657,16 @@ def fit_logistic(
 
 def fit_readout(features: np.ndarray, targets: np.ndarray, kind: str, hyper: dict | None = None):
     """Dispatch to one readout family: "linear", "logistic", or "tree"."""
-    return next(fit_readouts(features, targets, kind, hyper, [None]))
+    return next(fit_readouts(features, targets, kind, hyper, [np.arange(len(targets))]))
 
 
 def fit_readouts(
     features: np.ndarray, targets: np.ndarray, kind: str, hyper: dict | None, samples
 ):
-    """One readout per sample of row indices (None: every row, as given),
-    each as ``fit_readout(features[rows], targets[rows], kind, hyper)`` fits
-    it, handed out one by one. The trees of all samples are grown together,
-    and linear readouts of samples of one length are solved together."""
+    """One readout per sample of row indices, each as
+    ``fit_readout(features[rows], targets[rows], kind, hyper)`` fits it,
+    handed out one by one. The trees of all samples are grown together, and
+    linear readouts of samples of one length are solved together."""
     read(READOUT_KIND, kind, "readout")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -678,22 +674,19 @@ def fit_readouts(
         raise ValidationError("features must be a 2-D matrix")
     if features.shape[0] != len(targets):
         raise ValidationError("feature rows must match target count")
-    row_sets = [np.arange(len(targets)) if rows is None else np.asarray(rows) for rows in samples]
+    row_sets = [np.asarray(rows) for rows in samples]
     if any(len(rows) < 2 for rows in row_sets):
         raise ValidationError("need at least 2 training rows")
     hyper = hyper or {}
     if kind == "tree":
         yield from DecisionTree("classification", **hyper).fit_samples(features, targets, row_sets)
         return
-    if kind == "linear" and all(rows is not None for rows in samples) and len(set(map(len, row_sets))) == 1:
+    if kind == "linear" and len(set(map(len, row_sets))) == 1:
         yield from _fit_linears(features, targets, row_sets, **hyper)
         return
     fit = fit_linear if kind == "linear" else fit_logistic
-    for rows in samples:
-        if rows is None:
-            yield fit(features, targets, **hyper)
-        else:
-            yield fit(features[rows], targets[rows], **hyper)
+    for rows in row_sets:
+        yield fit(features[rows], targets[rows], **hyper)
 
 
 def readout_from_dict(raw: dict, at: str = "", n_features: int | None = None):

@@ -50,10 +50,9 @@ class PredictionDistribution:
 
     task: str
     samples: np.ndarray
-    source: tuple[str, int]  # ("bootstrap", B) or ("ensemble", M)
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = np.ascontiguousarray(self.samples, dtype=float)
         expected = 2 if self.task == "regression" else 3
         if self.samples.ndim != expected:
             raise ValidationError(
@@ -67,10 +66,6 @@ class PredictionDistribution:
     @property
     def n_inputs(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
 
     def mean_predictions(self) -> np.ndarray:
         """Per-input mean: floats for regression, probability vectors for
@@ -122,7 +117,7 @@ def bootstrap_distribution(
     else:
         per_refit = [readout.predict_proba(test_features) for readout in refits]
     stacked = np.stack(per_refit, axis=1)
-    return PredictionDistribution(task, stacked, ("bootstrap", b))
+    return PredictionDistribution(task, stacked)
 
 
 def ensemble_distribution(
@@ -162,7 +157,7 @@ def ensemble_distribution(
         else:
             per_input.append(member.readout.predict_proba(test_features))
     stacked = np.stack(per_input, axis=1)
-    return PredictionDistribution(task, stacked, ("ensemble", m))
+    return PredictionDistribution(task, stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +192,34 @@ def crps_rows(samples: np.ndarray, y: np.ndarray) -> np.ndarray:
     return term1 - pair_sum / (2.0 * n * n)
 
 
-def check_score(y: float, q: float, tau: float) -> float:
-    """Pinball loss of the quantile prediction q at level tau.
+def check_scores(y, q, tau) -> np.ndarray:
+    """Pinball loss of the quantile predictions q at levels tau, elementwise
+    over the broadcast of the three arrays.
 
-    The loss is 0 only when y == q: a nonzero difference whose product
-    with tau or 1 - tau underflows scores the smallest positive float.
+    A loss is 0 only where y == q: a nonzero difference whose product with
+    tau or 1 - tau underflows scores the smallest positive float.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValidationError(f"tau must lie in (0, 1), got {tau}")
-    score = tau * (y - q) if y >= q else (1.0 - tau) * (q - y)
-    if score == 0.0 and y != q:
-        return math.ulp(0.0)
-    return score
+    y, q, tau = (np.asarray(a, dtype=float) for a in (y, q, tau))
+    outside = ~((0.0 < tau) & (tau < 1.0))
+    if outside.any():
+        raise ValidationError(f"tau must lie in (0, 1), got {tau[outside][0]}")
+    scores = np.where(y >= q, tau * (y - q), (1.0 - tau) * (q - y))
+    return np.where((scores == 0.0) & (y != q), math.ulp(0.0), scores)
 
 
-def interval_score(y: float, lo: float, hi: float, alpha: float) -> float:
-    """Interval width plus (2/alpha)-scaled penalties for missed coverage."""
-    if lo > hi:
-        raise InvalidInterval(f"interval lower bound {lo} exceeds upper bound {hi}")
+def interval_scores(y, lo, hi, alpha: float) -> np.ndarray:
+    """Interval width plus (2/alpha)-scaled penalties for missed coverage,
+    elementwise over the broadcast of y and the bounds lo, hi."""
+    y, lo, hi = (np.asarray(a, dtype=float) for a in (y, lo, hi))
+    inverted = lo > hi
+    if inverted.any():
+        lo, hi = np.broadcast_arrays(lo, hi)
+        raise InvalidInterval(f"interval lower bound {lo[inverted][0]} exceeds upper bound {hi[inverted][0]}")
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    score = hi - lo
-    if y < lo:
-        score += (2.0 / alpha) * (lo - y)
-    elif y > hi:
-        score += (2.0 / alpha) * (y - hi)
-    return score
+    width = hi - lo
+    penalty = 2.0 / alpha
+    return np.where(y < lo, width + penalty * (lo - y), np.where(y > hi, width + penalty * (y - hi), width))
 
 
 def _scored_pairs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +291,7 @@ def regression_uq_metrics(
     """Interval table and mean scoring rules for a regression distribution.
 
     The check score averages the pinball loss of the empirical tau-quantiles
-    over ``tau_grid``.
+    over ``tau_grid``; every score is computed for all rows at once.
     """
     y_true = np.asarray(y_true, dtype=float).reshape(-1)
     if dist.task != "regression":
@@ -303,39 +300,24 @@ def regression_uq_metrics(
         raise LengthMismatch(f"{dist.n_inputs} inputs vs {len(y_true)} targets")
     if not all(0.0 < tau < 1.0 for tau in tau_grid):
         raise ValidationError(f"tau_grid values must lie in (0, 1), got {tau_grid}")
-    bounds = prediction_intervals(dist.samples, alpha).tolist()
-    quantiles = np.quantile(dist.samples, tau_grid, axis=1, method="linear").T.tolist()
-    crps_vals = crps_rows(dist.samples, y_true)
-    rows = []
-    cs_vals, is_vals, widths, covered = [], [], [], []
-    for i, (y, lo, hi) in enumerate(zip(y_true, *bounds)):
-        samples = dist.samples[i]
-        width = hi - lo
-        inside = lo <= y <= hi
-        cs_i = float(np.mean([check_score(y, q, t) for q, t in zip(quantiles[i], tau_grid)]))
-        is_i = interval_score(y, lo, hi, alpha)
-        rows.append(
-            {
-                "index": i,
-                "y_true": float(y),
-                "mean": float(samples.mean()),
-                "lower": lo,
-                "upper": hi,
-                "width": width,
-                "covered": bool(inside),
-            }
-        )
-        cs_vals.append(cs_i)
-        is_vals.append(is_i)
-        widths.append(width)
-        covered.append(inside)
+    lo, hi = prediction_intervals(dist.samples, alpha)
+    # (rows, taus), C order, so each row's mean sums its taus as one list would
+    quantiles = np.ascontiguousarray(np.quantile(dist.samples, tau_grid, axis=1, method="linear").T)
+    widths = hi - lo
+    covered = (lo <= y_true) & (y_true <= hi)
+    columns = zip(y_true.tolist(), dist.samples.mean(axis=1).tolist(), lo.tolist(), hi.tolist(),
+                  widths.tolist(), covered.tolist())
+    rows = [
+        {"index": i, "y_true": y, "mean": m, "lower": low, "upper": high, "width": w, "covered": c}
+        for i, (y, m, low, high, w, c) in enumerate(columns)
+    ]
     return {
         "alpha": alpha,
         "mean_interval_width": float(np.mean(widths)),
         "coverage": float(np.mean(covered)),
-        "crps": float(np.mean(crps_vals)),
-        "check_score": float(np.mean(cs_vals)),
-        "interval_score": float(np.mean(is_vals)),
+        "crps": float(np.mean(crps_rows(dist.samples, y_true))),
+        "check_score": float(np.mean(check_scores(y_true[:, None], quantiles, tau_grid).mean(axis=1))),
+        "interval_score": float(np.mean(interval_scores(y_true, lo, hi, alpha))),
         "intervals": rows,
     }
 

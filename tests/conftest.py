@@ -1,12 +1,20 @@
-from itertools import permutations
+import os
 
-import numpy as np
-import pytest
-from hypothesis import strategies as st
+# one BLAS thread, set before numpy loads BLAS (a caller's own setting wins):
+# OpenBLAS's threads double the CPU time of these small products and save no
+# wall time
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from qelm_lab import circuit as circ
-from qelm_lab import qelm
-from qelm_lab.noise import NoiseProfile, zero_noise_profile
+from itertools import permutations  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qelm_lab import circuit as circ  # noqa: E402
+from qelm_lab import qelm  # noqa: E402
+from qelm_lab.noise import NoiseProfile, zero_noise_profile  # noqa: E402
 
 
 @pytest.fixture

@@ -74,7 +74,7 @@ def test_criterion_01_entangled_pair_ideal_and_noisy():
 
 def test_criterion_02_worked_scoring_examples():
     with _report(2, "interval score 44, brier 0.04, log-loss 0.223 / 4.605", 1.0):
-        assert uq.interval_score(13.0, 8.0, 12.0, 0.05) == 44.0
+        assert uq.interval_scores(13.0, 8.0, 12.0, 0.05) == 44.0
         assert uq.brier([0.8], [1]) == pytest.approx(0.04, abs=1e-12)
         assert 0.222 <= uq.log_loss([0.8], [1]) <= 0.224
         assert 4.60 <= uq.log_loss([0.01], [1]) <= 4.61

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -675,6 +677,44 @@ def test_calibrate_zne_rejects_a_bad_flag_with_exit_one(capsys, tmp_path, flags,
     code, out, err = run_cli(capsys, "calibrate-zne", "--profile", "device-a", *flags, "--out", str(tmp_path))
     assert (code, out, err) == (1, "", f"error: {problem}\n")
     assert not (tmp_path / "zne_config.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--qubits", "30"), ("--gates", "-1"), ("--seed", "4")])
+def test_calibrate_zne_from_a_circuit_file_rejects_the_random_circuit_flags(capsys, tmp_path, flag, value):
+    circuit = tmp_path / "c2.txt"
+    circuit.write_text("qubits 2\nH 0\nCX 0 1\n")
+    argv = ["calibrate-zne", "--profile", "device-a", "--circuit", str(circuit), flag, value]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"error: {flag}: does not apply to a circuit file, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_calibrate_zne_random_circuit_defaults_to_3_qubits_12_gates_seed_0(capsys, tmp_path):
+    given = run_cli(capsys, "calibrate-zne", "--profile", "device-c", "--out", str(tmp_path / "a"))
+    explicit = ["--qubits", "3", "--gates", "12", "--seed", "0", "--out", str(tmp_path / "b")]
+    assert given == run_cli(capsys, "calibrate-zne", "--profile", "device-c", *explicit)
+    assert given[0] == 0
+    assert (tmp_path / "a" / "zne_config.json").read_bytes() == (tmp_path / "b" / "zne_config.json").read_bytes()
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [(["simulate"], "distribution.json"), (["calibrate-zne", "--profile", "zero-noise"], "zne_config.json")],
+)
+def test_a_closed_standard_output_ends_with_exit_zero_after_writing_the_files(
+    capsys, monkeypatch, tmp_path, argv, written
+):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main([*argv, "--out", str(tmp_path)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert (tmp_path / written).read_text().endswith("\n")
 
 
 def _profile_of_two_qubits(tmp_path):

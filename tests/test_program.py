@@ -27,7 +27,7 @@ from qelm_lab.rng import derive_seed
 
 
 def _former_front_circuit(front: qelm.QelmFront, x) -> circ.Circuit:
-    """encode (one RY per feature, the CX ring) composed with the reservoir."""
+    """The encoder (one RY per feature, the CX ring) composed with the reservoir."""
     n = front.n_qubits
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != n:

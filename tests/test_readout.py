@@ -571,8 +571,9 @@ def test_linear_refits_solved_as_one_stack_keep_the_bits_of_one_fit_each(seed, n
         weights, intercept = _one_linear_fit(x[rows], y[rows], ridge)
         assert fit.weights.tobytes() == alone.weights.tobytes() == weights.tobytes()
         assert fit.intercept == alone.intercept == intercept
-    # one fit on every row, as given, in either memory order
+    # one fit on every row, in either memory order, has the bits of one 2-D
+    # solve of the rows in C order (its row set copies them)
+    weights, intercept = _one_linear_fit(x, y, ridge)
     for x_in in (x, np.asfortranarray(x)):
         alone = fit_linear(x_in, y, ridge)
-        weights, intercept = _one_linear_fit(x_in, y, ridge)
         assert alone.weights.tobytes() == weights.tobytes() and alone.intercept == intercept

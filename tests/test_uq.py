@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qelm_lab import qelm, uq
@@ -33,6 +34,71 @@ def crps_by_integration(samples, y):
         step = 1.0 if y <= mid else 0.0
         total += (f - step) ** 2 * (right - left)
     return total
+
+
+def oracle_check_score(y: float, q: float, tau: float) -> float:
+    """The one-pair pinball loss the array form replaced, kept as its oracle."""
+    if not 0.0 < tau < 1.0:
+        raise ValidationError(f"tau must lie in (0, 1), got {tau}")
+    score = tau * (y - q) if y >= q else (1.0 - tau) * (q - y)
+    if score == 0.0 and y != q:
+        return math.ulp(0.0)
+    return score
+
+
+def oracle_interval_score(y: float, lo: float, hi: float, alpha: float) -> float:
+    """The one-row interval score the array form replaced, kept as its oracle."""
+    if lo > hi:
+        raise InvalidInterval(f"interval lower bound {lo} exceeds upper bound {hi}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
+    score = hi - lo
+    if y < lo:
+        score += (2.0 / alpha) * (lo - y)
+    elif y > hi:
+        score += (2.0 / alpha) * (y - hi)
+    return score
+
+
+def oracle_regression_uq_metrics(dist, y_true, alpha=0.05, tau_grid=uq.DEFAULT_TAU_GRID):
+    """regression_uq_metrics as it was, one row and one (row, tau) pair per
+    Python call, kept as the oracle of the array form."""
+    y_true = np.asarray(y_true, dtype=float).reshape(-1)
+    bounds = uq.prediction_intervals(dist.samples, alpha).tolist()
+    quantiles = np.quantile(dist.samples, tau_grid, axis=1, method="linear").T.tolist()
+    crps_vals = uq.crps_rows(dist.samples, y_true)
+    rows = []
+    cs_vals, is_vals, widths, covered = [], [], [], []
+    for i, (y, lo, hi) in enumerate(zip(y_true, *bounds)):
+        samples = dist.samples[i]
+        width = hi - lo
+        inside = lo <= y <= hi
+        cs_i = float(np.mean([oracle_check_score(y, q, t) for q, t in zip(quantiles[i], tau_grid)]))
+        is_i = oracle_interval_score(y, lo, hi, alpha)
+        rows.append(
+            {
+                "index": i,
+                "y_true": float(y),
+                "mean": float(samples.mean()),
+                "lower": lo,
+                "upper": hi,
+                "width": width,
+                "covered": bool(inside),
+            }
+        )
+        cs_vals.append(cs_i)
+        is_vals.append(is_i)
+        widths.append(width)
+        covered.append(inside)
+    return {
+        "alpha": alpha,
+        "mean_interval_width": float(np.mean(widths)),
+        "coverage": float(np.mean(covered)),
+        "crps": float(np.mean(crps_vals)),
+        "check_score": float(np.mean(cs_vals)),
+        "interval_score": float(np.mean(is_vals)),
+        "intervals": rows,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -125,31 +191,31 @@ def test_crps_pair_formula_equals_integration_oracle():
 
 
 def test_check_score_cases():
-    assert uq.check_score(3.0, 3.0, 0.4) == 0.0
-    assert uq.check_score(10.0, 8.0, 0.9) == pytest.approx(1.8)
+    assert uq.check_scores(3.0, 3.0, 0.4) == 0.0
+    assert uq.check_scores(10.0, 8.0, 0.9) == pytest.approx(1.8)
     y, q = 2.0, 5.0
-    assert uq.check_score(y, q, 0.5) == pytest.approx(0.5 * abs(y - q))
+    assert uq.check_scores(y, q, 0.5) == pytest.approx(0.5 * abs(y - q))
     # tau or 1 - tau times a subnormal difference may round to 0.0
     for tau in (0.1, 0.5, 0.9):
-        assert uq.check_score(0.0, 5e-324, tau) == 5e-324
-        assert uq.check_score(5e-324, 0.0, tau) == 5e-324
+        assert uq.check_scores(0.0, 5e-324, tau) == 5e-324
+        assert uq.check_scores(5e-324, 0.0, tau) == 5e-324
 
 
 @settings(max_examples=50, deadline=None)
 @given(y=st.floats(-10, 10), q=st.floats(-10, 10), tau=st.floats(0.01, 0.99))
 def test_check_score_zero_iff_exact(y, q, tau):
-    score = uq.check_score(y, q, tau)
+    score = uq.check_scores(y, q, tau)
     assert score >= 0.0
     if y != q:
         assert score > 0.0
 
 
 def test_interval_score_worked_cases():
-    assert uq.interval_score(13.0, 8.0, 12.0, 0.05) == pytest.approx(44.0)
-    assert uq.interval_score(7.0, 8.0, 12.0, 0.05) == pytest.approx(44.0)
-    assert uq.interval_score(10.0, 8.0, 12.0, 0.05) == pytest.approx(4.0)
+    assert uq.interval_scores(13.0, 8.0, 12.0, 0.05) == pytest.approx(44.0)
+    assert uq.interval_scores(7.0, 8.0, 12.0, 0.05) == pytest.approx(44.0)
+    assert uq.interval_scores(10.0, 8.0, 12.0, 0.05) == pytest.approx(4.0)
     with pytest.raises(InvalidInterval):
-        uq.interval_score(1.0, 5.0, 2.0, 0.05)
+        uq.interval_scores(1.0, 5.0, 2.0, 0.05)
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,13 +227,100 @@ def test_interval_score_worked_cases():
 )
 def test_interval_score_at_least_width(y, lo, width, alpha):
     hi = lo + width
-    score = uq.interval_score(y, lo, hi, alpha)
+    score = uq.interval_scores(y, lo, hi, alpha)
     assert score >= width - 1e-12
     if lo <= y <= hi:
         assert score == pytest.approx(width)
     else:
         # the penalty can underflow when the miss distance is denormal-small
         assert score >= width
+
+
+# values around the cases the one-pair forms decide one by one: ties,
+# signed zeros, subnormal and huge differences
+_SCORE_VALUES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e6, -1e6])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(_SCORE_VALUES, _SCORE_VALUES, st.booleans(), st.floats(1e-6, 1.0 - 1e-6, exclude_max=True)),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example(pairs=[(0.0, 5e-324, False, 0.5), (5e-324, 0.0, False, 0.5), (3.0, 3.0, True, 0.4)])
+def test_check_scores_equal_the_one_pair_oracle(pairs):
+    """One array call scores every (y, q, tau) with the bits of a call per
+    pair, on both sides of q and at ties."""
+    y = np.array([a for a, _, _, _ in pairs])
+    q = np.array([a if tie else b for a, b, tie, _ in pairs])
+    tau = np.array([t for _, _, _, t in pairs])
+    want = [oracle_check_score(a, b, t) for a, b, t in zip(y.tolist(), q.tolist(), tau.tolist())]
+    assert repr(uq.check_scores(y, q, tau).tolist()) == repr(want)
+    # broadcast: one tau column against a (rows, taus) table
+    t = float(tau[0])
+    table = uq.check_scores(y[:, None], np.stack([q, y], axis=1), t)
+    want = [[oracle_check_score(a, b, t), oracle_check_score(a, a, t)] for a, b in zip(y.tolist(), q.tolist())]
+    assert repr(table.tolist()) == repr(want)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0, -0.5, 1.5, np.nan])
+def test_check_scores_reject_a_tau_outside_the_unit_interval(tau):
+    with pytest.raises(ValidationError, match="tau must lie in"):
+        uq.check_scores([1.0, 2.0], [1.5, 1.5], [0.5, tau])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_SCORE_VALUES, _SCORE_VALUES, _SCORE_VALUES), min_size=1, max_size=20),
+    alpha=st.floats(0.001, 0.999),
+    inverted=st.none() | st.integers(0, 19),
+)
+@example(rows=[(0.0, 0.0, -0.0), (5e-324, 0.0, 0.0), (-5e-324, 0.0, 1.0)], alpha=0.05, inverted=None)
+def test_interval_scores_equal_the_one_row_oracle(rows, alpha, inverted):
+    """One array call scores every (y, lo, hi) with the bits of a call per
+    row, inside and on both sides of the interval; an inverted interval
+    raises the oracle's error, naming the first."""
+    rows = [(y, a, b) if a <= b else (y, b, a) for y, a, b in rows]  # lo <= hi
+    if inverted is not None and inverted < len(rows) and rows[inverted][1] < rows[inverted][2]:
+        y, lo, hi = rows[inverted]
+        rows[inverted] = (y, hi, lo)
+    y, lo, hi = (np.array(column) for column in zip(*rows))
+    try:
+        want = [oracle_interval_score(*row, alpha) for row in zip(y.tolist(), lo.tolist(), hi.tolist())]
+    except InvalidInterval as caught:
+        with pytest.raises(InvalidInterval) as got:
+            uq.interval_scores(y, lo, hi, alpha)
+        assert str(got.value) == str(caught)
+        return
+    assert repr(uq.interval_scores(y, lo, hi, alpha).tolist()) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_inputs=st.integers(1, 18),
+    n_samples=st.integers(2, 100),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+    alpha=st.sampled_from([0.05, 0.1, 0.5]) | st.floats(0.001, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+    coarse=st.booleans(),
+    ties=st.booleans(),
+)
+def test_regression_metrics_equal_the_per_row_oracle(n_inputs, n_samples, scale, alpha, seed, coarse, ties):
+    """The array regression_uq_metrics gives the oracle's dict, compared by
+    repr: rounded samples, targets on a sample (ties with a quantile) and
+    scales from 1e-6 to 1e6."""
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n_inputs, n_samples)) * scale
+    if coarse:  # repeated values, as bootstrap refits of a tree give
+        samples = np.round(samples / scale, 1) * scale
+    y_true = rng.normal(size=n_inputs) * scale
+    if ties:
+        y_true = samples[:, 0].copy()
+    dist = uq.PredictionDistribution("regression", samples)
+    want = oracle_regression_uq_metrics(dist, y_true, alpha)
+    assert repr(uq.regression_uq_metrics(dist, y_true, alpha)) == repr(want)
 
 
 def test_brier_cases():
@@ -279,7 +432,7 @@ def test_reliability_rejects_a_nan_probability():
 
 def test_a_nan_class_probability_is_not_a_probability_vector():
     with pytest.raises(ValidationError, match="must be probability vectors"):
-        uq.PredictionDistribution("classification", [[[np.nan, np.nan]]], ("bootstrap", 1))
+        uq.PredictionDistribution("classification", [[[np.nan, np.nan]]])
 
 
 def test_reliability_csv_shapes():
@@ -330,7 +483,6 @@ def test_bootstrap_is_seeded_and_spreads():
     d1 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=9, **kwargs)
     d2 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=9, **kwargs)
     assert np.array_equal(d1.samples, d2.samples)
-    assert d1.source == ("bootstrap", 100)
     assert d1.samples.std(axis=1).min() > 0.0
     d3 = uq.bootstrap_distribution(*parts, x_train, y_train, x_test, seed=10, **kwargs)
     assert not np.array_equal(d1.samples, d3.samples)
@@ -390,7 +542,7 @@ def test_ensemble_mean_beats_median_member():
         cache=cache,
     )
     member_mse = [
-        float(np.mean((dist.samples[:, i] - y_test) ** 2)) for i in range(dist.n_samples)
+        float(np.mean((dist.samples[:, i] - y_test) ** 2)) for i in range(dist.samples.shape[1])
     ]
     ensemble_mse = float(np.mean((dist.mean_predictions() - y_test) ** 2))
     assert ensemble_mse <= np.median(member_mse)
@@ -481,8 +633,8 @@ def _per_row_metrics(samples, y_true, alpha, tau_grid):
             }
         )
         crps_vals.append(uq.crps_rows(samples[i : i + 1], np.array([y]))[0])
-        cs_vals.append(float(np.mean([uq.check_score(y, q, t) for q, t in zip(taus, tau_grid)])))
-        is_vals.append(uq.interval_score(y, lo, hi, alpha))
+        cs_vals.append(float(np.mean([oracle_check_score(y, q, t) for q, t in zip(taus, tau_grid)])))
+        is_vals.append(oracle_interval_score(y, lo, hi, alpha))
     return {
         "alpha": alpha,
         "mean_interval_width": float(np.mean([r["width"] for r in rows])),
@@ -510,7 +662,7 @@ def test_one_call_quantiles_match_one_call_per_row_and_tau(
     if coarse:  # repeated values, as bootstrap refits of a tree give
         samples = np.round(samples, 1)
     y_true = rng.normal(size=n_inputs)
-    dist = uq.PredictionDistribution("regression", samples, ("bootstrap", n_samples))
+    dist = uq.PredictionDistribution("regression", samples)
     got = uq.regression_uq_metrics(dist, y_true, alpha)
     assert json.dumps(got) == json.dumps(
         _per_row_metrics(samples, y_true, alpha, uq.DEFAULT_TAU_GRID)
@@ -518,14 +670,14 @@ def test_one_call_quantiles_match_one_call_per_row_and_tau(
 
 
 def test_regression_metrics_keep_their_errors():
-    dist = uq.PredictionDistribution("regression", np.zeros((3, 5)), ("bootstrap", 5))
+    dist = uq.PredictionDistribution("regression", np.zeros((3, 5)))
     for alpha in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValidationError):
             uq.regression_uq_metrics(dist, np.zeros(3), alpha)
     for tau_grid in ((0.5, 1.0), (0.0, 0.5), (0.5, 1.5)):
         with pytest.raises(ValidationError):
             uq.regression_uq_metrics(dist, np.zeros(3), 0.1, tau_grid)
-    one = uq.PredictionDistribution("regression", np.zeros((3, 1)), ("bootstrap", 1))
+    one = uq.PredictionDistribution("regression", np.zeros((3, 1)))
     with pytest.raises(InsufficientSamples):
         uq.regression_uq_metrics(one, np.zeros(3))
     with pytest.raises(InsufficientSamples):
