@@ -594,8 +594,10 @@ class BaggedTrees:
 def fit_linear(features: np.ndarray, targets: np.ndarray, ridge: float = 1e-8) -> LinearReadout:
     """Ridge least squares via the normal equations; the intercept column is
     not penalized."""
-    targets = np.asarray(targets, dtype=float)
-    return next(_fit_linears(np.asarray(features, dtype=float), targets, [np.arange(len(targets))], ridge))
+    features, targets = np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
+    if len(features) != len(targets):
+        raise ValidationError("feature rows must match target count")
+    return next(_fit_linears(features, targets, [np.arange(len(targets))], ridge))
 
 
 def _fit_linears(features: np.ndarray, targets: np.ndarray, samples, ridge: float = 1e-8):

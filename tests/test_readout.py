@@ -40,6 +40,12 @@ def test_linear_matches_lstsq_oracle():
     assert abs(model.intercept - oracle[3]) < 1e-8
 
 
+@pytest.mark.parametrize("n_targets", [8, 12])
+def test_linear_rejects_a_target_count_other_than_the_feature_rows(n_targets):
+    with pytest.raises(ValidationError, match="feature rows must match target count"):
+        fit_linear(np.zeros((10, 2)), np.zeros(n_targets))
+
+
 def test_logistic_separable_set_reaches_full_accuracy():
     rng = np.random.default_rng(3)
     x0 = rng.uniform(0.0, 0.4, size=(30, 2))
