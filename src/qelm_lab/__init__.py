@@ -3,7 +3,16 @@ under configurable noise, with error mitigation and uncertainty metrics."""
 
 __version__ = "0.1.0"
 
-from .circuit import (  # noqa: F401
+import os
+
+# One BLAS thread unless the caller set a count: the walks' products are
+# small, so OpenBLAS's own threads double their CPU time and save no wall
+# time, and --jobs runs repeats in threads of its own. This must run before
+# numpy loads BLAS; it cannot act in a process that imported numpy first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from .circuit import (  # noqa: E402, F401
     Circuit,
     Gate,
     compose,
@@ -12,7 +21,7 @@ from .circuit import (  # noqa: F401
     inverse,
     to_text,
 )
-from .noise import (  # noqa: F401
+from .noise import (  # noqa: E402, F401
     KrausChannel,
     NoiseProfile,
     bundled_profile,
@@ -20,7 +29,7 @@ from .noise import (  # noqa: F401
     load_profile,
     zero_noise_profile,
 )
-from .simulator import (  # noqa: F401
+from .simulator import (  # noqa: E402, F401
     DensityMatrix,
     OutcomeDistribution,
     ShotCounts,

@@ -169,6 +169,8 @@ def _check_circuit_width(circuit, profile) -> None:
 
 def _cmd_simulate(args) -> int:
     read(at_least(0), args.shots, "--shots")
+    if not args.shots:
+        _reject_flags(args, {"seed": "--seed"}, "a run without --shots")
     if args.circuit:
         text = file_text(args.circuit)
     else:
@@ -358,7 +360,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--circuit", help="circuit text file (default: bundled Bell pair)")
     p_sim.add_argument("--profile", help="noise profile name or path (default: ideal)")
     p_sim.add_argument("--shots", type=int, default=0)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=int, help="shot sampling seed (default 0; needs --shots)")
     p_sim.add_argument("--out")
     p_sim.add_argument("--dump-circuit", action="store_true", dest="dump_circuit",
                        help="print the parsed circuit in text form and exit")

@@ -17,7 +17,8 @@ targets), reshaped to (S, d^k, rest), multiplied by one d^k x d^k operator
 or one per slab in a single broadcast np.matmul, and handed back as a view
 transposed to the original axis order. NumPy makes the same 2-D product per
 slab that a single state gets, so a state is bit-identical whether it is
-evolved alone or in a stack.
+evolved alone or in a stack. Fused noisy walks contract through plans
+instead (_contract, below).
 
 run_noisy_many works in the Pauli-transfer-matrix (PTM) representation: the
 state is the real tensor of its Pauli coefficients Tr(P_s rho), and each gate
@@ -67,12 +68,34 @@ are within 1e-12 of gate-by-gate runs, not bit-identical to them; since
 the plan depends on the circuit alone, a state still has the same bits
 whether it is evolved alone or with others.
 
+Contraction plans: a fused noisy walk holds its states flat, with a
+layout that says which qubit's Pauli index each digit of a flat position
+is (_plan_step). A step copies the state once: it gathers the targets'
+entries first, in the order its operator needs, and the other digits
+after them in their order, as a strided view of the stack read at no more
+than 4^3 positions; an axis the gather leaves in another order costs no
+extra copy. A fixed block whose PTM is exactly zero between Pauli strings
+of different X/Y supports (the ZZ-only blocks of an Ising reservoir, under
+every bundled profile; one exact-zero test per block and walk) is
+multiplied as 2^k products of 2^k x 2^k, one per support pattern, instead
+of one 4^k x 4^k product: the terms it leaves out are exact zeros, which
+add nothing to BLAS's in-order sums. noisy_probabilities reads only the
+{I, Z}^n corner, so there a qubit keeps only I and Z from its last step
+on, once every circuit of the trie node is done with it: that step's
+operator rows are sliced (a split block drops its X/Y patterns), and later
+steps multiply fewer columns. An 8-qubit Ising row thus takes 74.6 million
+multiply-adds instead of 170.9 million, with the bits of whole products.
+Where circuits end, their states are gathered into natural order (the
+corner only, for noisy_probabilities). Ideal walks, whose 8-qubit states
+hold 256 amplitudes, and walks up to 6 qubits keep _apply_slabs.
+
 Caches: the module-level ones are keyed on shapes or on the noise profile
 only, so their size is bounded by the qubit counts, circuit shapes and
 profiles a process meets: _axis_orders, _pauli_basis, _fusion_plan and
 _z_signs, and the noise PTMs _part_ptm and noise_ptm. Nothing keyed on a
-gate's angle outlives a walk: its gate matrices, slot stacks and fixed
-blocks live in the walk's own table, so fresh seeds leave no state behind.
+gate's angle outlives a walk: its gate matrices, slot stacks, fixed
+blocks and contraction plans live in the walk's own tables, so fresh seeds
+leave no state behind.
 
 Bit convention: qubit 0 is the most significant bit of an outcome string,
 so basis index  b = sum_q bit_q * 2^(n-1-q)  and ``format(b, "0nb")`` reads
@@ -353,9 +376,10 @@ def _pauli_to_density(tensor: np.ndarray) -> DensityMatrix:
 
 
 def _pauli_diagonals(stack: np.ndarray) -> tuple[np.ndarray, list]:
-    """The outcome probabilities of a stack of PTM states, one row each: the
-    diagonal of rho, read from the {I, Z}^n corner of each tensor and
-    clipped at 0, as DensityMatrix.probabilities_vector gives them after
+    """The outcome probabilities of a stack of PTM states, one row each
+    (whole tensors, or their {I, Z}^n corners: axes of 2): the diagonal of
+    rho, read from the corner of each tensor and clipped at 0, as
+    DensityMatrix.probabilities_vector gives them after
     _pauli_to_density (bit for bit: the corner is transformed axis by axis
     in the same order, and the X and Y terms it leaves out are exact zeros
     on the diagonal). Returns the rows and the state checks on them
@@ -367,9 +391,10 @@ def _pauli_diagonals(stack: np.ndarray) -> tuple[np.ndarray, list]:
     holds by construction, since the coefficients are real.
     """
     count, n = len(stack), stack.ndim - 1
+    if stack.shape[1:] != (2,) * n:
+        stack = stack[(slice(None),) + np.ix_(*[_PAULI_ZERO] * n)]
     traces = stack[(slice(None),) + (0,) * n]
-    corner = stack[(slice(None),) + np.ix_(*[_PAULI_ZERO] * n)]
-    diagonal = _on_each_axis(corner, _DIAGONAL_FROM_PAULI).reshape(count, -1)
+    diagonal = _on_each_axis(stack, _DIAGONAL_FROM_PAULI).reshape(count, -1)
     lows = diagonal.min(axis=1)
     return np.clip(diagonal, 0.0, None), [
         (
@@ -459,6 +484,147 @@ def _noisy_gate_ptms(profile: NoiseProfile, targets: tuple[int, ...], unitaries:
     return noise_ptm(profile, targets) @ _kraus_ptms(unitaries[:, None])
 
 
+# Contraction plans (fused noisy walks, from 7 qubits). A stack of PTM
+# states is held flat, (S, entries), with a layout: its digits from the most
+# significant on, each (qubit, part). Part "f" holds a qubit's four entries
+# in natural order (I, X, Y, Z), "c" only its I and Z entries, and a pair
+# "b", "w" splits its four entries into the pattern bit b (1 on X and Y) and
+# the index w within the pattern: (I, Z) or (X, Y), natural order within
+# each pattern. A qubit's "b" digit always precedes its "w" digit.
+_PART_SIZES = {"f": 4, "c": 2, "b": 2, "w": 2}
+# a digit's value at each Pauli index (-1: the part does not hold it)
+_PART_OFFSETS = {
+    "f": np.arange(4), "c": np.array([0, -1, -1, 1]), "b": np.array([0, 1, 1, 0]), "w": np.array([0, 0, 1, 1])
+}
+_PAIR_CODES = np.array([[0, 3], [1, 2]])  # the Pauli index at (b, w)
+
+
+class _Plan(NamedTuple):
+    """One step of a fused walk (_plan_step). Its gather reads, for each
+    entry of ``front`` (the targets' entries in the operator's order, as
+    flat positions), the grid of the other digits: ``shape`` and
+    ``strides`` (in entries) from there, ``extent`` being the number of
+    positions such a grid may start at. The product takes the operator's
+    rows ``select`` (``split``: the (patterns, 2^k) grid of its entries per
+    pattern); the result is a state of ``layout``."""
+
+    targets: tuple[int, ...]
+    front: np.ndarray
+    shape: tuple[int, ...]
+    strides: tuple[int, ...]
+    extent: int
+    select: np.ndarray
+    split: bool
+    layout: tuple
+
+
+def _offsets(layout: tuple, qubits) -> tuple[dict, list[int]]:
+    """Per qubit of ``qubits``, the flat position in a state of ``layout``
+    of each of its Pauli entries; and the stride of every digit."""
+    strides, stride = [], 1
+    for _, part in reversed(layout):
+        strides.append(stride)
+        stride *= _PART_SIZES[part]
+    strides.reverse()
+    offsets = dict.fromkeys(qubits, 0)
+    for (q, part), stride in zip(layout, strides):
+        if q in offsets:
+            offsets[q] = offsets[q] + stride * _PART_OFFSETS[part]
+    return offsets, strides
+
+
+def _grid(offsets: list, split: bool, corner: list[bool]) -> np.ndarray:
+    """Over the entries of some qubits in an operator's order, the sum of
+    each qubit's ``offsets`` (by Pauli index): lexicographic over their
+    Pauli indices, only I and Z for a qubit marked ``corner``; or ``split``,
+    over the pattern bits of the unmarked qubits, then the indices within
+    the pattern of all of them."""
+    if not split:
+        return reduce(np.add.outer, [off[_PAULI_ZERO,] if c else off for off, c in zip(offsets, corner)]).ravel()
+    bits = [i for i, c in enumerate(corner) if not c]
+    total = np.zeros((), dtype=np.intp)
+    for i, (off, c) in enumerate(zip(offsets, corner)):
+        shape = [1] * (len(bits) + len(offsets))
+        shape[len(bits) + i] = 2
+        if not c:
+            shape[bits.index(i)] = 2
+        total = total + (off[_PAULI_ZERO,] if c else off[_PAIR_CODES]).reshape(shape)
+    return total.ravel()
+
+
+def _plan_step(layout: tuple, targets: tuple[int, ...], split: bool, done: frozenset) -> _Plan:
+    """The plan of a step on ``targets`` applied to a state of ``layout``.
+    The gather puts the targets first, in the operator's order (natural, or
+    ``split``: pattern bits, then indices within the pattern), and the other
+    digits after them in their order. A qubit of ``done`` (the step is its
+    last) keeps only I and Z: its operator rows are sliced, and a split step
+    gathers only its I/Z patterns."""
+    offsets, strides = _offsets(layout, targets)
+    entries = strides[0] * _PART_SIZES[layout[0][1]]
+    corner = [t in done for t in targets]
+    # the other digits: blocks of them between targets, each one grid axis
+    shape: list[int] = []
+    steps: list[int] = []
+    joined = False
+    for (q, part), stride in zip(layout, strides):
+        if q in offsets:
+            joined = False
+        elif joined:
+            shape[-1] *= _PART_SIZES[part]
+            steps[-1] = stride
+        else:
+            shape.append(_PART_SIZES[part])
+            steps.append(stride)
+            joined = True
+    reach = sum((size - 1) * stride for size, stride in zip(shape, steps))
+    front = _grid([offsets[t] for t in targets], split, corner if split else [False] * len(targets))
+    k = len(targets)
+    select = _grid([4 ** (k - 1 - i) * np.arange(4) for i in range(k)], split, corner)
+    if split:
+        select = select.reshape(-1, 2**k)
+        out = tuple((t, "b") for t, c in zip(targets, corner) if not c)
+        out += tuple((t, "c" if c else "w") for t, c in zip(targets, corner))
+    else:
+        out = tuple((t, "c" if c else "f") for t, c in zip(targets, corner))
+    rest = tuple(digit for digit in layout if digit[0] not in offsets)
+    return _Plan(targets, front, tuple(shape), tuple(steps), entries - reach, select, split, out + rest)
+
+
+def _plan_ops(op: np.ndarray, plan: _Plan) -> np.ndarray:
+    """A step's operator as _contract applies it: its kept rows, or split,
+    one block per gathered pattern."""
+    select = plan.select
+    if plan.split:
+        return op[select[:, :, None], select[:, None, :]]
+    return op if len(select) == op.shape[-2] else op[..., select, :]
+
+
+def _contract(slabs: np.ndarray, ops: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Apply a planned step to ``slabs``, an (S, entries) stack of states:
+    one gather (the step's one copy: for each slab and front entry, a
+    strided grid of a view of the stack) and one broadcast np.matmul, a 2-D
+    product per slab, or per slab and pattern. ``ops`` is _plan_ops of one
+    operator for every slab or of an (S, d^k, d^k) stack, one per slab."""
+    count, item = len(slabs), slabs.itemsize
+    view = np.ndarray(
+        (count, plan.extent) + plan.shape, slabs.dtype, slabs, 0,
+        (slabs.strides[0], item) + tuple(item * stride for stride in plan.strides),
+    )
+    gathered = view[np.arange(count)[:, None], plan.front]
+    if plan.split:
+        gathered = gathered.reshape((count,) + plan.select.shape + (-1,))
+    else:
+        gathered = gathered.reshape(count, ops.shape[-1], -1)
+    return np.matmul(ops, gathered).reshape(count, -1)
+
+
+def _pattern_diagonal(op: np.ndarray) -> bool:
+    """Whether a PTM is exactly zero between Pauli strings whose X/Y
+    supports differ: then its product splits into one per support pattern,
+    and the terms it leaves out add exact zeros."""
+    return not op.take(_OFF_PATTERN[len(op)]).any()
+
+
 # ---------------------------------------------------------------------------
 # execution
 
@@ -474,6 +640,13 @@ BATCH_ENTRIES = 2**16
 # a contraction costs about the same for 2 or 3 target qubits (the strided
 # copy dominates, not the arithmetic); 4-qubit blocks cost more than they save.
 FUSED_QUBITS = 3
+
+# per operator size 4^k (k <= FUSED_QUBITS), the flat positions of its
+# entries between Pauli strings of different X/Y-support patterns
+_OFF_PATTERN = {}
+for _k in range(1, FUSED_QUBITS + 1):
+    _pattern = reduce(lambda a, b: (2 * a[:, None] + b).ravel(), [_PART_OFFSETS["b"]] * _k)
+    _OFF_PATTERN[4**_k] = np.flatnonzero(_pattern[:, None] != _pattern[None, :])
 
 
 class _Block(NamedTuple):
@@ -592,35 +765,79 @@ def _block_ops(profile: NoiseProfile | None, block: _Block, angles, rows, memo) 
     return ops if per_row else ops[0]
 
 
-def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoiseProfile | None, finish) -> list:
+def _last_steps(steps: tuple) -> list[frozenset]:
+    """Per step of a step list, the qubits that no later step touches."""
+    last = {q: j for j, step in enumerate(steps) for q in step.targets}
+    return [frozenset(q for q in step.targets if last[q] == j) for j, step in enumerate(steps)]
+
+
+def _fused_step(table: dict, profile, layout: tuple, step, done: frozenset, angles, rows, memo) -> tuple:
+    """The plan of a fused step on a state of ``layout`` and the operator
+    _contract applies, from the walk's ``table``. Per (layout, step, done),
+    by identity, it keeps the plan and a fixed operator as planned; a
+    per-row operator is planned per call. A miss tests a fixed PTM for
+    splitting (one exact-zero test) and looks the plan up by value, so
+    equal layouts share one plan and one next layout."""
+    key = (id(layout), id(step), done)
+    entry = table.get(key)
+    if entry is not None and entry[1] is not None:
+        return entry
+    op = _step_ops(profile, step, angles, rows, memo)
+    if entry is None:
+        split = op.ndim == 2 and _pattern_diagonal(op)
+        value = (layout, step.targets, split, done)
+        plan = table.get(value)
+        if plan is None:
+            plan = table[value] = _plan_step(*value)
+        ops = _plan_ops(op, plan)
+        table[key] = (plan, ops if op.ndim == 2 else None)
+        return plan, ops
+    return entry[0], _plan_ops(op, entry[0])
+
+
+def _walk(
+    circuits: list[Circuit], angles, initial: np.ndarray, profile: NoiseProfile | None, finish, corner: bool = False
+) -> list:
     """Evolve ``initial`` through the gate list of every circuit for every
     row of ``angles`` (None: one row, for circuits without slots), and
     return one result per (row, circuit), row by row. Where circuits end,
-    ``finish`` takes the stack of their final states, one per row
-    (uncopied), and returns one result per state; circuits that end at one
-    node share its results. With a profile the states are PTM tensors,
-    without one state vectors (_step_ops).
+    ``finish`` takes the stack of their final states, one per row, and
+    returns one result per state; circuits that end at one node share its
+    results. With a profile the states are PTM tensors, without one state
+    vectors (_step_ops). With ``corner`` (a profile), ``finish`` reads only
+    the {I, Z}^n corner of each state, and a qubit's axis may hold only
+    its I and Z entries.
 
     From 7 qubits (d^n > d^(2 * FUSED_QUBITS)) a circuit steps through its
     fusion plan (_program), else gate by gate. The step lists are walked as
     a trie of exact step prefixes: a node is the set of circuits that share
     their steps so far, holding one slab per row. It applies their shared
-    run of steps to all its slabs, one _apply_slabs call per step, so a
-    step's Python work does not grow with the rows; it finishes the
-    circuits that end there and forks into one node per distinct next
-    step. The rows are chunked once, at the root, into chunks of at most
-    BATCH_ENTRIES entries, each built when it is popped. Every state is
-    bit-identical to its circuit's run on its own. The gate matrices, slot
-    stacks and fixed blocks (``memo``) belong to the walk, so threads share
-    none.
+    run of steps to all its slabs, one kernel call per step, so a step's
+    Python work does not grow with the rows; it finishes the circuits that
+    end there and forks into one node per distinct next step. The rows are
+    chunked once, at the root, into chunks of at most BATCH_ENTRIES
+    entries, each built when it is popped. Every state is bit-identical to
+    its circuit's run on its own. The gate matrices, slot stacks and fixed
+    blocks (``memo``) and the contraction plans (``table``) belong to the
+    walk, so threads share none.
+
+    Unfused, a step is one _apply_slabs call and the states stay tensors.
+    Fused, they are flat with a layout (_plan_step), a step is one _contract
+    call, and ``finish`` gets them gathered into natural order. A fixed
+    step whose PTM is pattern-diagonal (_pattern_diagonal) is applied
+    pattern by pattern. With ``corner``, a qubit keeps only I and Z from
+    the step on that is the last to touch it for every circuit of the node.
     """
     angles = np.zeros((1, 0)) if angles is None else np.asarray(angles, dtype=float)
     if not len(angles):
         return []
     count = len(circuits)
+    n = initial.ndim
     fuse = initial.size > initial.shape[0] ** (2 * FUSED_QUBITS)
     lists = [_program(c.gates, fuse) for c in circuits]
+    ends = [_last_steps(steps) for steps in lists] if fuse and corner else None
     memo: dict = {}  # by a fixed gate's id (the circuits keep it alive), a slot, a block
+    table: dict = {}  # the plans of a fused walk (_fused_step)
     fixed: dict = {}  # every fixed gate's matrix (_step_ops), one stack per target set
     for gate in (g for c in circuits for g in c.gates if isinstance(g, Gate)):
         fixed.setdefault(gate.targets, {})[id(gate)] = gate
@@ -628,23 +845,34 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
         unitaries = np.stack([gate_matrix(gate) for gate in gates.values()])
         memo.update(zip(gates, unitaries if profile is None else _noisy_gate_ptms(profile, targets, unitaries)))
     results: list = [None] * (len(angles) * count)
-    # (slabs, depth, members, rows): slab i is the state of row rows[i] after
-    # the first `depth` steps, which every circuit of members shares; a root
-    # chunk's slabs are None until it is popped
+    shape = (2 if corner else 4,) * n
+    # (slabs, layout, depth, members, rows): slab i is the state of row
+    # rows[i] after the first `depth` steps, which every circuit of members
+    # shares, held as a tensor (layout None) or flat; a root chunk's slabs
+    # are None until it is popped
     chunk = max(1, BATCH_ENTRIES // initial.size)
+    start = tuple((q, "f") for q in range(n)) if fuse and profile is not None else None
     pending = [
-        (None, 0, list(range(count)), np.arange(r, min(r + chunk, len(angles))))
+        (None, start, 0, list(range(count)), np.arange(r, min(r + chunk, len(angles))))
         for r in range(0, len(angles), chunk)
     ]
     while pending:
-        slabs, depth, members, rows = pending.pop()
+        slabs, layout, depth, members, rows = pending.pop()
         if slabs is None:
             slabs = np.repeat(initial[None], len(rows), axis=0)
+            if layout is not None:
+                slabs = slabs.reshape(len(rows), -1)
         while True:
             live = [i for i in members if depth < len(lists[i])]
             ending = [i for i in members if depth == len(lists[i])]
             if ending:
-                for row, result in zip(rows.tolist(), finish(slabs)):
+                states = slabs
+                if layout is not None:
+                    natural = _grid(list(_offsets(layout, range(n))[0].values()), False, [corner] * n)
+                    states = slabs[:, natural].reshape((len(slabs),) + shape)
+                    if not live:
+                        slabs = None  # free the node's state before its last finish
+                for row, result in zip(rows.tolist(), finish(states)):
                     for i in ending:
                         results[row * count + i] = result
             if not live:
@@ -659,10 +887,16 @@ def _walk(circuits: list[Circuit], angles, initial: np.ndarray, profile: NoisePr
                 forks: dict = {}
                 for i in live:
                     forks.setdefault(lists[i][depth], []).append(i)
-                pending += [(slabs, depth, fork, rows) for fork in forks.values()]
+                pending += [(slabs, layout, depth, fork, rows) for fork in forks.values()]
                 break
-            for step in lead[depth:stop]:
-                slabs = _apply_slabs(slabs, _step_ops(profile, step, angles, rows, memo), step.targets)
+            for j in range(depth, stop):
+                step = lead[j]
+                if layout is None:
+                    slabs = _apply_slabs(slabs, _step_ops(profile, step, angles, rows, memo), step.targets)
+                    continue
+                done = frozenset.intersection(*(ends[i][j] for i in live)) if ends else frozenset()
+                plan, ops = _fused_step(table, profile, layout, step, done, angles, rows, memo)
+                slabs, layout = _contract(slabs, ops, plan), plan.layout
             members, depth = live, stop
     return results
 
@@ -744,12 +978,14 @@ def noisy_probabilities(
     return np.array(
         _walk_noisy(
             circuits, angles, profile, "noisy_probabilities",
-            lambda stack: _measure_pauli(stack, profile),
+            lambda stack: _measure_pauli(stack, profile), corner=True,
         )
     )
 
 
-def _walk_noisy(circuits: list[Circuit], angles, profile: NoiseProfile, runner: str, finish) -> list:
+def _walk_noisy(
+    circuits: list[Circuit], angles, profile: NoiseProfile, runner: str, finish, corner: bool = False
+) -> list:
     """_walk from |0...0><0...0| in the PTM representation, each gate
     followed by the profile's noise."""
     if not circuits:
@@ -761,7 +997,7 @@ def _walk_noisy(circuits: list[Circuit], angles, profile: NoiseProfile, runner: 
         )
     tensor = np.zeros((4,) * n)
     tensor[np.ix_(*[_PAULI_ZERO] * n)] = 1.0
-    return _walk(circuits, angles, tensor, profile, finish)
+    return _walk(circuits, angles, tensor, profile, finish, corner)
 
 
 def _apply_ptm_density(state: DensityMatrix, ptm: np.ndarray, qubits: tuple[int, ...]) -> DensityMatrix:

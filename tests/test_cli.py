@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import qelm_lab
 from qelm_lab.cli import RUN_CONFIG, main
 from qelm_lab.noise import PROFILE_KEYS
 from test_schema import leaf_paths
@@ -72,6 +76,33 @@ def test_simulate_rejects_negative_shots_before_any_work(capsys, tmp_path):
     argv = ["simulate", "--shots", "-1", "--circuit", str(tmp_path / "none.txt"), "--out", str(tmp_path / "out")]
     assert run_cli(capsys, *argv) == (1, "", "error: --shots: must not be negative, got -1\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shots", [[], ["--shots", "0"]])
+def test_simulate_rejects_a_seed_without_shots(capsys, tmp_path, shots):
+    """The seed only samples shots: without them it would be ignored."""
+    argv = ["simulate", "--profile", "device-a", *shots, "--seed", "2", "--out", str(tmp_path / "out")]
+    assert run_cli(capsys, *argv) == (1, "", "error: --seed: does not apply to a run without --shots, got 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_samples_shots_with_seed_0_by_default(capsys):
+    given = run_cli(capsys, "simulate", "--profile", "device-a", "--shots", "64")
+    assert given[0] == 0
+    assert given == run_cli(capsys, "simulate", "--profile", "device-a", "--shots", "64", "--seed", "0")
+
+
+def test_the_package_pins_blas_to_one_thread_unless_the_caller_set_a_count():
+    """Importing qelm_lab (as the qelm-lab script and python -m do first)
+    sets each unset BLAS thread variable to 1 and keeps a preset one."""
+    names = "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+    env = {key: value for key, value in os.environ.items() if key not in names}
+    env["OPENBLAS_NUM_THREADS"] = "3"
+    src = str(Path(qelm_lab.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import qelm_lab, os, sys; print(*[os.environ[n] for n in {names!r}]); print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "3 1 1\nTrue\n"
 
 
 def test_simulate_missing_circuit_file(capsys):

@@ -464,20 +464,26 @@ def test_no_stack_of_slabs_exceeds_one_eight_qubit_state(monkeypatch):
     """At 8 qubits a noisy node keeps one slab, at 4 qubits at most 256;
     the backends hand the walker one program (ZNE: one per scale) and every
     row of a feature matrix, and the walker chunks them. At 8 qubits the
-    walk is fused, and each 3-qubit block's operator is built as one 6-axis
-    tensor of 4^6 entries (a 2-qubit block's as a 4-axis one)."""
-    kernel, seen = sim._apply_slabs, []
+    walk is fused, its states are flat (_contract, recorded by their qubit
+    count), and each 3-qubit block's operator is built as one 6-axis tensor
+    of 4^6 entries (a 2-qubit block's as a 4-axis one)."""
+    kernel, planned, seen = sim._apply_slabs, sim._contract, []
 
     def recorded(slabs, op, axes):
         seen.append((slabs.shape[1:], len(slabs)))
         return kernel(slabs, op, axes)
 
+    def contracted(slabs, ops, plan):
+        seen.append(((4,) * len({q for q, _ in plan.layout}), len(slabs)))
+        return planned(slabs, ops, plan)
+
     monkeypatch.setattr(sim, "_apply_slabs", recorded)
+    monkeypatch.setattr(sim, "_contract", contracted)
     walked, walk = [], sim._walk
 
-    def counted(circuits, angles, initial, profile, finish):
+    def counted(circuits, angles, initial, profile, finish, *corner):
         walked.append((initial.ndim, len(circuits), None if angles is None else len(angles)))
-        return walk(circuits, angles, initial, profile, finish)
+        return walk(circuits, angles, initial, profile, finish, *corner)
 
     monkeypatch.setattr(sim, "_walk", counted)
     profile = noise.bundled_profile("device-a")
@@ -755,14 +761,21 @@ def _ising_row(n: int) -> circ.Circuit:
 
 
 def test_an_eight_qubit_ising_row_takes_43_contractions_instead_of_124(monkeypatch):
-    kernel, widths = sim._apply_slabs, []
+    """Unfused walks contract states through _apply_slabs, fused ones
+    through _contract."""
+    kernel, planned, widths = sim._apply_slabs, sim._contract, []
 
     def counted(slabs, op, axes):
         if slabs.shape[1:] == (4,) * n:  # a state, not a block operator or readout
             widths.append(len(axes))
         return kernel(slabs, op, axes)
 
+    def contracted(slabs, ops, plan):
+        widths.append(len(plan.targets))
+        return planned(slabs, ops, plan)
+
     monkeypatch.setattr(sim, "_apply_slabs", counted)
+    monkeypatch.setattr(sim, "_contract", contracted)
     profile = noise.bundled_profile("device-a")
     for n, gates, contractions in ((8, 124, 43), (6, 75, 75)):
         row = _ising_row(n)
