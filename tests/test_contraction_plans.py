@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qelm_lab import circuit as circ
-from qelm_lab import qelm
 from qelm_lab import simulator as sim
 from qelm_lab.noise import bundled_profile, zero_noise_profile
+
+from test_simulator import ising_row
 
 
 def _profile(name):
@@ -103,15 +104,6 @@ def test_planned_walks_keep_the_bits_of_the_full_tensor_walk(program, name, scal
         assert np.array_equal(state.entries, sim._pauli_to_density(want[0]).entries)
 
 
-def _ising_row(n):
-    front = qelm.QelmFront(
-        qelm.EncoderSpec(((0.0, 1.0),) * n),
-        qelm.ReservoirSpec("ising", n_qubits=n, seed=11, time=0.5),
-        qelm.FeatureMapSpec("probabilities"),
-    )
-    return qelm.front_circuit(front, np.linspace(0.1, 0.9, n))
-
-
 @pytest.mark.parametrize("name", ["device-a", "device-b", "device-c", "zero"])
 def test_an_ising_row_splits_21_of_43_blocks_and_takes_44_percent_of_the_multiply_adds(monkeypatch, name):
     """The 21 ZZ-only blocks of an 8-qubit Ising row split into one product
@@ -130,7 +122,7 @@ def test_an_ising_row_splits_21_of_43_blocks_and_takes_44_percent_of_the_multipl
         return planned(slabs, ops, plan)
 
     monkeypatch.setattr(sim, "_contract", counted)
-    row = _ising_row(8)
+    row = ising_row(8)
     profile = _profile(name)
     got = sim.noisy_probabilities([row], profile)
     assert (len(seen), sum(split for split, _ in seen)) == (43, 21)

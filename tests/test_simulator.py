@@ -750,7 +750,7 @@ def test_fused_walks_match_gate_by_gate_runs(n, seed, n_gates, shift, profile):
         assert np.array_equal(mixed.entries, sim.run_noisy(circuit, profile).entries)
 
 
-def _ising_row(n: int) -> circ.Circuit:
+def ising_row(n: int) -> circ.Circuit:
     """A classification8-style row: RY encoder, CX ring, 3-step Ising reservoir."""
     front = qelm.QelmFront(
         qelm.EncoderSpec(((0.0, 1.0),) * n),
@@ -778,7 +778,7 @@ def test_an_eight_qubit_ising_row_takes_43_contractions_instead_of_124(monkeypat
     monkeypatch.setattr(sim, "_contract", contracted)
     profile = noise.bundled_profile("device-a")
     for n, gates, contractions in ((8, 124, 43), (6, 75, 75)):
-        row = _ising_row(n)
+        row = ising_row(n)
         widths.clear()
         sim.noisy_probabilities([row], profile)
         assert (len(row.gates), len(widths)) == (gates, contractions)
@@ -788,7 +788,7 @@ def test_an_eight_qubit_ising_row_takes_43_contractions_instead_of_124(monkeypat
 def test_fused_blocks_keep_the_noise_of_every_gate():
     """A scale-3 fold G G^dagger G must carry more noise than G: blocks
     multiply noisy PTMs, never bare unitaries."""
-    row = _ising_row(8)
+    row = ising_row(8)
     scales = circ.fold_to_scales(row, (1.0, 3.0))
     noisy = sim.noisy_probabilities(scales, noise.bundled_profile("device-a"))
     assert np.abs(noisy[0] - noisy[1]).max() > 1e-6
